@@ -54,7 +54,7 @@ from .potentials import (
 from .symtensor import SymMatrix, SymTensor, contract, delta_contract, deviator, sym_delta
 from .verify import TestPointSet, VerificationReport, VerifyConfig, run_all
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -80,6 +81,28 @@ def dumps17(obj, indent=2) -> str:
     return text
 
 
+def _require_finite(name: str, value):
+    """Reject NaN and infinite numbers anywhere inside a config value.
+
+    Entries that are not numbers are left to the parsing that uses them.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(f"{name}.{key}", item)
+    elif isinstance(value, (list, tuple)):
+        for k, item in enumerate(value):
+            _require_finite(f"{name}[{k}]", item)
+    elif value is not None and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        except (TypeError, ValueError):
+            return
+        if not finite:
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Validated, fully-defaulted run parameters.
@@ -111,11 +134,10 @@ class RunConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
-        if self.q_max % 2:
-            # subsystem reduction only defines even columns; the bound may be odd
-            pass
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("point", "state", "lam", "velocity", "moments"):
+            _require_finite(name, getattr(self, name))
         return self
 
     def equilibrium_point(self) -> EquilibriumPoint:
@@ -461,6 +483,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ClosureError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import coeffs
 from .coeffs import EquilibriumPoint, GeneratingFamily
-from .errors import DomainError
 from .numdiff import central_diff
 from .symtensor import SymMatrix, delta_contract, deviator
 
@@ -136,6 +135,31 @@ def _term_indices(N: int, parity: int):
                 yield p, q, r
 
 
+def _eval_potential(f, state, N, S, free, dlam, dppqq):
+    """Sum of the (p, q, r) terms of h_hat (free=False) or phi_hat (free=True)."""
+    series_of = coeffs.phi_series if free else coeffs.h_series
+    point = state.scalar_point()
+    point.require_domain()
+    dev = deviator(state.lam_ij)
+    total = np.zeros(3) if free else 0.0
+    for p, q, r in _term_indices(N, parity=int(free)):
+        series = series_of(f, p, q, r, S)
+        for _ in range(dlam):
+            series = series.d_lam()
+        for _ in range(dppqq):
+            series = series.d_ppqq()
+        coef = series(f, point)
+        if coef == 0.0:
+            continue
+        geom = delta_contract(
+            [state.lam_i] * p + [state.lam_ill] * q, [dev] * r, free=free
+        )
+        total += coef * geom / (
+            math.factorial(p) * math.factorial(q) * math.factorial(r)
+        )
+    return total
+
+
 def eval_h_hat(
     f: GeneratingFamily,
     state: MultiplierState,
@@ -149,26 +173,7 @@ def eval_h_hat(
     ``dlam``/``dppqq`` apply analytic derivatives in the scalar multiplier
     directions to every coefficient (used for moment recovery).
     """
-    point = state.scalar_point()
-    point.require_domain()
-    dev = deviator(state.lam_ij)
-    total = 0.0
-    for p, q, r in _term_indices(N, parity=0):
-        series = coeffs.h_series(f, p, q, r, S)
-        for _ in range(dlam):
-            series = series.d_lam()
-        for _ in range(dppqq):
-            series = series.d_ppqq()
-        coef = series(f, point)
-        if coef == 0.0:
-            continue
-        geom = delta_contract(
-            [state.lam_i] * p + [state.lam_ill] * q, [dev] * r
-        )
-        total += coef * geom / (
-            math.factorial(p) * math.factorial(q) * math.factorial(r)
-        )
-    return total
+    return _eval_potential(f, state, N, S, False, dlam, dppqq)
 
 
 def eval_phi_hat(
@@ -180,26 +185,7 @@ def eval_phi_hat(
     dppqq: int = 0,
 ) -> np.ndarray:
     """Truncated entropy-flux potential (3-vector) at a hatted state."""
-    point = state.scalar_point()
-    point.require_domain()
-    dev = deviator(state.lam_ij)
-    total = np.zeros(3)
-    for p, q, r in _term_indices(N, parity=1):
-        series = coeffs.phi_series(f, p, q, r, S)
-        for _ in range(dlam):
-            series = series.d_lam()
-        for _ in range(dppqq):
-            series = series.d_ppqq()
-        coef = series(f, point)
-        if coef == 0.0:
-            continue
-        geom = delta_contract(
-            [state.lam_i] * p + [state.lam_ill] * q, [dev] * r, free=True
-        )
-        total += coef * geom / (
-            math.factorial(p) * math.factorial(q) * math.factorial(r)
-        )
-    return total
+    return _eval_potential(f, state, N, S, True, dlam, dppqq)
 
 
 # --- Galilean transformations -----------------------------------------------

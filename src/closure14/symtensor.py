@@ -1,13 +1,16 @@
 """Symmetric tensor algebra over 3-space with exact combinatorics.
 
 Fully symmetric tensors are stored by sorted index multiset, so symmetry
-holds by construction.  Symmetrized Kronecker-delta products are built by
-pairing enumeration with exact rational entries; contraction converts to
-floating point.
+holds by construction.  Symmetrized Kronecker-delta products are built
+with exact rational entries and contracted exactly by an index sweep; the
+fast contraction ``delta_contract`` instead averages over a unit-sphere
+rule exact at the tensor's rank, through the isotropic identity
+sym_delta(2n) = (2n+1) <n^(2n)>.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -129,31 +132,6 @@ def deviator(m: SymMatrix) -> SymMatrix:
 
 _delta_lock = threading.Lock()
 _delta_cache: dict[int, SymTensor] = {}
-_pairing_cache: dict[int, tuple] = {}
-
-
-def _pairings(n_points: int) -> tuple:
-    """All perfect matchings of range(n_points), as tuples of index pairs."""
-    with _delta_lock:
-        cached = _pairing_cache.get(n_points)
-    if cached is not None:
-        return cached
-
-    def rec(points):
-        if not points:
-            yield ()
-            return
-        a = points[0]
-        for j in range(1, len(points)):
-            b = points[j]
-            rest = points[1:j] + points[j + 1 :]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    result = tuple(rec(tuple(range(n_points))))
-    with _delta_lock:
-        _pairing_cache[n_points] = result
-    return result
 
 
 def sym_delta(rank: int) -> SymTensor:
@@ -256,82 +234,52 @@ def contract(t: SymTensor, slots, free_indices: int = 0):
     return total
 
 
+@functools.cache
+def _sphere_rule(degree: int):
+    """Unit-sphere nodes and weights (summing to 1) exact up to ``degree``.
+
+    Gauss-Legendre in cos(theta) with degree//2 + 1 nodes is exact to
+    degree + 1; degree + 1 equally spaced azimuths integrate every
+    trigonometric polynomial up to ``degree`` exactly.
+    """
+    cos_t, w_t = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    azim = 2.0 * np.pi * np.arange(degree + 1) / (degree + 1)
+    nodes = np.stack(
+        [
+            np.outer(sin_t, np.cos(azim)).ravel(),
+            np.outer(sin_t, np.sin(azim)).ravel(),
+            np.repeat(cos_t, degree + 1),
+        ],
+        axis=1,
+    )
+    weights = np.repeat(w_t / (2.0 * (degree + 1)), degree + 1)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def delta_contract(vectors, matrices, free: bool = False):
     """Fast contraction of sym_delta against vectors/symmetric matrices.
 
-    Evaluates the (2n-1)!! delta pairings directly; each pairing factors
-    into chains (vector-matrix...-vector products) and cycles (traces).
-    Equivalent to ``contract(sym_delta(rank), slots)`` but avoiding the
-    3^rank index sweep.
+    Uses the isotropic identity sym_delta(2n) = (2n+1) <n^(2n)>, the
+    average of the 2n-fold outer product of the unit normal over the
+    sphere: the contraction is (2n+1) <prod (n.v) prod (n.M.n)>, taken on
+    a rule exact at degree 2n.  With ``free=True`` one more index stays
+    open and the average carries a factor n, giving a 3-vector.
+    Equivalent to ``contract(sym_delta(rank), slots)`` to rounding, but
+    avoiding the 3^rank index sweep.
     """
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
     mats = [m.as_array() if isinstance(m, SymMatrix) else np.asarray(m, dtype=float) for m in matrices]
-    rank = len(vecs) + 2 * len(mats) + (1 if free else 0)
-    if free:
-        return np.array(
-            [delta_contract([_vector_basis[k], *vectors], matrices) for k in range(DIM)]
-        )
+    rank = len(vectors) + 2 * len(mats) + (1 if free else 0)
     if rank % 2:
-        return 0.0
+        return np.zeros(DIM) if free else 0.0
     if rank == 0:
         return 1.0
-
-    # node layout: vector j -> node j; matrix m -> nodes (base+2m, base+2m+1)
-    nv = len(vecs)
-    partner = {}
-    for m in range(len(mats)):
-        a, b = nv + 2 * m, nv + 2 * m + 1
-        partner[a] = b
-        partner[b] = a
-
-    def node_obj(n):
-        if n < nv:
-            return ("v", vecs[n])
-        return ("m", mats[(n - nv) // 2])
-
-    total = 0.0
-    pairings = _pairings(rank)
-    for pairing in pairings:
-        match = {}
-        for a, b in pairing:
-            match[a] = b
-            match[b] = a
-        seen = set()
-        prod = 1.0
-        for start in range(rank):
-            if start in seen:
-                continue
-            kind, obj = node_obj(start)
-            if kind == "v":
-                # walk chain: vector -delta- [matrix -delta-]* vector
-                seen.add(start)
-                acc = obj
-                node = match[start]
-                while True:
-                    k2, obj2 = node_obj(node)
-                    seen.add(node)
-                    if k2 == "v":
-                        prod *= float(acc @ obj2)
-                        break
-                    other = partner[node]
-                    seen.add(other)
-                    acc = acc @ obj2
-                    node = match[other]
-            else:
-                # cycle through matrices only
-                if match[start] == partner[start]:
-                    seen.add(start)
-                    seen.add(partner[start])
-                    prod *= float(np.trace(obj))
-                    continue
-                acc = np.eye(DIM)
-                node = start
-                while node not in seen:
-                    seen.add(node)
-                    other = partner[node]
-                    seen.add(other)
-                    acc = acc @ node_obj(node)[1]
-                    node = match[other]
-                prod *= float(np.trace(acc))
-        total += prod
-    return total / len(pairings)
+    nodes, weights = _sphere_rule(rank)
+    w = (rank + 1) * weights
+    if vectors:
+        w = w * np.prod(nodes @ np.asarray(vectors, dtype=float).T, axis=1)
+    if mats:
+        w = w * np.prod(np.einsum("ni,mij,nj->nm", nodes, np.asarray(mats), nodes), axis=1)
+    return w @ nodes if free else float(w.sum())

@@ -25,8 +25,7 @@ from .potentials import (
     eval_phi_hat,
     hat_multipliers,
     lab_potentials,
-    _grad_symmatrix,
-    _grad_vector,
+    moments_from_potentials,
 )
 from .symtensor import SymMatrix
 
@@ -209,19 +208,12 @@ def check_compatibility(f: GeneratingFamily, points, N: int, S: int) -> Verifica
         def phi_at(**kw):
             return eval_phi_hat(f, replace(state, **kw), N, S)
 
-        dh_dli = _grad_vector(lambda w: h_at(lam_i=w), state.lam_i)
-        dh_dlij = _grad_symmatrix(lambda w: h_at(lam_ij=w), state.lam_ij)
-        dh_dlill = _grad_vector(lambda w: h_at(lam_ill=w), state.lam_ill)
+        grads = moments_from_potentials(f, state, N, S)
+        dh_dli, dh_dlij, dh_dlill = grads.m_i, grads.m_ij, grads.m_ill
+        dphi_dli, dphi_dlij, dphi_dlill = grads.f_ki, grads.f_kij, grads.f_kill
+        # the independent side of relations 1 and 5
         dh_dliill = central_diff(lambda x: h_at(lam_iill=x), state.lam_iill)
-
         dphi_dl = central_diff(lambda x: phi_at(lam=x), state.lam)
-        dphi_dli = np.transpose(_grad_vector(lambda w: phi_at(lam_i=w), state.lam_i))
-        dphi_dlij = np.transpose(
-            _grad_symmatrix(lambda w: phi_at(lam_ij=w), state.lam_ij), (2, 0, 1)
-        )
-        dphi_dlill = np.transpose(
-            _grad_vector(lambda w: phi_at(lam_ill=w), state.lam_ill)
-        )
 
         report.add(
             "compatibility.1.dh_dlam_k_vs_dphi_dlam",

@@ -1,6 +1,10 @@
 import json
+import tomllib
+from pathlib import Path
 
 import pytest
+
+import closure14
 
 from closure14 import cli
 from closure14 import verify as verify_mod
@@ -60,6 +64,22 @@ class TestCoeffsCommand:
         code, _, err = run_cli(capsys, "coeffs", "--config", str(cfgfile))
         assert code == 3
         assert "positive" in err
+
+    @pytest.mark.parametrize(
+        "point, expected",
+        [
+            ({"lam": -1000.0}, 3),
+            ({"lam_ll": 1e-300}, 3),
+            ({"lam": float("nan")}, 2),
+            ({"lam_ppqq": float("inf")}, 2),
+        ],
+    )
+    def test_overflow_and_non_finite_exit_codes(self, tmp_path, capsys, point, expected):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"point": point}))
+        code, out, err = run_cli(capsys, "coeffs", "--config", str(cfgfile))
+        assert code == expected
+        assert out == "" and "Traceback" not in err
 
 
 class TestConfigHandling:
@@ -141,6 +161,12 @@ class TestEvalAndBoost:
             moments["m_i"][0] + moments["m"] * 0.1, rel=1e-12
         )
 
+    def test_boost_rejects_non_finite_moments(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"moments": {"frame": "rest", "m": float("nan")}}))
+        code, out, err = run_cli(capsys, "boost", "--config", str(cfgfile))
+        assert code == 2 and out == "" and "moments.m" in err
+
 
 class TestVerifyCommand:
     def test_pass_and_determinism(self, tmp_path, capsys):
@@ -190,3 +216,9 @@ class TestSubsystemCommand:
         assert sorted(payload["I_q"]) == ["I_0", "I_2", "I_4"]
         assert payload["c_q"] == 0.0
         assert payload["I_q"]["I_0"] == pytest.approx(28.933881011162246, rel=1e-15)
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert closure14.__version__ == tomllib.load(fh)["project"]["version"]

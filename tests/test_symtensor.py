@@ -83,7 +83,10 @@ class TestSymDelta:
 class TestContract:
     def test_agrees_with_bruteforce(self):
         rng = np.random.default_rng(1)
-        for nv, nm in [(2, 0), (0, 2), (2, 1), (4, 0), (0, 3), (2, 2)]:
+        for nv, nm in [
+            (2, 0), (0, 2), (2, 1), (4, 0), (0, 3), (2, 2),
+            (4, 2), (2, 4), (6, 2), (0, 6), (4, 4),
+        ]:
             vecs = [rand_vec(rng) for _ in range(nv)]
             mats = [rand_mat(rng) for _ in range(nm)]
             rank = nv + 2 * nm
@@ -93,11 +96,13 @@ class TestContract:
 
     def test_free_index_agrees_with_bruteforce(self):
         rng = np.random.default_rng(2)
-        vecs = [rand_vec(rng)]
-        mats = [rand_mat(rng)]
-        slow = contract(sym_delta(4), vecs + mats, free_indices=1)
-        fast = delta_contract(vecs, mats, free=True)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12)
+        for nv, nm in [(1, 1), (3, 1), (1, 2), (5, 1), (3, 2)]:
+            vecs = [rand_vec(rng) for _ in range(nv)]
+            mats = [rand_mat(rng) for _ in range(nm)]
+            rank = nv + 2 * nm + 1
+            slow = contract(sym_delta(rank), vecs + mats, free_indices=1)
+            fast = delta_contract(vecs, mats, free=True)
+            np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
     def test_two_vectors_is_dot_product(self):
         rng = np.random.default_rng(3)
