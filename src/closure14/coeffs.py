@@ -80,7 +80,10 @@ class GeneratingFamily:
             raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
         if n > self.n_max:
             raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
-        return self.deriv(s, n, lam)
+        try:
+            return self.deriv(s, n, lam)
+        except OverflowError as exc:
+            raise DomainError(f"ktilde_{s} derivative {n} overflows at lambda={lam}") from exc
 
     def describe(self) -> dict:
         return {"kind": self.kind, "s_max": self.s_max, "params": dict(self.params)}
@@ -241,9 +244,12 @@ class CoeffSeries:
         total = 0.0
         for t in self.terms:
             factor = float(t.coef) * f.ktilde_deriv(t.s, t.dl, point.lam)
-            factor *= point.lam_ll ** float(t.ll_exp)
-            if t.m:
-                factor *= point.lam_ppqq ** t.m
+            try:
+                factor *= point.lam_ll ** float(t.ll_exp)
+                if t.m:
+                    factor *= point.lam_ppqq ** t.m
+            except OverflowError as exc:
+                raise DomainError(f"coefficient overflows at {point}") from exc
             total += factor
         return total
 

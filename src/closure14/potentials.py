@@ -3,22 +3,22 @@
 The truncated potentials are isotropic series in the nonequilibrium
 multipliers: each (p, q, r) term is a scalar coefficient times the
 contraction of a symmetrized delta product against p copies of l_i,
-q copies of l_ill and r copies of the deviator of l_ij.  Moments are
-gradients of the potentials; boosts follow the transformation laws of
-the multipliers and of the moment hierarchy.
+q copies of l_ill and r copies of the deviator of l_ij.  All terms are
+evaluated together as averages over one unit-sphere rule.  Moments are
+the analytic gradients of the potentials, taken on the same nodes; boosts
+follow the transformation laws of the multipliers and of the moment
+hierarchy.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import coeffs
-from .coeffs import EquilibriumPoint, GeneratingFamily
-from .numdiff import central_diff
-from .symtensor import SymMatrix, delta_contract, deviator
+from .coeffs import CoeffSeries, EquilibriumPoint, GeneratingFamily
+from .symtensor import SymMatrix, _sphere_rule, deviator
 
 LAB = "lab"
 HATTED = "hatted"
@@ -122,70 +122,78 @@ class MomentSet:
     f_kiill: np.ndarray  # (3,)
 
 
-# --- truncated potential evaluation ----------------------------------------
+# --- truncated potentials on one sphere rule ----------------------------------
+#
+# By the isotropic identity sym_delta(2n) = (2n+1) <n^(2n)>, the (p, q, r)
+# term is (rank+1) coef <a^p b^q c^r> / (p! q! r!) over the unit sphere, with
+# a = n.l_i, b = n.l_ill, c = n.dev.n (times n_k for phi).  Every term and
+# every gradient block has degree <= N + 1, so one rule of that degree is
+# exact for all of them.  A derivative in a, b or c shifts the coefficient
+# grid by one in that slot; the scalar directions differentiate the series.
 
 
-def _term_indices(N: int, parity: int):
-    """(p, q, r) with p+q of given parity and p+q+2r <= N."""
-    for p in range(N + 1):
-        for q in range(N + 1 - p):
-            if (p + q) % 2 != parity:
-                continue
-            for r in range((N - p - q) // 2 + 1):
-                yield p, q, r
+def _node_pass(state: MultiplierState, N: int):
+    """Sphere rule exact to degree N + 1 and the rows x^k / k! at its nodes.
 
-
-def _eval_potential(f, state, N, S, free, dlam, dppqq):
-    """Sum of the (p, q, r) terms of h_hat (free=False) or phi_hat (free=True)."""
-    series_of = coeffs.phi_series if free else coeffs.h_series
-    point = state.scalar_point()
-    point.require_domain()
-    dev = deviator(state.lam_ij)
-    total = np.zeros(3) if free else 0.0
-    for p, q, r in _term_indices(N, parity=int(free)):
-        series = series_of(f, p, q, r, S)
-        for _ in range(dlam):
-            series = series.d_lam()
-        for _ in range(dppqq):
-            series = series.d_ppqq()
-        coef = series(f, point)
-        if coef == 0.0:
-            continue
-        geom = delta_contract(
-            [state.lam_i] * p + [state.lam_ill] * q, [dev] * r, free=free
-        )
-        total += coef * geom / (
-            math.factorial(p) * math.factorial(q) * math.factorial(r)
-        )
-    return total
-
-
-def eval_h_hat(
-    f: GeneratingFamily,
-    state: MultiplierState,
-    N: int,
-    S: int,
-    dlam: int = 0,
-    dppqq: int = 0,
-) -> float:
-    """Truncated entropy-density potential at a hatted state.
-
-    ``dlam``/``dppqq`` apply analytic derivatives in the scalar multiplier
-    directions to every coefficient (used for moment recovery).
+    Returns ``(nodes, weights, powers)``, where ``powers`` holds the tables
+    for x = n.l_i and n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2).
     """
-    return _eval_potential(f, state, N, S, False, dlam, dppqq)
+    state.scalar_point().require_domain()
+    nodes, weights = _sphere_rule(N + 1)
+    dev = deviator(state.lam_ij).as_array()
+
+    def powers(x, k_max):
+        steps = x / np.arange(1, k_max + 1)[:, None]
+        return np.cumprod(np.vstack([np.ones_like(x), steps]), axis=0)
+
+    return nodes, weights, (
+        powers(nodes @ state.lam_i, N),
+        powers(nodes @ state.lam_ill, N),
+        powers(np.einsum("ni,ij,nj->n", nodes, dev, nodes), N // 2),
+    )
 
 
-def eval_phi_hat(
-    f: GeneratingFamily,
-    state: MultiplierState,
-    N: int,
-    S: int,
-    dlam: int = 0,
-    dppqq: int = 0,
-) -> np.ndarray:
+def _grid(f, point, N: int, S: int, free: bool, derive=lambda series: series):
+    """(rank + 1) x coefficient of every (p, q, r) term of h_hat or phi_hat.
+
+    p + q is even for h_hat and odd for phi_hat, and p + q + 2r <= N.  The
+    series are looked up at call time and mapped through ``derive``.
+    """
+    series_of = coeffs.phi_series if free else coeffs.h_series
+    grid = np.zeros((N + 1, N + 1, N // 2 + 1))
+    for p in range(N + 1):
+        for q in range((p + free) % 2, N + 1 - p, 2):
+            for r in range((N - p - q) // 2 + 1):
+                series = derive(series_of(f, p, q, r, S))
+                grid[p, q, r] = (p + q + 2 * r + free + 1) * series(f, point)
+    return grid
+
+
+def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
+    """Sum of grid[p,q,r] a^p b^q c^r / (p! q! r!) at every node.
+
+    A shift of one in a slot gives the derivative in that slot's variable.
+    """
+    (sa, sb, sc), (A, B, C) = shift, powers
+    trimmed = (A[: len(A) - sa], B[: len(B) - sb], C[: len(C) - sc])
+    return np.einsum("pqr,pn,qn,rn->n", grid[sa:, sb:, sc:], *trimmed)
+
+
+def _eval_potential(f, state, N, S, free):
+    """h_hat (free=False) or phi_hat (free=True): the value part of the pass."""
+    nodes, weights, powers = _node_pass(state, N)
+    field = _field(_grid(f, state.scalar_point(), N, S, free), powers)
+    return (weights * field) @ nodes if free else float(weights @ field)
+
+
+def eval_h_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> float:
+    """Truncated entropy-density potential at a hatted state."""
+    return _eval_potential(f, state, N, S, False)
+
+
+def eval_phi_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> np.ndarray:
     """Truncated entropy-flux potential (3-vector) at a hatted state."""
-    return _eval_potential(f, state, N, S, True, dlam, dppqq)
+    return _eval_potential(f, state, N, S, True)
 
 
 # --- Galilean transformations -----------------------------------------------
@@ -327,42 +335,33 @@ def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
 # --- moment recovery ---------------------------------------------------------
 
 
-def _grad_vector(fn, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros((3,) + np.shape(fn(vec)))
-    for k in range(3):
-        def g(x, k=k):
-            w = vec.copy()
-            w[k] = x
-            return fn(w)
+def _gradients(f, point, N, S, free, node_pass):
+    """Gradients of h_hat or phi_hat in (lam, lam_i, lam_ij, lam_ill, lam_iill).
 
-        out[k] = central_diff(g, float(vec[k]))
-    return out
-
-
-def _grad_symmatrix(fn, mat: SymMatrix) -> np.ndarray:
-    """Gradient w.r.t. a symmetric matrix in the 9-component convention.
-
-    Off-diagonal entries are perturbed jointly (keeping symmetry) and the
-    result halved, matching d h = G_ij d lam_ij summed over all nine
-    components with G symmetric.
+    Blocks carry phi's own index k first.  The lam_ij block is symmetric in
+    the nine-component convention dh = G_ij dlam_ij; besides the deviator
+    part it holds delta_ij times the lam_ll derivative of the coefficients.
     """
-    a = mat.as_array()
-    shape = np.shape(fn(mat))
-    out = np.zeros((3, 3) + shape)
-    for i in range(3):
-        for j in range(i, 3):
-            def g(x, i=i, j=j):
-                w = a.copy()
-                w[i, j] = x
-                w[j, i] = x
-                return fn(SymMatrix(w))
+    nodes, weights, powers = node_pass
+    w = weights[:, None] * nodes if free else weights
+    grid = _grid(f, point, N, S, free)
 
-            d = central_diff(g, float(a[i, j]))
-            if i == j:
-                out[i, i] = d
-            else:
-                out[i, j] = out[j, i] = 0.5 * np.asarray(d)
-    return out
+    def scalar(derive):
+        value = w.T @ _field(_grid(f, point, N, S, free, derive), powers)
+        return value if free else float(value)
+
+    def vector(shift):
+        return np.einsum("n...,n,ni->...i", w, _field(grid, powers, shift), nodes)
+
+    projector = np.einsum("ni,nj->nij", nodes, nodes) - np.eye(3) / 3.0
+    deviator_part = np.einsum("n...,n,nij->...ij", w, _field(grid, powers, (0, 0, 1)), projector)
+    return (
+        scalar(CoeffSeries.d_lam),
+        vector((1, 0, 0)),
+        deviator_part + np.multiply.outer(scalar(CoeffSeries.d_ll), np.eye(3)),
+        vector((0, 1, 0)),
+        scalar(CoeffSeries.d_ppqq),
+    )
 
 
 def moments_from_potentials(
@@ -370,43 +369,17 @@ def moments_from_potentials(
 ) -> MomentSet:
     """Rest-frame moments and fluxes as gradients of the hatted potentials.
 
-    Scalar directions (lam, lam_iill) are analytic through the coefficient
-    series; vector and matrix directions use 4th-order central differences.
+    All ten blocks come from the sphere-node pass that evaluates the
+    potentials: the vector and matrix directions differentiate the node
+    monomials, the scalar directions (lam, lam_ll, lam_iill) the coefficient
+    series, so every block is exact to rounding for the truncated series.
+    Raises ``TruncationError`` when S leaves a term no lam_iill order.
     """
     if state.frame != HATTED:
         raise ValueError("moments_from_potentials expects a hatted state")
-
-    def h_at(**kw):
-        return eval_h_hat(f, replace(state, **kw), N, S)
-
-    def phi_at(**kw):
-        return eval_phi_hat(f, replace(state, **kw), N, S)
-
-    m = eval_h_hat(f, state, N, S, dlam=1)
-    m_i = _grad_vector(lambda w: h_at(lam_i=w), state.lam_i)
-    m_ij = _grad_symmatrix(lambda w: h_at(lam_ij=w), state.lam_ij)
-    m_ill = _grad_vector(lambda w: h_at(lam_ill=w), state.lam_ill)
-    m_iill = eval_h_hat(f, state, N, S, dppqq=1)
-
-    f_k = eval_phi_hat(f, state, N, S, dlam=1)
-    f_ki = np.transpose(_grad_vector(lambda w: phi_at(lam_i=w), state.lam_i))
-    # _grad_symmatrix returns [i, j, k]; store as [k, i, j]
-    f_kij = np.transpose(
-        _grad_symmatrix(lambda w: phi_at(lam_ij=w), state.lam_ij), (2, 0, 1)
-    )
-    f_kill = np.transpose(_grad_vector(lambda w: phi_at(lam_ill=w), state.lam_ill))
-    f_kiill = eval_phi_hat(f, state, N, S, dppqq=1)
-
+    point, node_pass = state.scalar_point(), _node_pass(state, N)
     return MomentSet(
-        frame="rest",
-        m=m,
-        m_i=m_i,
-        m_ij=m_ij,
-        m_ill=m_ill,
-        m_iill=m_iill,
-        f_k=f_k,
-        f_ki=f_ki,
-        f_kij=f_kij,
-        f_kill=f_kill,
-        f_kiill=f_kiill,
+        "rest",
+        *_gradients(f, point, N, S, False, node_pass),
+        *_gradients(f, point, N, S, True, node_pass),
     )

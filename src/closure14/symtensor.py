@@ -5,7 +5,10 @@ holds by construction.  Symmetrized Kronecker-delta products are built
 with exact rational entries and contracted exactly by an index sweep; the
 fast contraction ``delta_contract`` instead averages over a unit-sphere
 rule exact at the tensor's rank, through the isotropic identity
-sym_delta(2n) = (2n+1) <n^(2n)>.
+sym_delta(2n) = (2n+1) <n^(2n)>.  The potentials apply the same identity
+to all their terms at once on ``_sphere_rule`` nodes and do not call
+``delta_contract``; it stays public, and the tests compare it with the
+exact contraction.
 """
 
 from __future__ import annotations

@@ -1,27 +1,28 @@
 """Condition harness: numerical verification of every closure condition.
 
 Each check evaluates one family of identities at seeded test points and
-records relative residuals.  Derivative-based conditions use 4th-order
-central differences; truncated-series conditions that cannot hold exactly
-(velocity independence) are tested as convergence-order studies.
+records relative residuals.  The compatibility relations compare analytic
+gradient blocks of the truncated potentials; the boost Jacobian and the
+subsystem derivative relation use 4th-order central differences.
+Truncated-series conditions that cannot hold exactly (velocity
+independence) are tested as convergence-order studies.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import coeffs, kinetic, potentials
 from .coeffs import EquilibriumPoint, GeneratingFamily
 from .errors import TruncationError
-from .numdiff import RESIDUAL_FLOOR, central_diff, rel_residual_sym
+from .numdiff import RESIDUAL_FLOOR, central_diff, rel_residual, rel_residual_sym
 from .potentials import (
     BoostVelocity,
     MultiplierState,
-    eval_h_hat,
     eval_phi_hat,
     hat_multipliers,
     lab_potentials,
@@ -192,7 +193,10 @@ def _point_dict(obj) -> dict:
 def check_compatibility(f: GeneratingFamily, points, N: int, S: int) -> VerificationReport:
     """The six cross-derivative relations between the two potentials.
 
-    The trace-contracted relations act on the lower index pair of the
+    Both sides of every relation are read off one analytic
+    ``moments_from_potentials`` set, so the residuals are the truncation
+    remainders of the series, free of differencing error.  The
+    trace-contracted relations act on the lower index pair of the
     flux-potential gradient; the two antisymmetrization relations are
     evaluated numerically even though storage symmetry already implies
     them, to catch assembly bugs.
@@ -200,67 +204,29 @@ def check_compatibility(f: GeneratingFamily, points, N: int, S: int) -> Verifica
     tol = DEFAULT_TOLERANCES["compatibility"]
     report = VerificationReport()
     for state in points:
-        pd = _point_dict(state)
-
-        def h_at(**kw):
-            return eval_h_hat(f, replace(state, **kw), N, S)
-
-        def phi_at(**kw):
-            return eval_phi_hat(f, replace(state, **kw), N, S)
-
-        grads = moments_from_potentials(f, state, N, S)
-        dh_dli, dh_dlij, dh_dlill = grads.m_i, grads.m_ij, grads.m_ill
-        dphi_dli, dphi_dlij, dphi_dlill = grads.f_ki, grads.f_kij, grads.f_kill
-        # the independent side of relations 1 and 5
-        dh_dliill = central_diff(lambda x: h_at(lam_iill=x), state.lam_iill)
-        dphi_dl = central_diff(lambda x: phi_at(lam=x), state.lam)
-
-        report.add(
-            "compatibility.1.dh_dlam_k_vs_dphi_dlam",
-            "gradient of h' in lam_k equals gradient of phi'^k in lam",
-            pd,
-            rel_residual_sym(dh_dli, dphi_dl),
-            tol,
+        ms = moments_from_potentials(f, state, N, S)
+        relations = (
+            ("1.dh_dlam_k_vs_dphi_dlam",
+             "gradient of h' in lam_k equals gradient of phi'^k in lam",
+             rel_residual_sym(ms.m_i, ms.f_k)),
+            ("2.dh_dlam_ki_vs_dphi_dlam_i",
+             "matrix gradient of h' equals vector gradient of phi'",
+             rel_residual_sym(ms.m_ij, ms.f_ki)),
+            ("3.dh_dlam_ill_vs_traced_dphi_dlam_ij",
+             "gradient of h' in lam_ill equals trace of phi' matrix gradient",
+             rel_residual_sym(ms.m_ill, np.einsum("kii->k", ms.f_kij))),
+            ("4.antisym_kj_dphi_dlam_ij",
+             "phi' matrix gradient is symmetric under flux-index exchange",
+             rel_residual(np.transpose(ms.f_kij, (2, 1, 0)), ms.f_kij)),
+            ("5.dh_dlam_kkll_vs_traced_dphi_dlam_ill",
+             "gradient of h' in the scalar multiplier equals traced phi' gradient",
+             rel_residual_sym(ms.m_iill, float(np.trace(ms.f_kill)))),
+            ("6.antisym_ki_dphi_dlam_ill",
+             "phi' gradient in lam_ill is symmetric",
+             rel_residual(ms.f_kill.T, ms.f_kill)),
         )
-        report.add(
-            "compatibility.2.dh_dlam_ki_vs_dphi_dlam_i",
-            "matrix gradient of h' equals vector gradient of phi'",
-            pd,
-            rel_residual_sym(dh_dlij, dphi_dli),
-            tol,
-        )
-        report.add(
-            "compatibility.3.dh_dlam_ill_vs_traced_dphi_dlam_ij",
-            "gradient of h' in lam_ill equals trace of phi' matrix gradient",
-            pd,
-            rel_residual_sym(dh_dlill, np.einsum("kii->k", dphi_dlij)),
-            tol,
-        )
-        anti4 = dphi_dlij - np.transpose(dphi_dlij, (2, 1, 0))  # antisym in (k, j)
-        report.add(
-            "compatibility.4.antisym_kj_dphi_dlam_ij",
-            "phi' matrix gradient is symmetric under flux-index exchange",
-            pd,
-            float(np.max(np.abs(anti4)))
-            / max(float(np.max(np.abs(dphi_dlij))), RESIDUAL_FLOOR),
-            tol,
-        )
-        report.add(
-            "compatibility.5.dh_dlam_kkll_vs_traced_dphi_dlam_ill",
-            "gradient of h' in the scalar multiplier equals traced phi' gradient",
-            pd,
-            rel_residual_sym(dh_dliill, float(np.trace(dphi_dlill))),
-            tol,
-        )
-        anti6 = dphi_dlill - dphi_dlill.T
-        report.add(
-            "compatibility.6.antisym_ki_dphi_dlam_ill",
-            "phi' gradient in lam_ill is symmetric",
-            pd,
-            float(np.max(np.abs(anti6)))
-            / max(float(np.max(np.abs(dphi_dlill))), RESIDUAL_FLOOR),
-            tol,
-        )
+        for name, anchor, residual in relations:
+            report.add(f"compatibility.{name}", anchor, _point_dict(state), residual, tol)
     return report
 
 

@@ -27,6 +27,7 @@ from closure14.coeffs import (
     subsystem_coefficient,
 )
 from closure14.errors import (
+    ClosureError,
     DomainError,
     FamilyConstructionError,
     ParityError,
@@ -152,6 +153,14 @@ class TestScalarCoefficients:
             k_pq(exp_family, 0, 0, EquilibriumPoint(0.0, -1.0, 0.0), S=4)
         with pytest.raises(DomainError):
             k_pq(exp_family, 0, 0, EquilibriumPoint(0.0, 0.0, 0.0), S=4)
+
+    @pytest.mark.parametrize(
+        "point", [EquilibriumPoint(-1000.0, 1.0, 0.0), EquilibriumPoint(0.0, 1e-300, 0.0)]
+    )
+    def test_overflow_is_typed(self, exp_family, point):
+        # the family member's exp and the lam_ll power each overflow here
+        with pytest.raises(ClosureError):
+            k_pq(exp_family, 0, 0, point, S=4)
 
 
 class TestTensorCoefficients:

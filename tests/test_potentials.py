@@ -1,8 +1,21 @@
+from dataclasses import replace
+from math import factorial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from closure14.coeffs import EquilibriumPoint, k00, k_pq, make_family
-from closure14.errors import DomainError
+from closure14.coeffs import (
+    CoeffSeries,
+    EquilibriumPoint,
+    h_series,
+    k00,
+    k_pq,
+    make_family,
+    phi_series,
+)
+from closure14.errors import ClosureError, DomainError, TruncationError
+from closure14.numdiff import central_diff, rel_residual_sym
 from closure14.potentials import (
     BoostVelocity,
     MultiplierState,
@@ -13,11 +26,13 @@ from closure14.potentials import (
     lab_potentials,
     moments_from_potentials,
 )
-from closure14.symtensor import SymMatrix
+from closure14.symtensor import SymMatrix, delta_contract, deviator
 
 K00_EQ = 28.933881011162246  # h at the unit equilibrium state, exponential family
 
 N, S = 6, 4
+
+BLOCKS = ("m", "m_i", "m_ij", "m_ill", "m_iill", "f_k", "f_ki", "f_kij", "f_kill", "f_kiill")
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +101,32 @@ class TestPotentialEvaluation:
         assert phi[0] == pytest.approx(k10 * eps, rel=1e-9)
         np.testing.assert_allclose(phi[1:], 0.0, atol=1e-18)
 
+    @pytest.mark.parametrize("free", [False, True])
+    def test_matches_term_by_term_contraction(self, fam, free):
+        # reference: each (p, q, r) term contracted on its own by delta_contract
+        st = hatted_state(2)
+        dev = deviator(st.lam_ij)
+        series_of = phi_series if free else h_series
+        want = np.zeros(3) if free else 0.0
+        for p in range(N + 1):
+            for q in range(N + 1 - p):
+                if (p + q) % 2 != free:
+                    continue
+                for r in range((N - p - q) // 2 + 1):
+                    coef = series_of(fam, p, q, r, S)(fam, st.scalar_point())
+                    geom = delta_contract([st.lam_i] * p + [st.lam_ill] * q, [dev] * r, free=free)
+                    want = want + coef * geom / (factorial(p) * factorial(q) * factorial(r))
+        got = (eval_phi_hat if free else eval_h_hat)(fam, st, N, S)
+        assert rel_residual_sym(got, want) <= 1e-13
+
     def test_domain_guard(self, fam):
         st = MultiplierState.equilibrium(0.0, -1.0)
         with pytest.raises(DomainError):
             eval_h_hat(fam, st, N, S)
+
+    def test_overflow_is_typed(self, fam):
+        with pytest.raises(ClosureError):
+            eval_h_hat(fam, MultiplierState.equilibrium(-1000.0, 1.0), N, S)
 
 
 class TestBoostLaw:
@@ -162,8 +199,6 @@ class TestMoments:
         # trace 3 * dk00/dlam_ll
         st = MultiplierState.equilibrium(0.1, 1.4, 0.0)
         ms = moments_from_potentials(fam, st, N, S)
-        from closure14.coeffs import CoeffSeries
-
         pt = st.scalar_point()
         want_m = CoeffSeries.k00(S).d_lam()(fam, pt)
         want_trace = 3.0 * CoeffSeries.k00(S).d_ll()(fam, pt)
@@ -171,6 +206,20 @@ class TestMoments:
         assert np.trace(ms.m_ij) == pytest.approx(want_trace, rel=1e-7)
         np.testing.assert_allclose(ms.m_i, 0.0, atol=1e-9)
         np.testing.assert_allclose(ms.f_k, 0.0, atol=1e-12)
+
+    def test_equilibrium_trace_exact(self, fam):
+        st = MultiplierState.equilibrium(0.1, 1.4, 0.0)
+        ms = moments_from_potentials(fam, st, N, S)
+        want_trace = 3.0 * CoeffSeries.k00(S).d_ll()(fam, st.scalar_point())
+        assert np.trace(ms.m_ij) == pytest.approx(want_trace, rel=1e-12)
+
+    def test_exhausted_quartic_order_raises(self, fam):
+        # S = 3 leaves the q = 6 term of h no lam_iill order for m_iill;
+        # the values themselves need none
+        st = MultiplierState.equilibrium(0.1, 1.2, 0.01)
+        eval_h_hat(fam, st, N, 3)
+        with pytest.raises(TruncationError):
+            moments_from_potentials(fam, st, N, 3)
 
     def test_boost_of_moments_zero_velocity_is_identity(self, fam):
         st = hatted_state(7)
@@ -196,3 +245,148 @@ class TestMoments:
         np.testing.assert_allclose(
             lab.m_i, rest.m_i + rest.m * np.array([0.3, 0.1, -0.2])
         )
+
+
+# --- finite-difference oracle for the analytic gradient blocks ---------------
+
+
+def _grad_vector(fn, vec: np.ndarray, h: float) -> np.ndarray:
+    out = np.zeros((3,) + np.shape(fn(vec)))
+    for k in range(3):
+        def g(x, k=k):
+            w = vec.copy()
+            w[k] = x
+            return fn(w)
+
+        out[k] = central_diff(g, float(vec[k]), h)
+    return out
+
+
+def _grad_symmatrix(fn, mat: SymMatrix, h: float) -> np.ndarray:
+    """Gradient w.r.t. a symmetric matrix in the 9-component convention.
+
+    Off-diagonal entries are perturbed jointly (keeping symmetry) and the
+    result halved, matching d h = G_ij d lam_ij summed over all nine
+    components with G symmetric.
+    """
+    a = mat.as_array()
+    out = np.zeros((3, 3) + np.shape(fn(mat)))
+    for i in range(3):
+        for j in range(i, 3):
+            def g(x, i=i, j=j):
+                w = a.copy()
+                w[i, j] = x
+                w[j, i] = x
+                return fn(SymMatrix(w))
+
+            d = central_diff(g, float(a[i, j]), h)
+            if i == j:
+                out[i, i] = d
+            else:
+                out[i, j] = out[j, i] = 0.5 * np.asarray(d)
+    return out
+
+
+def fd_moments(f, state, h):
+    """All ten blocks by 4th-order central differences of the potentials."""
+
+    def h_at(**kw):
+        return eval_h_hat(f, replace(state, **kw), N, S)
+
+    def phi_at(**kw):
+        return eval_phi_hat(f, replace(state, **kw), N, S)
+
+    return {
+        "m": central_diff(lambda x: h_at(lam=x), state.lam, h),
+        "m_i": _grad_vector(lambda w: h_at(lam_i=w), state.lam_i, h),
+        "m_ij": _grad_symmatrix(lambda w: h_at(lam_ij=w), state.lam_ij, h),
+        "m_ill": _grad_vector(lambda w: h_at(lam_ill=w), state.lam_ill, h),
+        "m_iill": central_diff(lambda x: h_at(lam_iill=x), state.lam_iill, h),
+        "f_k": central_diff(lambda x: phi_at(lam=x), state.lam, h),
+        "f_ki": _grad_vector(lambda w: phi_at(lam_i=w), state.lam_i, h).T,
+        "f_kij": np.transpose(
+            _grad_symmatrix(lambda w: phi_at(lam_ij=w), state.lam_ij, h), (2, 0, 1)
+        ),
+        "f_kill": _grad_vector(lambda w: phi_at(lam_ill=w), state.lam_ill, h).T,
+        "f_kiill": central_diff(lambda x: phi_at(lam_iill=x), state.lam_iill, h),
+    }
+
+
+# The step keeps the oracle's own O(h^4) error far below the tolerance: at
+# the default step (7.4e-4) it reaches 3.3e-5 on m_ill of state 4 at 1e-2,
+# where the high-q coefficients make the lam_ill direction steep.
+FD_STEP = 1e-4
+
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-4])
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_analytic_blocks_match_finite_differences(fam, seed, eps):
+    st = hatted_state(seed, eps)
+    ms = moments_from_potentials(fam, st, N, S)
+    fd = fd_moments(fam, st, FD_STEP)
+    for name in BLOCKS:
+        assert rel_residual_sym(getattr(ms, name), fd[name]) <= 1e-5, name
+
+
+# --- isotropy -----------------------------------------------------------------
+
+
+def _rotation(quat) -> np.ndarray:
+    w, x, y, z = np.asarray(quat) / np.linalg.norm(quat)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def _rotated(R, st: MultiplierState) -> MultiplierState:
+    return replace(
+        st,
+        lam_i=R @ st.lam_i,
+        lam_ij=SymMatrix(R @ st.lam_ij.as_array() @ R.T),
+        lam_ill=R @ st.lam_ill,
+    )
+
+
+# At odd N the flux terms reach degree N + 1 on the sphere, at even N only N.
+# Beyond eps = 1e-2 the terms of m_iill can cancel by 1e4, and the rounding
+# of any summation order then exceeds 1e-12.
+@pytest.mark.parametrize("n_trunc", [5, 6])
+@settings(max_examples=15, deadline=None)
+@given(
+    quat=hst.tuples(*[hst.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: np.linalg.norm(q) > 0.1
+    ),
+    seed=hst.integers(0, 2**16),
+    eps=hst.sampled_from([5e-4, 1e-2]),
+)
+def test_isotropy(n_trunc, quat, seed, eps):
+    """h is invariant; phi and every gradient block rotate covariantly."""
+    fam = make_family("exponential")
+    R = _rotation(quat)
+    st = hatted_state(seed, eps)
+    rot = _rotated(R, st)
+    h = eval_h_hat(fam, st, n_trunc, S)
+    assert eval_h_hat(fam, rot, n_trunc, S) == pytest.approx(h, rel=1e-12)
+    phi = eval_phi_hat(fam, st, n_trunc, S)
+    assert rel_residual_sym(eval_phi_hat(fam, rot, n_trunc, S), R @ phi) <= 1e-12
+
+    ms = moments_from_potentials(fam, st, n_trunc, S)
+    mr = moments_from_potentials(fam, rot, n_trunc, S)
+    want = {
+        "m": ms.m,
+        "m_i": R @ ms.m_i,
+        "m_ij": R @ ms.m_ij @ R.T,
+        "m_ill": R @ ms.m_ill,
+        "m_iill": ms.m_iill,
+        "f_k": R @ ms.f_k,
+        "f_ki": R @ ms.f_ki @ R.T,
+        "f_kij": np.einsum("ka,ib,jc,abc->kij", R, R, R, ms.f_kij),
+        "f_kill": R @ ms.f_kill @ R.T,
+        "f_kiill": R @ ms.f_kiill,
+    }
+    for name in BLOCKS:
+        assert rel_residual_sym(getattr(mr, name), want[name]) <= 1e-12, name

@@ -74,7 +74,7 @@ class TestRunAll:
     def test_all_pass_with_kinetic_oracle(self, exp_family):
         rep = run_all(exp_family, kernel=exponential_kernel())
         assert rep.all_passed, rep.failed_conditions()
-        assert rep.summary()["total"] > 400
+        assert rep.summary()["total"] == 555
         assert rep.runtime_seconds < 60.0
 
     def test_all_pass_poly_family(self, poly_family):
