@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,25 +30,6 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
 CSV_HEADER = "p,q,S,lambda,lambda_ll,lambda_ppqq,value"
-
-_CONFIG_KEYS = {
-    "family",
-    "family_params",
-    "N",
-    "S",
-    "seed",
-    "count",
-    "noneq_magnitude",
-    "format",
-    "out",
-    "point",
-    "state",
-    "velocity",
-    "moments",
-    "p_max",
-    "q_max",
-    "lam",
-}
 
 
 def fmt17(x: float) -> str:
@@ -110,7 +91,7 @@ class RunConfig:
     Precedence: command-line flags over config file over defaults.
     """
 
-    family: str = "exponential"
+    family: str = coeffs.EXPONENTIAL.name
     family_params: dict = field(default_factory=dict)
     N: int = 6
     S: int = 4
@@ -136,6 +117,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.family_params, dict):
+            raise ConfigError(f"family_params must be an object, got {self.family_params!r}")
         for name in ("point", "state", "lam", "velocity", "moments"):
             _require_finite(name, getattr(self, name))
         return self
@@ -160,7 +143,7 @@ class RunConfig:
             raise ConfigError(f"invalid state record: {exc}") from exc
 
     def build_family(self):
-        return make_family(self.family, dict(self.family_params))
+        return make_family(self.family, self.family_params)
 
     def describe(self) -> dict:
         return {
@@ -169,6 +152,9 @@ class RunConfig:
             "S": self.S,
             "seed": self.seed,
         }
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def load_config(args) -> RunConfig:
@@ -261,40 +247,17 @@ def _moments_from_dict(d: dict) -> MomentSet:
 def cmd_coeffs(cfg: RunConfig) -> int:
     f = cfg.build_family()
     pt = cfg.equilibrium_point()
-    rows = []
-    for p in range(cfg.p_max + 1):
-        for q in range(cfg.q_max + 1):
-            value = coeffs.k_pq(f, p, q, pt, cfg.S)
-            rows.append((p, q, cfg.S, pt.lam, pt.lam_ll, pt.lam_ppqq, value))
+    rows = [  # keys in CSV_HEADER order
+        {"p": p, "q": q, "S": cfg.S, "lambda": pt.lam, "lambda_ll": pt.lam_ll,
+         "lambda_ppqq": pt.lam_ppqq, "value": coeffs.k_pq(f, p, q, pt, cfg.S)}
+        for p in range(cfg.p_max + 1)
+        for q in range(cfg.q_max + 1)
+    ]
     if cfg.format == "csv":
-        lines = [CSV_HEADER]
-        for p, q, S, lam, lam_ll, lam_ppqq, value in rows:
-            lines.append(
-                f"{p},{q},{S},{fmt17(lam)},{fmt17(lam_ll)},{fmt17(lam_ppqq)},{fmt17(value)}"
-            )
-        _emit(cfg, "\n".join(lines))
+        lines = [",".join(fmt17(v) for v in row.values()) for row in rows]
+        _emit(cfg, "\n".join([CSV_HEADER, *lines]))
     else:
-        _emit(
-            cfg,
-            dumps17(
-                {
-                    "command": "coeffs",
-                    **cfg.describe(),
-                    "rows": [
-                        {
-                            "p": p,
-                            "q": q,
-                            "S": S,
-                            "lambda": lam,
-                            "lambda_ll": lam_ll,
-                            "lambda_ppqq": lam_ppqq,
-                            "value": value,
-                        }
-                        for p, q, S, lam, lam_ll, lam_ppqq, value in rows
-                    ],
-                }
-            ),
-        )
+        _emit(cfg, dumps17({"command": "coeffs", **cfg.describe(), "rows": rows}))
     return EXIT_OK
 
 
@@ -322,10 +285,10 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_boost(cfg: RunConfig) -> int:
     v = BoostVelocity(np.array(cfg.velocity, dtype=float))
+    f = cfg.build_family()  # also checks the family the output describes
     if cfg.moments is not None:
         rest = _moments_from_dict(cfg.moments)
     else:
-        f = cfg.build_family()
         rest = potentials.moments_from_potentials(
             f, cfg.multiplier_state(), cfg.N, cfg.S
         )
@@ -346,16 +309,7 @@ def cmd_boost(cfg: RunConfig) -> int:
 
 
 def _kernel_for(cfg: RunConfig):
-    if cfg.family == "exponential":
-        return kinetic.exponential_kernel(
-            amplitude=float(cfg.family_params.get("amplitude", 1.0)),
-            scale=float(cfg.family_params.get("scale", 1.0)),
-        )
-    if cfg.family in ("poly_exponential", "polynomial-times-exponential"):
-        return kinetic.poly_exponential_kernel(
-            amplitude=float(cfg.family_params.get("amplitude", 1.0))
-        )
-    return None
+    return kinetic.kernel_for(cfg.family, cfg.family_params)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

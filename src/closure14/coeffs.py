@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,7 +74,7 @@ class GeneratingFamily:
     params: dict = field(default_factory=dict)
 
     def ktilde(self, s: int, lam: float) -> float:
-        return self.deriv(s, 0, lam)
+        return self.ktilde_deriv(s, 0, lam)
 
     def ktilde_deriv(self, s: int, n: int, lam: float) -> float:
         if s > self.s_max:
@@ -125,9 +126,13 @@ def _gaussian_moment(m: int) -> float:
     return 0.5 * 3.0 ** ((m + 1) / 2) * math.gamma((m + 1) / 2)
 
 
-def _exponential_deriv(amplitude: float = 1.0, scale: float = 1.0):
-    # kernel F(x) = amplitude * exp(-scale*x); members in closed form
-    def deriv(s, n, lam):
+def _exponential(amplitude, scale):
+    """F(x) = amplitude exp(-scale x): the oracles F^(n)(x) and d^n ktilde_s/dl^n."""
+
+    def kernel(n, x):
+        return amplitude * (-scale) ** n * math.exp(-scale * x)
+
+    def members(s, n, lam):
         const = (
             amplitude
             * 4.0
@@ -139,11 +144,15 @@ def _exponential_deriv(amplitude: float = 1.0, scale: float = 1.0):
         )
         return const * (-scale) ** n * math.exp(-scale * lam)
 
-    return deriv
+    return kernel, members
 
 
-def _poly_exponential_deriv(amplitude: float = 1.0):
-    # kernel F(x) = amplitude * x * exp(-x): members are (A_s + B_s l) e^{-l}
+def _poly_exponential(amplitude):
+    """F(x) = amplitude x exp(-x); its members are (A_s + B_s l) e^{-l}."""
+
+    def kernel(n, x):
+        return amplitude * (-1.0) ** n * (x - n) * math.exp(-x)
+
     def coeffs(s):
         b = (-1.0) ** s * 4.0 * math.pi * _gaussian_moment(4 * s + 2)
         a = (-1.0) ** s * 4.0 * math.pi * (
@@ -151,29 +160,87 @@ def _poly_exponential_deriv(amplitude: float = 1.0):
         )
         return amplitude * a, amplitude * b
 
-    def deriv(s, n, lam):
+    def members(s, n, lam):
         a, b = coeffs(s)
         val = (-1.0) ** n * (a + b * lam) + n * (-1.0) ** (n - 1) * b
         return val * math.exp(-lam)
 
-    return deriv
+    return kernel, members
+
+
+@dataclass(frozen=True)
+class BuiltinKernel:
+    """A built-in kernel F: one definition serves its family and its kinetic oracle.
+
+    ``params`` maps each parameter to ``(default, low, high)``; a value must be a
+    real number in the open interval (low, high).  ``build(**values)`` returns
+    the oracles ``(kernel, members)``: (n, x) -> F^(n)(x), and (s, n, lam) ->
+    d^n ktilde_s/dl^n in closed form, ktilde_s = 4 pi int F^(s)(l + e^2/3) e^(4s+2) de.
+    """
+
+    name: str
+    aliases: tuple
+    params: dict
+    build: object
+
+    def resolve(self, given: dict) -> dict:
+        """Every parameter as a float, from ``given`` or else the default."""
+        # s_max is the family's truncation, checked by make_family, not a kernel parameter
+        unknown = sorted(set(given) - set(self.params) - {"s_max"})
+        if unknown:
+            raise ValueError(
+                f"family {self.name!r} takes only {sorted(self.params)}, got {unknown}"
+            )
+        values = {}
+        for key, (default, low, high) in self.params.items():
+            value = given.get(key, default)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and low < value < high):
+                raise ValueError(
+                    f"family parameter {key!r} must be in ({low}, {high}), got {value!r}"
+                )
+            values[key] = float(value)
+        return values
+
+
+_POSITIVE = (1.0, 0.0, math.inf)  # default 1, any positive value
+EXPONENTIAL = BuiltinKernel(
+    "exponential", (), {"amplitude": _POSITIVE, "scale": _POSITIVE}, _exponential
+)
+POLY_EXPONENTIAL = BuiltinKernel(
+    "poly_exponential", ("polynomial-times-exponential",), {"amplitude": _POSITIVE},
+    _poly_exponential,
+)
+BUILTIN_KERNELS = (EXPONENTIAL, POLY_EXPONENTIAL)
+_BY_KIND = {kind: k for k in BUILTIN_KERNELS for kind in (k.name, *k.aliases)}
+
+
+def builtin_kernel(kind) -> BuiltinKernel | None:
+    """Registry entry of a family kind or alias; None for any other kind."""
+    return _BY_KIND.get(kind) if isinstance(kind, str) else None
 
 
 def make_family(kind: str, params: dict | None = None) -> GeneratingFamily:
-    """Build a generating family and run the ladder-residual gate."""
+    """Build a generating family and run the ladder-residual gate.
+
+    ``kind`` is a :data:`BUILTIN_KERNELS` name or alias, or ``"custom"`` with a callable
+    ``deriv(s, n, lam)``; any kind takes ``s_max``.  Bad input raises ``ValueError``.
+    """
+    if not isinstance(params, (dict, type(None))):
+        raise ValueError(f"family parameters must be an object, got {params!r}")
     params = dict(params or {})
-    s_max = int(params.pop("s_max", DEFAULT_S_MAX))
-    if kind == "exponential":
-        deriv = _exponential_deriv(
-            amplitude=float(params.get("amplitude", 1.0)),
-            scale=float(params.get("scale", 1.0)),
-        )
-    elif kind in ("poly_exponential", "polynomial-times-exponential"):
-        deriv = _poly_exponential_deriv(amplitude=float(params.get("amplitude", 1.0)))
-    elif kind == "custom":
-        deriv = params["deriv"]
+    s_max = params.pop("s_max", DEFAULT_S_MAX)
+    if isinstance(s_max, bool) or not isinstance(s_max, int) or s_max < 0:
+        raise ValueError(f"family parameter 's_max' must be an integer >= 0, got {s_max!r}")
+    entry = builtin_kernel(kind)
+    if entry is not None:
+        deriv = entry.build(**entry.resolve(params))[1]
+    elif kind != "custom":
+        raise ValueError(f"unknown family kind {kind!r}, expected one of {[*_BY_KIND, 'custom']}")
+    elif set(params) != {"deriv"} or not callable(params["deriv"]):
+        raise ValueError("family 'custom' takes one parameter, a callable 'deriv'")
     else:
-        raise ValueError(f"unknown family kind {kind!r}")
+        deriv = params["deriv"]
     fam = GeneratingFamily(kind=kind, deriv=deriv, s_max=s_max, params=params)
     return _ladder_gate(fam)
 
@@ -429,22 +496,6 @@ def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S:
         series = series.d_ll()
     for _ in range(n_l):
         series = series.d_lam()
-    return series.scaled(pref)(f, point)
-
-
-def k0q_from_k00(f: GeneratingFamily, q: int, point: EquilibriumPoint, S: int) -> float:
-    """k_{0,q} from derivatives of k00 only (closed forms A/B)."""
-    series = CoeffSeries.k00(S)
-    if q % 2 == 0:
-        n_ll = n_pp = q // 2
-        pref = Fraction(3 ** (q // 2), q + 1)
-    else:
-        n_ll, n_pp = (q - 1) // 2, (q + 1) // 2
-        pref = Fraction(3 ** ((q - 1) // 2), q + 2)
-    for _ in range(n_pp):
-        series = series.d_ppqq()
-    for _ in range(n_ll):
-        series = series.d_ll()
     return series.scaled(pref)(f, point)
 
 

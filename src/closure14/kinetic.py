@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from . import coeffs
 from .coeffs import GeneratingFamily, _ladder_gate, EquilibriumPoint
 from .errors import AccuracyError, DecayError, DomainError
 
@@ -69,19 +70,23 @@ class KineticKernel:
             )
 
 
-def exponential_kernel(amplitude: float = 1.0, scale: float = 1.0) -> KineticKernel:
-    def deriv(n, x):
-        return amplitude * (-scale) ** n * math.exp(-scale * x)
+def kernel_for(kind, params: dict | None = None) -> KineticKernel | None:
+    """Kernel F of a ``coeffs.BUILTIN_KERNELS`` kind or alias; None for other kinds."""
+    entry = coeffs.builtin_kernel(kind)
+    if entry is None:
+        return None
+    values = entry.resolve(params or {})
+    return KineticKernel(entry.build(**values)[0], name=entry.name, params=values)
 
-    return KineticKernel(deriv, name="exponential", params={"amplitude": amplitude, "scale": scale})
+
+def exponential_kernel(**params) -> KineticKernel:
+    """Kernel of ``coeffs.EXPONENTIAL``, F(x) = amplitude exp(-scale x)."""
+    return kernel_for(coeffs.EXPONENTIAL.name, params)
 
 
-def poly_exponential_kernel(amplitude: float = 1.0) -> KineticKernel:
-    # F(x) = amplitude * x * exp(-x); F^(n)(x) = amplitude * (-1)^n (x - n) exp(-x)
-    def deriv(n, x):
-        return amplitude * (-1.0) ** n * (x - n) * math.exp(-x)
-
-    return KineticKernel(deriv, name="poly_exponential", params={"amplitude": amplitude})
+def poly_exponential_kernel(**params) -> KineticKernel:
+    """Kernel of ``coeffs.POLY_EXPONENTIAL``, F(x) = amplitude x exp(-x)."""
+    return kernel_for(coeffs.POLY_EXPONENTIAL.name, params)
 
 
 def _semi_infinite_quad(g, spec: QuadratureSpec) -> float:

@@ -9,6 +9,7 @@ import closure14
 from closure14 import cli
 from closure14 import verify as verify_mod
 from closure14.cli import CSV_HEADER, dumps17, fmt17, main
+from closure14.coeffs import make_family
 
 K10_REF = -43.40082151674337
 
@@ -114,6 +115,40 @@ class TestConfigHandling:
         assert code == 0
         assert payload["family"]["params"]["scale"] == 2.0
 
+    @pytest.mark.parametrize(
+        "command", ["coeffs", "eval", "boost", "verify", "kinetic", "subsystem"]
+    )
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"family": "custom"},
+            {"family": "custom", "family_params": {"deriv": 3}},
+            {"family_params": {"scale": 0}},
+            {"family_params": {"scale": -1}},
+            {"family_params": {"amplitdue": 2}},
+            {"family": "poly_exponential", "family_params": {"scale": 2}},
+            {"family_params": {"amplitude": 0}},
+            {"family_params": None},
+        ],
+    )
+    def test_bad_family_exit_code(self, tmp_path, capsys, family, command):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(family))
+        code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command", ["coeffs", "eval", "boost", "verify", "kinetic", "subsystem"]
+    )
+    def test_s_max_accepted(self, tmp_path, capsys, command):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"count": 3, "family_params": {"s_max": 8}}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code in (0, 1), err
+        assert json.loads(out)
+
     def test_unknown_family_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--family", "bogus")
         assert code == 2
@@ -201,11 +236,13 @@ class TestKineticCommand:
         assert payload["kernel"] == "exponential"
         assert payload["max_relative_deviation"] <= 1e-7
 
-    def test_no_kernel_for_custom_family(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"family": "bogus"}))
-        code, _, _ = run_cli(capsys, "kinetic", "--config", str(cfgfile))
-        assert code == 2
+    def test_no_kernel_for_custom_family(self, capsys, monkeypatch):
+        # a custom family needs a callable, so only a library caller can supply one
+        custom = make_family("custom", {"deriv": make_family("exponential").deriv})
+        monkeypatch.setattr(cli, "make_family", lambda kind, params: custom)
+        code, out, err = run_cli(capsys, "kinetic", "--family", "custom")
+        assert code == 2 and out == ""
+        assert "no built-in kernel" in err
 
 
 class TestSubsystemCommand:

@@ -14,7 +14,6 @@ from closure14.coeffs import (
     h_pqr,
     k00,
     k0q_closed,
-    k0q_from_k00,
     k_pq,
     k_pq_closed,
     k_s_value,
@@ -100,6 +99,26 @@ class TestFamily:
         with pytest.raises(ValueError):
             make_family("no-such-family")
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("custom", {}),
+            ("custom", {"deriv": 3}),
+            ("exponential", {"scale": 0}),
+            ("exponential", {"scale": -1}),
+            ("exponential", {"amplitdue": 2}),
+            ("poly_exponential", {"scale": 2}),
+            ("exponential", {"amplitude": 0}),
+            ("exponential", {"amplitude": float("nan")}),
+            ("exponential", {"amplitude": True}),
+            ("exponential", {"s_max": None}),
+            ("exponential", 3),
+        ],
+    )
+    def test_bad_parameters_rejected(self, kind, params):
+        with pytest.raises(ValueError):
+            make_family(kind, params)
+
     def test_alias_kind(self):
         fam = make_family("polynomial-times-exponential")
         assert fam.ktilde(0, 0.0) != 0.0
@@ -155,12 +174,25 @@ class TestScalarCoefficients:
             k_pq(exp_family, 0, 0, EquilibriumPoint(0.0, 0.0, 0.0), S=4)
 
     @pytest.mark.parametrize(
-        "point", [EquilibriumPoint(-1000.0, 1.0, 0.0), EquilibriumPoint(0.0, 1e-300, 0.0)]
+        "call",
+        [
+            pytest.param(
+                lambda f: k_pq(f, 0, 0, EquilibriumPoint(-1000.0, 1.0, 0.0), S=4), id="point0"
+            ),
+            pytest.param(
+                lambda f: k_pq(f, 0, 0, EquilibriumPoint(0.0, 1e-300, 0.0), S=4), id="point1"
+            ),
+            pytest.param(lambda f: reduce_to_13(f, 6, -1000.0), id="reduce_to_13"),
+            pytest.param(
+                lambda f: k_s_value(f, 1, EquilibriumPoint(-1000.0, 1.0, 0.0)), id="k_s_value"
+            ),
+            pytest.param(lambda f: k0q_closed(f, 2, -1000.0, 1.0), id="k0q_closed"),
+        ],
     )
-    def test_overflow_is_typed(self, exp_family, point):
-        # the family member's exp and the lam_ll power each overflow here
+    def test_overflow_is_typed(self, exp_family, call):
+        # the family member's exp overflows at lam = -1000, the lam_ll power at 1e-300
         with pytest.raises(ClosureError):
-            k_pq(exp_family, 0, 0, point, S=4)
+            call(exp_family)
 
 
 class TestTensorCoefficients:
@@ -221,9 +253,9 @@ class TestClosedForms:
         pt = EquilibriumPoint(-0.4, 2.2, 0.0)
         closed = k0q_closed(exp_family, q, pt.lam, pt.lam_ll)
         series = k_pq(exp_family, 0, q, pt, S=5)
-        from_k00 = k0q_from_k00(exp_family, q, pt, S=5)
+        first_row = k_pq_closed(exp_family, 0, q, pt, S=5)
         assert closed == pytest.approx(series, rel=1e-12)
-        assert from_k00 == pytest.approx(series, rel=1e-12)
+        assert first_row == pytest.approx(series, rel=1e-12)
 
     def test_k0q_closed_domain(self, exp_family):
         with pytest.raises(DomainError):

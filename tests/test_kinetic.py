@@ -3,6 +3,7 @@ import math
 import pytest
 
 from closure14.coeffs import (
+    BUILTIN_KERNELS,
     EquilibriumPoint,
     k00,
     k_pq,
@@ -18,12 +19,14 @@ from closure14.kinetic import (
     kinetic_kpq,
     kinetic_ktilde,
     kinetic_series_coefficient,
+    kernel_for,
     make_kinetic_family,
     poly_exponential_kernel,
 )
 
 KT0_AT_0 = 28.933881011162246
 KT1_AT_0 = -976.5184841267256
+NON_DEFAULT = {"amplitude": 2.0, "scale": 1.7}
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,43 @@ class TestQuadratureSpec:
         adaptive = kinetic_ktilde(exp_kernel, 1, 0.3)
         fixed = kinetic_ktilde(exp_kernel, 1, 0.3, QuadratureSpec(kind="fixed-node"))
         assert fixed == pytest.approx(adaptive, rel=1e-10)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("non_default", [False, True], ids=["default", "non_default"])
+    @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
+    def test_members_match_quadrature(self, entry, non_default):
+        params = {k: NON_DEFAULT[k] for k in entry.params} if non_default else {}
+        family = make_family(entry.name, params)
+        kernel = kernel_for(entry.name, params)
+        # not -0.5: there d ktilde_0/dl of poly_exponential vanishes, and the
+        # quadrature cannot meet a relative tolerance on a zero
+        for s in range(3):
+            for n in range(2):
+                for lam in (-0.45, 0.4):
+                    assert family.ktilde_deriv(s, n, lam) == pytest.approx(
+                        kinetic_ktilde(kernel, s, lam, deriv_order=n), rel=1e-10
+                    )
+
+    @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
+    def test_aliases_share_the_entry(self, entry):
+        defaults = {k: default for k, (default, _, _) in entry.params.items()}
+        for kind in (entry.name, *entry.aliases):
+            kernel = kernel_for(kind)
+            assert kernel.name == entry.name and kernel.params == defaults
+
+    def test_s_max_ignored(self):
+        # the CLI hands the family's parameters, s_max included, to the kernel lookup
+        assert kernel_for("exponential", {"s_max": 8}).params == exponential_kernel().params
+
+    def test_other_kinds_have_no_kernel(self):
+        assert kernel_for("custom") is None and kernel_for("bogus") is None
+
+    def test_kernel_parameters_checked(self):
+        with pytest.raises(ValueError):
+            exponential_kernel(amplitude=0.0)
+        with pytest.raises(ValueError):
+            poly_exponential_kernel(scale=2.0)
 
 
 class TestKernels:
