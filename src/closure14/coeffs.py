@@ -11,6 +11,10 @@ recurrences (one derivative per step, with rational prefactors).  The
 steps act symbolically on a term list, so all derivatives in l_ll and
 the series variable are analytic; only the l-direction consults the
 family's derivative oracle.
+
+A series compiles its exact terms to floats once and keeps its derivative
+series, and a family keeps its member values at the most recent l, so the
+coefficients at one point consult the oracle at most once per (s, n).
 """
 
 from __future__ import annotations
@@ -41,8 +45,18 @@ class EquilibriumPoint:
     lam_ppqq: float = 0.0
 
     def require_domain(self):
+        """All fields finite, lambda_ll > 0 and lambda_ppqq >= 0, else ``DomainError``.
+
+        At lambda_ppqq < 0, chi is not bounded below and the integrals diverge.
+        """
+        if not all(map(math.isfinite, (self.lam, self.lam_ll, self.lam_ppqq))):
+            raise DomainError(f"equilibrium point must be finite, got {self}")
         if not self.lam_ll > 0:
             raise DomainError(f"lambda_ll must be positive, got {self.lam_ll}")
+        if self.lam_ppqq < 0:
+            raise DomainError(
+                f"lambda_ppqq must be >= 0 (the integral diverges otherwise), got {self.lam_ppqq}"
+            )
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,10 @@ class GeneratingFamily:
     s <= s_max, n <= n_max.  Public constructors (:func:`make_family`,
     ``kinetic.make_kinetic_family``) gate on the ladder residual;
     direct instantiation skips the gate (used for fault injection).
+
+    ``ktilde_deriv`` keeps a one-point member table, the (s, n) values at the
+    most recent lam, so ``deriv`` must be a pure function.  A call that raises
+    is not stored; ``dataclasses.replace`` starts an empty table.
     """
 
     kind: str
@@ -72,6 +90,7 @@ class GeneratingFamily:
     s_max: int = DEFAULT_S_MAX
     n_max: int = DEFAULT_N_MAX
     params: dict = field(default_factory=dict)
+    _members: dict = field(default_factory=dict, init=False, repr=False)  # {lam: {(s, n): value}}
 
     def ktilde(self, s: int, lam: float) -> float:
         return self.ktilde_deriv(s, 0, lam)
@@ -81,10 +100,17 @@ class GeneratingFamily:
             raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
         if n > self.n_max:
             raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
-        try:
-            return self.deriv(s, n, lam)
-        except OverflowError as exc:
-            raise DomainError(f"ktilde_{s} derivative {n} overflows at lambda={lam}") from exc
+        members = self._members.get(lam)
+        if members is None:  # a new point: forget the previous one
+            self._members.clear()
+            members = self._members[lam] = {}
+        value = members.get((s, n))
+        if value is None:
+            try:
+                value = members[s, n] = self.deriv(s, n, lam)
+            except OverflowError as exc:
+                raise DomainError(f"ktilde_{s} derivative {n} overflows at lambda={lam}") from exc
+        return value
 
     def describe(self) -> dict:
         return {"kind": self.kind, "s_max": self.s_max, "params": dict(self.params)}
@@ -132,8 +158,9 @@ def _exponential(amplitude, scale):
     def kernel(n, x):
         return amplitude * (-scale) ** n * math.exp(-scale * x)
 
-    def members(s, n, lam):
-        const = (
+    @functools.cache
+    def const(s):
+        return (
             amplitude
             * 4.0
             * math.pi
@@ -142,7 +169,9 @@ def _exponential(amplitude, scale):
             * (3.0 / scale) ** (2 * s + 1.5)
             * math.gamma(2 * s + 1.5)
         )
-        return const * (-scale) ** n * math.exp(-scale * lam)
+
+    def members(s, n, lam):
+        return const(s) * (-scale) ** n * math.exp(-scale * lam)
 
     return kernel, members
 
@@ -153,6 +182,7 @@ def _poly_exponential(amplitude):
     def kernel(n, x):
         return amplitude * (-1.0) ** n * (x - n) * math.exp(-x)
 
+    @functools.cache
     def coeffs(s):
         b = (-1.0) ** s * 4.0 * math.pi * _gaussian_moment(4 * s + 2)
         a = (-1.0) ** s * 4.0 * math.pi * (
@@ -257,31 +287,53 @@ class _Term:
     m: int  # power of lambda_ppqq
 
 
-class CoeffSeries:
-    """Finite sum of terms coef * d^dl ktilde_s(l) * l_ll**e * l_ppqq**m."""
+def _memoized(step):
+    """Keep a step's result on the series; a step that raises keeps nothing."""
 
-    __slots__ = ("terms",)
+    @functools.wraps(step)
+    def cached(self):
+        if step.__name__ not in self._steps:
+            self._steps[step.__name__] = step(self)
+        return self._steps[step.__name__]
+
+    return cached
+
+
+class CoeffSeries:
+    """Finite sum of terms coef * d^dl ktilde_s(l) * l_ll**e * l_ppqq**m.
+
+    The steps act on the exact terms and are kept on the series.  A call runs
+    a float plan, (float(coef), s, dl, float(e), m) per term, compiled once.
+    """
+
+    __slots__ = ("terms", "_plan", "_steps")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
+        self._plan = None
+        self._steps = {}
 
     @classmethod
+    @functools.cache
     def k00(cls, S: int) -> "CoeffSeries":
         return cls(
             _Term(Fraction(1, math.factorial(s)), s, 0, Fraction(-(3 + 4 * s), 2), s)
             for s in range(S + 1)
         )
 
+    @_memoized
     def d_lam(self) -> "CoeffSeries":
         return CoeffSeries(
             _Term(t.coef, t.s, t.dl + 1, t.ll_exp, t.m) for t in self.terms
         )
 
+    @_memoized
     def d_ll(self) -> "CoeffSeries":
         return CoeffSeries(
             _Term(t.coef * t.ll_exp, t.s, t.dl, t.ll_exp - 1, t.m) for t in self.terms
         )
 
+    @_memoized
     def d_ppqq(self) -> "CoeffSeries":
         out = [
             _Term(t.coef * t.m, t.s, t.dl, t.ll_exp, t.m - 1)
@@ -308,13 +360,18 @@ class CoeffSeries:
 
     def __call__(self, f: GeneratingFamily, point: EquilibriumPoint) -> float:
         point.require_domain()
+        if self._plan is None:
+            self._plan = tuple(
+                (float(t.coef), t.s, t.dl, float(t.ll_exp), t.m) for t in self.terms
+            )
+        lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
         total = 0.0
-        for t in self.terms:
-            factor = float(t.coef) * f.ktilde_deriv(t.s, t.dl, point.lam)
+        for coef, s, dl, ll_exp, m in self._plan:
+            factor = coef * f.ktilde_deriv(s, dl, lam)
             try:
-                factor *= point.lam_ll ** float(t.ll_exp)
-                if t.m:
-                    factor *= point.lam_ppqq ** t.m
+                factor *= lam_ll ** ll_exp
+                if m:
+                    factor *= lam_ppqq ** m
             except OverflowError as exc:
                 raise DomainError(f"coefficient overflows at {point}") from exc
             total += factor
@@ -385,9 +442,17 @@ def k00(f: GeneratingFamily, point: EquilibriumPoint, S: int) -> float:
     return CoeffSeries.k00(S)(f, point)
 
 
+def _ll_power(lam_ll: float, exponent: float) -> float:
+    """lam_ll ** exponent, raising ``DomainError`` where it overflows."""
+    try:
+        return lam_ll ** exponent
+    except OverflowError as exc:
+        raise DomainError(f"lambda_ll**{exponent} overflows at lambda_ll={lam_ll}") from exc
+
+
 def k_s_value(f: GeneratingFamily, s: int, point: EquilibriumPoint) -> float:
     point.require_domain()
-    return point.lam_ll ** (-(3 + 4 * s) / 2) * f.ktilde(s, point.lam)
+    return _ll_power(point.lam_ll, -(3 + 4 * s) / 2) * f.ktilde(s, point.lam)
 
 
 # --- tensor-coefficient scalars --------------------------------------------
@@ -452,8 +517,7 @@ def eta_descending_literal(a: int, b: int) -> int:
 
 def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
     """Closed form for k_{0,q} at lambda_ppqq = 0 (corrected eta convention)."""
-    if not lam_ll > 0:
-        raise DomainError(f"lambda_ll must be positive, got {lam_ll}")
+    EquilibriumPoint(lam, lam_ll).require_domain()
     if q % 2 == 0:
         s = q // 2
         return (
@@ -461,7 +525,7 @@ def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
             / (q + 1)
             * (-0.5) ** s
             * eta_product(2 * q + 3, 3 * q + 1)
-            * lam_ll ** (-(3 + 3 * q) / 2)
+            * _ll_power(lam_ll, -(3 + 3 * q) / 2)
             * f.ktilde(s, lam)
         )
     s = (q + 1) // 2
@@ -470,7 +534,7 @@ def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
         / (q + 2)
         * (-0.5) ** ((q - 1) // 2)
         * eta_product(2 * q + 5, 3 * q + 2)
-        * lam_ll ** (-(4 + 3 * q) / 2)
+        * _ll_power(lam_ll, -(4 + 3 * q) / 2)
         * f.ktilde(s, lam)
     )
 

@@ -137,10 +137,6 @@ def kinetic_kpq(
 ) -> float:
     """Matrix element k_{p,q} as a velocity-space integral."""
     point.require_domain()
-    if point.lam_ppqq < 0:
-        raise DomainError(
-            "kinetic k_{p,q} requires lambda_ppqq >= 0 (integral diverges otherwise)"
-        )
     kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
     n = p + q
     if n % 2 == 0:

@@ -82,6 +82,22 @@ class TestCoeffsCommand:
         assert code == expected
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("coeffs", {"point": {"lam": 0, "lam_ll": 1, "lam_ppqq": -5}}),
+            ("eval", {"state": {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[0.3, 0, 0], [0, 0.3, 0], [0, 0, 0.3]],
+                                "lam_ill": [0, 0, 0], "lam_iill": -0.01}}),
+        ],
+    )
+    def test_negative_quartic_exit_code(self, tmp_path, capsys, command, config):
+        # lam_ppqq < 0: the integral diverges, so no formal-series value is printed
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code == 3
+        assert out == "" and "Traceback" not in err and "lambda_ppqq" in err
+
 
 class TestConfigHandling:
     def test_unknown_field_rejected(self, tmp_path, capsys):

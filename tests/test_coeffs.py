@@ -1,10 +1,14 @@
+import contextlib
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from closure14.coeffs import (
     CoefficientRequest,
+    CoeffSeries,
     EquilibriumPoint,
     GeneratingFamily,
     constraint_residuals,
@@ -12,6 +16,7 @@ from closure14.coeffs import (
     eta_descending_literal,
     eta_product,
     h_pqr,
+    h_series,
     k00,
     k0q_closed,
     k_pq,
@@ -22,6 +27,7 @@ from closure14.coeffs import (
     ladder_residual,
     make_family,
     phi_pqr,
+    phi_series,
     reduce_to_13,
     subsystem_coefficient,
 )
@@ -187,12 +193,54 @@ class TestScalarCoefficients:
                 lambda f: k_s_value(f, 1, EquilibriumPoint(-1000.0, 1.0, 0.0)), id="k_s_value"
             ),
             pytest.param(lambda f: k0q_closed(f, 2, -1000.0, 1.0), id="k0q_closed"),
+            pytest.param(
+                lambda f: k_s_value(f, 1, EquilibriumPoint(0.0, 1e-300, 0.0)), id="k_s_value_ll"
+            ),
+            pytest.param(lambda f: k0q_closed(f, 2, 0.0, 1e-300), id="k0q_closed_ll"),
+            pytest.param(lambda f: k0q_closed(f, 1, 0.0, 1e-300), id="k0q_closed_odd_ll"),
         ],
     )
     def test_overflow_is_typed(self, exp_family, call):
         # the family member's exp overflows at lam = -1000, the lam_ll power at 1e-300
         with pytest.raises(ClosureError):
             call(exp_family)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            EquilibriumPoint(0.0, 1.0, -5.0),
+            EquilibriumPoint(0.0, 1.0, -1e-12),
+            EquilibriumPoint(math.nan, 1.0, 0.0),
+            EquilibriumPoint(math.inf, 1.0, 0.0),
+            EquilibriumPoint(0.0, math.nan, 0.0),
+            EquilibriumPoint(0.0, math.inf, 0.0),
+            EquilibriumPoint(0.0, 1.0, math.nan),
+            EquilibriumPoint(0.0, 1.0, math.inf),
+        ],
+        ids=["ppqq_neg", "ppqq_tiny_neg", "lam_nan", "lam_inf", "ll_nan", "ll_inf",
+             "ppqq_nan", "ppqq_inf"],
+    )
+    def test_domain_boundary(self, exp_family, point):
+        # lam_ppqq < 0 leaves chi unbounded below: the integral diverges
+        with pytest.raises(DomainError):
+            point.require_domain()
+        with pytest.raises(DomainError):
+            k_pq(exp_family, 0, 0, point, S=4)
+        with pytest.raises(DomainError):
+            h_pqr(exp_family, CoefficientRequest(0, 0, 1), point)
+        with pytest.raises(DomainError):
+            k_s_value(exp_family, 0, point)
+
+    def test_domain_boundary_closed_form(self, exp_family):
+        with pytest.raises(DomainError):
+            k0q_closed(exp_family, 2, math.nan, 1.0)
+        with pytest.raises(DomainError):
+            k0q_closed(exp_family, 2, 0.0, math.inf)
+
+    def test_zero_quartic_accepted(self, exp_family):
+        for ppqq in (0.0, -0.0):
+            pt = EquilibriumPoint(0.0, 1.0, ppqq)
+            assert k_pq(exp_family, 1, 0, pt, S=4) == pytest.approx(K10_REF, rel=1e-13)
 
 
 class TestTensorCoefficients:
@@ -303,3 +351,139 @@ class TestSubsystem:
     def test_q_max_beyond_family(self, exp_family):
         with pytest.raises(TruncationError):
             reduce_to_13(exp_family, 2 * exp_family.s_max + 2, 0.0)
+
+
+# --- compiled series and the one-point member table ---------------------------
+
+
+def term_loop(series, f, point):
+    """Exact-term evaluation of a series, the oracle for its compiled float plan.
+
+    It converts each Fraction per term and calls the family's raw ``deriv``,
+    bypassing the member table, with the arithmetic of ``CoeffSeries.__call__``
+    in the same order; so the two must agree exactly, not to a tolerance.
+    """
+    point.require_domain()
+    total = 0.0
+    for t in series.terms:
+        factor = float(t.coef) * f.deriv(t.s, t.dl, point.lam)
+        factor *= point.lam_ll ** float(t.ll_exp)
+        if t.m:
+            factor *= point.lam_ppqq ** t.m
+        total += factor
+    return total
+
+
+def all_series(f, S):
+    """Every k_{p,q} (p, q <= 6) and h/phi (p+q+2r <= 8) series at S, and their steps."""
+    bases = []
+    for p in range(7):
+        for q in range(7):
+            with contextlib.suppress(TruncationError):
+                bases.append(k_series(f, p, q, S))
+    for p in range(9):
+        for q in range(9 - p):
+            for r in range((8 - p - q) // 2 + 1):
+                with contextlib.suppress(TruncationError):
+                    bases.append((phi_series if (p + q) % 2 else h_series)(f, p, q, r, S))
+    for series in bases:
+        yield series
+        for step in (CoeffSeries.d_lam, CoeffSeries.d_ll, CoeffSeries.d_ppqq):
+            with contextlib.suppress(TruncationError):
+                yield step(series)
+
+
+def random_points(seed, count=3):
+    rng = np.random.default_rng(seed)
+    pts = [EquilibriumPoint(rng.uniform(-1, 1), rng.uniform(0.5, 4.0), rng.uniform(0, 0.05))
+           for _ in range(count)]
+    return pts + [EquilibriumPoint(rng.uniform(-1, 1), rng.uniform(0.5, 4.0), 0.0)]
+
+
+class CountingDeriv:
+    """A derivative oracle that records every call it receives."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, s, n, lam):
+        self.calls.append((s, n, lam))
+        return self.fn(s, n, lam)
+
+
+@pytest.fixture
+def counted():
+    deriv = CountingDeriv(make_family("exponential").deriv)
+    return make_family("custom", {"deriv": deriv}), deriv
+
+
+PQ6 = [(p, q) for p in range(7) for q in range(7)]
+
+
+class TestCompiledSeries:
+    @pytest.mark.parametrize("S", [2, 4, 6])
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_plan_equals_term_loop(self, kind, S, request):
+        fam = request.getfixturevalue("exp_family" if kind == "exponential" else "poly_family")
+        checked = 0
+        for pt in random_points(seed=S):
+            for series in all_series(fam, S):
+                assert series(fam, pt) == term_loop(series, fam, pt)
+                checked += 1
+        assert checked >= 4 * 400  # four points, at least 400 series each
+
+    def test_steps_are_kept(self):
+        series = k_series(None, 2, 1, 4)
+        assert series.d_lam() is series.d_lam()
+        assert series.d_ll() is series.d_ll()
+        assert series.d_ppqq() is series.d_ppqq()
+
+    def test_exhausted_order_raises_every_time(self):
+        series = CoeffSeries.k00(1).d_ppqq()
+        for _ in range(3):
+            with pytest.raises(TruncationError):
+                series.d_ppqq()
+
+
+class TestMemberTable:
+    def test_one_oracle_call_per_member(self, counted, exp_family):
+        f, deriv = counted
+        pt = EquilibriumPoint(0.3, 1.7, 0.02)
+        deriv.calls.clear()
+        got = {pq: k_pq(f, *pq, pt, S=6) for pq in PQ6}
+        assert deriv.calls and len(deriv.calls) == len(set(deriv.calls))
+        assert {lam for _, _, lam in deriv.calls} == {0.3}
+        assert got == {pq: k_pq(exp_family, *pq, pt, S=6) for pq in PQ6}
+
+    def test_switching_points_is_never_stale(self, counted):
+        f, deriv = counted
+        plain = make_family("exponential")
+        a, b = EquilibriumPoint(-0.4, 1.2, 0.01), EquilibriumPoint(0.6, 2.5, 0.03)
+        expect = {pt: [k_pq(plain, *pq, pt, S=4) for pq in PQ6[:20]] for pt in (a, b)}
+        for pt in (a, b, a, b, a):
+            assert [k_pq(f, *pq, pt, S=4) for pq in PQ6[:20]] == expect[pt]
+        for lam in (0.1, -0.2, 0.1, 0.0, -0.0):
+            assert f.ktilde_deriv(1, 2, lam) == deriv.fn(1, 2, lam)
+
+    def test_failed_calls_are_not_stored(self, counted):
+        f, deriv = counted
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                f.ktilde_deriv(f.s_max + 1, 0, 0.3)
+            with pytest.raises(TruncationError):
+                f.ktilde_deriv(0, f.n_max + 1, 0.3)
+        before = len(deriv.calls)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                f.ktilde_deriv(0, 0, -1000.0)
+        assert len(deriv.calls) == before + 2
+        assert f.ktilde_deriv(0, 0, -1.0) == deriv.fn(0, 0, -1.0)
+
+    def test_replace_starts_an_empty_table(self, counted):
+        f, deriv = counted
+        f.ktilde_deriv(0, 1, 0.25)
+        before = len(deriv.calls)
+        g = dataclasses.replace(f, kind="copy")
+        assert g.ktilde_deriv(0, 1, 0.25) == f.ktilde_deriv(0, 1, 0.25)
+        assert len(deriv.calls) == before + 1

@@ -124,6 +124,12 @@ class TestPotentialEvaluation:
         with pytest.raises(DomainError):
             eval_h_hat(fam, st, N, S)
 
+    def test_negative_quartic_rejected(self, fam):
+        st = replace(hatted_state(0), lam_iill=-1e-3)
+        for evaluate in (eval_h_hat, eval_phi_hat, moments_from_potentials):
+            with pytest.raises(DomainError):
+                evaluate(fam, st, N, S)
+
     def test_overflow_is_typed(self, fam):
         with pytest.raises(ClosureError):
             eval_h_hat(fam, MultiplierState.equilibrium(-1000.0, 1.0), N, S)
@@ -287,6 +293,18 @@ def _grad_symmatrix(fn, mat: SymMatrix, h: float) -> np.ndarray:
     return out
 
 
+def _diff_in_domain(fn, x: float, h: float):
+    """4th-order first derivative whose stencil stays at x >= 0.
+
+    Central where x - 2h >= 0, else forward: lam_iill < 0 is outside the
+    domain, so a central stencil at a small lam_iill would raise.
+    """
+    if x >= 2 * h:
+        return central_diff(fn, x, h)
+    f0, f1, f2, f3, f4 = (np.asarray(fn(x + k * h), dtype=float) for k in range(5))
+    return (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * h)
+
+
 def fd_moments(f, state, h):
     """All ten blocks by 4th-order central differences of the potentials."""
 
@@ -301,14 +319,14 @@ def fd_moments(f, state, h):
         "m_i": _grad_vector(lambda w: h_at(lam_i=w), state.lam_i, h),
         "m_ij": _grad_symmatrix(lambda w: h_at(lam_ij=w), state.lam_ij, h),
         "m_ill": _grad_vector(lambda w: h_at(lam_ill=w), state.lam_ill, h),
-        "m_iill": central_diff(lambda x: h_at(lam_iill=x), state.lam_iill, h),
+        "m_iill": _diff_in_domain(lambda x: h_at(lam_iill=x), state.lam_iill, h),
         "f_k": central_diff(lambda x: phi_at(lam=x), state.lam, h),
         "f_ki": _grad_vector(lambda w: phi_at(lam_i=w), state.lam_i, h).T,
         "f_kij": np.transpose(
             _grad_symmatrix(lambda w: phi_at(lam_ij=w), state.lam_ij, h), (2, 0, 1)
         ),
         "f_kill": _grad_vector(lambda w: phi_at(lam_ill=w), state.lam_ill, h).T,
-        "f_kiill": central_diff(lambda x: phi_at(lam_iill=x), state.lam_iill, h),
+        "f_kiill": _diff_in_domain(lambda x: phi_at(lam_iill=x), state.lam_iill, h),
     }
 
 
