@@ -20,7 +20,7 @@ from scipy import integrate
 
 from . import coeffs
 from .coeffs import GeneratingFamily, _ladder_gate, EquilibriumPoint
-from .errors import AccuracyError, DecayError, DomainError
+from .errors import AccuracyError, DecayError
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -159,8 +159,7 @@ def kinetic_series_coefficient(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Series coefficient k_s = 4 pi int F^(s)(l + l_ll c^2/3) c^(4s+2) dc."""
-    if not lam_ll > 0:
-        raise DomainError(f"lambda_ll must be positive, got {lam_ll}")
+    EquilibriumPoint(lam, lam_ll).require_domain()
     kernel.check_decay(lam=lam)
 
     def g(c):

@@ -145,6 +145,12 @@ class TestQuadratureVsClosedForm:
         with pytest.raises(DomainError):
             kinetic_series_coefficient(exp_kernel, 0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("lam, lam_ll", [(0.0, math.inf), (math.nan, 1.0)])
+    def test_series_coefficient_non_finite(self, exp_kernel, lam, lam_ll):
+        # lam_ll = inf returned 0.0 and a NaN lam raised DecayError before the point check
+        with pytest.raises(DomainError):
+            kinetic_series_coefficient(exp_kernel, 0, lam, lam_ll)
+
 
 class TestKineticFamily:
     def test_built_family_passes_gate_and_matches(self, exp_kernel, exp_family):
