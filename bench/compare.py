@@ -2,15 +2,17 @@
 """Compare the benchmark of two checkouts in alternating pairs of runs.
 
     python3 bench/compare.py PARENT_DIR CHANGE_DIR --workload coeffs [kinetic ...] \\
-        --pairs 10 --first-seed N --out BENCH_<n>.json [--seconds 30]
+        --pairs 10 --first-seed N --out BENCH_<n>.json
 
-For each workload, pair i runs ``perfbench/run.py --trace 0`` once in each
-checkout with seed N + i; the side that runs first alternates from pair to
-pair.  Then one ``--trace 1`` run per side, at seed N + pairs, records the
-``coeffs.*``, ``potentials.*`` and ``kinetic.*`` layer metrics.  The output
-holds the environment, every run's metrics, per-side medians and quartiles
-of the end-to-end metrics declared in the change's ``BENCHMARK.json``, and
-the number of pairs the change won on each.  It is rewritten after every
+The benchmark command and its run length are the ``command`` and
+``run_seconds`` of the change's ``BENCHMARK.json``.  For each workload, pair i
+runs the command with ``--trace 0`` once in each checkout with seed N + i; the
+side that runs first alternates from pair to pair.  Then one ``--trace 1``
+run per side, at seed N + pairs, records the ``coeffs.*``, ``potentials.*``
+and ``kinetic.*`` layer metrics.  The output holds the command, the run
+length, the environment, every run's metrics, per-side medians and quartiles
+of the end-to-end metrics declared in ``BENCHMARK.json``, and the number of
+pairs the change won on each.  It is rewritten after every
 run, so an interrupted comparison keeps the runs it made.
 """
 
@@ -35,15 +37,14 @@ def parse_args(argv=None):
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` process in ``checkout``; its provenance and result."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def bench_run(bench: dict, checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One run of the benchmark command in ``checkout``; its provenance and result."""
+    cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     t0 = time.perf_counter()
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall_s = time.perf_counter() - t0
@@ -98,8 +99,9 @@ def layer_metrics(run: dict) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    end_to_end = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    report = {"env": {}, "seconds": args.seconds, "first_seed": args.first_seed, "workloads": {}}
+    bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    report = {"env": {}, "command": bench["command"], "run_seconds": bench["run_seconds"],
+              "first_seed": args.first_seed, "workloads": {}}
 
     def save():
         args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                run = bench_run(dirs[side], workload, seed, args.seconds, trace=0)
+                run = bench_run(bench, dirs[side], workload, seed, trace=0)
                 prov = run.pop("provenance")
                 report["env"].setdefault("python", prov["python"])
                 report["env"].setdefault("numpy", prov["numpy"])
@@ -121,11 +123,10 @@ def main(argv=None) -> int:
                 pair[side] = run
                 print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
             entry["pairs"].append(pair)
-            entry["summary"] = summarize(entry["pairs"], end_to_end)
+            entry["summary"] = summarize(entry["pairs"], bench["end_to_end"])
             save()
         for side in SIDES:
-            run = bench_run(dirs[side], workload, args.first_seed + args.pairs,
-                            args.seconds, trace=1)
+            run = bench_run(bench, dirs[side], workload, args.first_seed + args.pairs, trace=1)
             entry["traced"][side] = {"seed": run["seed"], "correct": run["correct"],
                                      "failed": run["failed"], **layer_metrics(run)}
             save()

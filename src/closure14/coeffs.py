@@ -90,7 +90,8 @@ class GeneratingFamily:
     s_max: int = DEFAULT_S_MAX
     n_max: int = DEFAULT_N_MAX
     params: dict = field(default_factory=dict)
-    _members: dict = field(default_factory=dict, init=False, repr=False)  # {lam: {(s, n): value}}
+    # {lam: {(s, n): value}}: a cache, not part of the family's value
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ktilde(self, s: int, lam: float) -> float:
         return self.ktilde_deriv(s, 0, lam)

@@ -487,3 +487,10 @@ class TestMemberTable:
         g = dataclasses.replace(f, kind="copy")
         assert g.ktilde_deriv(0, 1, 0.25) == f.ktilde_deriv(0, 1, 0.25)
         assert len(deriv.calls) == before + 1
+
+    def test_table_is_not_part_of_the_value(self, counted):
+        f, _ = counted
+        f.ktilde_deriv(0, 1, 0.25)
+        (table,) = (fl for fl in dataclasses.fields(f) if fl.name == "_members")
+        assert not (table.compare or table.repr or table.init)
+        assert "_members" not in repr(f)
