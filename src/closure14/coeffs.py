@@ -157,7 +157,7 @@ def _exponential(amplitude, scale):
     """F(x) = amplitude exp(-scale x): the oracles F^(n)(x) and d^n ktilde_s/dl^n."""
 
     def kernel(n, x):
-        return amplitude * (-scale) ** n * math.exp(-scale * x)
+        return amplitude * (-scale) ** n * np.exp(-scale * x)
 
     @functools.cache
     def const(s):
@@ -181,7 +181,7 @@ def _poly_exponential(amplitude):
     """F(x) = amplitude x exp(-x); its members are (A_s + B_s l) e^{-l}."""
 
     def kernel(n, x):
-        return amplitude * (-1.0) ** n * (x - n) * math.exp(-x)
+        return amplitude * (-1.0) ** n * (x - n) * np.exp(-x)
 
     @functools.cache
     def coeffs(s):
@@ -611,6 +611,8 @@ class SubsystemTable:
 def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:
     if q % 2:
         raise ParityError(f"subsystem index q must be even, got {q}")
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     s = q // 2
     return (
         (-1.5) ** s / (q + 1) * eta_product(2 * q + 3, 3 * q + 1) * f.ktilde(s, lam)

@@ -8,38 +8,43 @@ scalars are obtained as velocity-space integrals of a decaying kernel F,
                       4 pi/(p+q+2) int F^(p+q)(arg) c^(p+3q+3) dc   (p+q odd)
 
 with arg = l + l_ll c^2/3 + l_ppqq c^4.
+
+Each integral is cut at a radius R found by a scalar search: R grows by 1.5x
+from ``cutoff_start`` until |g(R)| R is negligible, and past ``cutoff_max``
+the kernel is taken not to decay.  On [0, R] a composite Gauss-Legendre rule
+(Golub & Welsch 1969), 4 panels of 64 nodes, gives the value; a 4 x 32 rule
+on the same panels, evaluated in the same array call, gives the error
+estimate |full - half|, which must be within 10 rel_tol int |g|.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import coeffs
 from .coeffs import GeneratingFamily, _ladder_gate, EquilibriumPoint
-from .errors import AccuracyError, DecayError
+from .errors import AccuracyError, DecayError, DomainError
 
 _FOUR_PI = 4.0 * math.pi
+_PANELS = 4
+_ORDER = 64  # nodes per panel of the full rule; the error estimate uses half as many
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for semi-infinite quadrature of kernel integrands."""
 
-    kind: str = "adaptive"  # adaptive | fixed-node
     rel_tol: float = 1e-11
-    node_budget: int = 400
     cutoff_start: float = 8.0
     cutoff_max: float = 1e4
 
     def __post_init__(self):
         if not 0 < self.rel_tol <= 1e-4:
             raise ValueError(f"rel_tol must be in (0, 1e-4], got {self.rel_tol}")
-        if self.kind not in ("adaptive", "fixed-node"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -47,9 +52,14 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True, eq=False)
 class KineticKernel:
-    """Single-variable kernel F with derivative oracle F^(n)."""
+    """Single-variable kernel F with derivative oracle F^(n).
 
-    deriv: object  # callable (n, x) -> float
+    ``deriv(n, x)`` must accept a float or a numpy array x and return F^(n)
+    elementwise, as numpy ufuncs do: the quadrature evaluates all its nodes
+    in one call.
+    """
+
+    deriv: object  # callable (n, x) -> float or array
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -59,10 +69,11 @@ class KineticKernel:
     def check_decay(self, lam: float = 0.0, quartic: float = 0.0, tol: float = 1e-12):
         """Verify F(x(c)) c^3 -> 0 along the evaluation ray."""
         probes = [20.0, 40.0, 80.0]
-        vals = [
-            abs(self.deriv(0, lam + c * c / 3.0 + quartic * c**4)) * c**3
-            for c in probes
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = [
+                abs(self.deriv(0, lam + c * c / 3.0 + quartic * c**4)) * c**3
+                for c in probes
+            ]
         if not (vals[-1] <= tol and vals[-1] <= vals[0] + tol):
             raise DecayError(
                 f"kernel tail F*c^3 = {vals[-1]:.3e} at c={probes[-1]} "
@@ -89,26 +100,58 @@ def poly_exponential_kernel(**params) -> KineticKernel:
     return kernel_for(coeffs.POLY_EXPONENTIAL.name, params)
 
 
+@functools.cache
+def _panel_rule():
+    """Nodes on [0, 1] of the full rule, then of the half-order rule, and their weights.
+
+    Row 0 of the weights is the full rule and row 1 the half-order one; each
+    row is zero on the other rule's nodes.
+    """
+    panel = np.arange(_PANELS)[:, None]  # panel j covers [j, j + 1] / _PANELS
+    nodes, rows = [], []
+    for order in (_ORDER, _ORDER // 2):
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes.append(((panel + (x + 1) / 2) / _PANELS).ravel())
+        rows.append(np.tile(w / (2 * _PANELS), _PANELS))
+    weights = np.zeros((2, nodes[0].size + nodes[1].size))
+    weights[0, : nodes[0].size] = rows[0]
+    weights[1, nodes[0].size :] = rows[1]
+    return np.concatenate(nodes), weights
+
+
+def _finite(v: float) -> float:
+    if not math.isfinite(v):
+        raise DomainError("kinetic integrand is not finite: the kernel overflows on the ray")
+    return v
+
+
 def _semi_infinite_quad(g, spec: QuadratureSpec) -> float:
-    """Integrate g on [0, inf) with an explicit exponential-tail cutoff."""
-    R = spec.cutoff_start
-    ref = max(abs(g(1.0)), abs(g(R / 2)), 1e-300)
-    while abs(g(R)) * R > spec.rel_tol * ref * 1e-3:
-        R *= 1.5
-        if R > spec.cutoff_max:
-            raise DecayError("integrand tail does not fall below tolerance before cutoff")
-    if spec.kind == "fixed-node":
-        x, w = np.polynomial.legendre.leggauss(spec.node_budget)
-        x = 0.5 * R * (x + 1.0)
-        return float(0.5 * R * np.sum(w * np.array([g(t) for t in x])))
-    val, err = integrate.quad(
-        g, 0.0, R, epsabs=0.0, epsrel=spec.rel_tol, limit=max(spec.node_budget, 50)
-    )
-    if abs(val) > 0 and err > 10 * spec.rel_tol * abs(val) + 1e-300:
+    """Integrate g on [0, inf) with an explicit exponential-tail cutoff.
+
+    ``g`` takes a float or an array.  A non-finite integrand raises
+    ``DomainError``, and an error estimate above tolerance ``AccuracyError``.
+    """
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = spec.cutoff_start
+        ref = max(abs(_finite(g(1.0))), abs(_finite(g(R / 2))), 1e-300)
+        while abs(_finite(g(R))) * R > spec.rel_tol * ref * 1e-3:
+            R *= 1.5
+            if R > spec.cutoff_max:
+                raise DecayError("integrand tail does not fall below tolerance before cutoff")
+        nodes, weights = _panel_rule()
+        y = g(R * nodes)
+        full, half = R * (weights @ y)
+        magnitude = R * (weights[0] @ np.abs(y))
+    # every node has a nonzero weight in one of the two rules
+    _finite(full)
+    _finite(half)
+    err = abs(full - half)
+    if err > 10 * spec.rel_tol * magnitude:
         raise AccuracyError(
-            f"quadrature error {err:.3e} exceeds tolerance for value {val:.6e}"
+            f"quadrature error {err:.3e} exceeds tolerance for value {full:.6e}"
         )
-    return val
+    return float(full)
 
 
 def kinetic_ktilde(

@@ -352,6 +352,14 @@ class TestSubsystem:
         with pytest.raises(TruncationError):
             reduce_to_13(exp_family, 2 * exp_family.s_max + 2, 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lam_rejected(self, exp_family, lam):
+        # NaN gave I_q = nan, and +inf a table of zeros
+        with pytest.raises(DomainError):
+            subsystem_coefficient(exp_family, 2, lam)
+        with pytest.raises(DomainError):
+            reduce_to_13(exp_family, 4, lam)
+
 
 # --- compiled series and the one-point member table ---------------------------
 

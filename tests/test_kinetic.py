@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import integrate
 
+import closure14
 from closure14.coeffs import (
     BUILTIN_KERNELS,
     EquilibriumPoint,
@@ -10,7 +18,7 @@ from closure14.coeffs import (
     k_s_value,
     make_family,
 )
-from closure14.errors import DecayError, DomainError
+from closure14.errors import AccuracyError, DecayError, DomainError
 from closure14.kinetic import (
     KineticKernel,
     QuadratureSpec,
@@ -46,14 +54,79 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(kind="monte-carlo")
 
-    def test_fixed_node_matches_adaptive(self, exp_kernel):
-        adaptive = kinetic_ktilde(exp_kernel, 1, 0.3)
-        fixed = kinetic_ktilde(exp_kernel, 1, 0.3, QuadratureSpec(kind="fixed-node"))
-        assert fixed == pytest.approx(adaptive, rel=1e-10)
+def quadpack(g):
+    """QUADPACK (adaptive Gauss-Kronrod on [0, inf)): the reference for the fixed rule."""
+    val, _ = integrate.quad(g, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
+class TestAgainstQuadpack:
+    LAMS = (-1.0, -0.45, 0.4, 1.0)
+
+    @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
+    def test_ktilde(self, entry):
+        kernel = kernel_for(entry.name)
+        for s in range(7):
+            for n in range(3):
+                for lam in self.LAMS:
+                    want = 4.0 * math.pi * quadpack(
+                        lambda e: kernel.deriv(s + n, lam + e * e / 3.0) * e ** (4 * s + 2)
+                    )
+                    got = kinetic_ktilde(kernel, s, lam, deriv_order=n)
+                    assert got == pytest.approx(want, rel=1e-10), (s, n, lam)
+
+    # no closed form exists at lam_ppqq > 0: QUADPACK is the only reference there
+    @pytest.mark.parametrize("lam_ppqq", [0.0, 0.02])
+    @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
+    def test_kpq(self, entry, lam_ppqq):
+        kernel = kernel_for(entry.name)
+        pt = EquilibriumPoint(-0.3, 1.6, lam_ppqq)
+        for n in range(7):
+            odd = n % 2
+            for p in range(n + 1):
+                q = n - p
+                want = 4.0 * math.pi / (n + 1 + odd) * quadpack(
+                    lambda c: kernel.deriv(n, pt.lam + pt.lam_ll * c * c / 3.0
+                                           + pt.lam_ppqq * c**4) * c ** (p + 3 * q + 2 + odd)
+                )
+                assert kinetic_kpq(kernel, p, q, pt) == pytest.approx(want, rel=1e-10), (p, q)
+
+    def test_unresolved_integrand_raises(self):
+        # the half-order rule cannot follow the oscillation: never return a wrong number
+        wavy = KineticKernel(lambda n, x: np.exp(-x) * np.cos(40 * x), name="wavy")
+        with pytest.raises(AccuracyError):
+            kinetic_ktilde(wavy, 0, 0.0)
+
+
+class TestNonFiniteIntegrand:
+    # exp(1000) overflows: a typed error, and no RuntimeWarning from numpy
+    POINT = EquilibriumPoint(-1000.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda k, pt: kinetic_kpq(k, 0, 0, pt), id="kinetic_kpq"),
+            pytest.param(lambda k, pt: kinetic_ktilde(k, 0, pt.lam), id="kinetic_ktilde"),
+            pytest.param(
+                lambda k, pt: kinetic_series_coefficient(k, 0, pt.lam, pt.lam_ll),
+                id="kinetic_series_coefficient",
+            ),
+            pytest.param(lambda k, pt: f1_by_parts_check(k, pt), id="f1_by_parts_check"),
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, exp_kernel, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call(exp_kernel, self.POINT)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(closure14.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, closure14; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestRegistry:
@@ -63,14 +136,19 @@ class TestRegistry:
         params = {k: NON_DEFAULT[k] for k in entry.params} if non_default else {}
         family = make_family(entry.name, params)
         kernel = kernel_for(entry.name, params)
-        # not -0.5: there d ktilde_0/dl of poly_exponential vanishes, and the
-        # quadrature cannot meet a relative tolerance on a zero
+        # not -0.5: there d ktilde_0/dl of poly_exponential vanishes, and a
+        # relative comparison with a zero means nothing (see test_vanishing_member)
         for s in range(3):
             for n in range(2):
                 for lam in (-0.45, 0.4):
                     assert family.ktilde_deriv(s, n, lam) == pytest.approx(
                         kinetic_ktilde(kernel, s, lam, deriv_order=n), rel=1e-10
                     )
+
+    def test_vanishing_member(self):
+        # the error test is relative to int |g|, so a true zero is accepted
+        got = kinetic_ktilde(poly_exponential_kernel(), 0, -0.5, deriv_order=1)
+        assert abs(got) <= 1e-12 * abs(make_family("poly_exponential").ktilde(0, -0.5))
 
     @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
     def test_aliases_share_the_entry(self, entry):
@@ -104,7 +182,7 @@ class TestKernels:
         assert k.deriv(1, 2.0) == pytest.approx(-(2.0 - 1.0) * math.exp(-2.0))
 
     def test_growing_kernel_rejected(self):
-        bad = KineticKernel(lambda n, x: math.exp(x / 100.0), name="growing")
+        bad = KineticKernel(lambda n, x: np.exp(x / 100.0), name="growing")
         with pytest.raises(DecayError):
             bad.check_decay()
         with pytest.raises(DecayError):
@@ -162,7 +240,7 @@ class TestKineticFamily:
 
     def test_gate_rejects_non_family_kernel_chain(self):
         # a kernel whose "derivative" oracle is inconsistent breaks the ladder
-        bad = KineticKernel(lambda n, x: math.exp(-x) / (1.0 + n), name="inconsistent")
+        bad = KineticKernel(lambda n, x: np.exp(-x) / (1.0 + n), name="inconsistent")
         from closure14.errors import FamilyConstructionError
 
         with pytest.raises(FamilyConstructionError):
