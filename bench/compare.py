@@ -8,8 +8,8 @@ The benchmark command and its run length are the ``command`` and
 ``run_seconds`` of the change's ``BENCHMARK.json``.  For each workload, pair i
 runs the command with ``--trace 0`` once in each checkout with seed N + i; the
 side that runs first alternates from pair to pair.  Then one ``--trace 1``
-run per side, at seed N + pairs, records the ``coeffs.*``, ``potentials.*``
-and ``kinetic.*`` layer metrics.  The output holds the command, the run
+run per side, at seed N + pairs, records the ``coeffs.*``, ``potentials.*``,
+``kinetic.*`` and ``verify.*`` layer metrics.  The output holds the command, the run
 length, the environment, every run's metrics, per-side medians and quartiles
 of the end-to-end metrics declared in ``BENCHMARK.json``, and the number of
 pairs the change won on each.  It is rewritten after every
@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-LAYER_PREFIXES = ("coeffs.", "potentials.", "kinetic.")
+LAYER_PREFIXES = ("coeffs.", "potentials.", "kinetic.", "verify.")
 
 
 def parse_args(argv=None):

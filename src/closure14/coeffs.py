@@ -82,7 +82,8 @@ class GeneratingFamily:
 
     ``ktilde_deriv`` keeps a one-point member table, the (s, n) values at the
     most recent lam, so ``deriv`` must be a pure function.  A call that raises
-    is not stored; ``dataclasses.replace`` starts an empty table.
+    is not stored; ``dataclasses.replace`` starts an empty table.  A new lam
+    that is not finite raises ``DomainError``.
     """
 
     kind: str
@@ -103,6 +104,8 @@ class GeneratingFamily:
             raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
         members = self._members.get(lam)
         if members is None:  # a new point: forget the previous one
+            if not math.isfinite(lam):
+                raise DomainError(f"lambda must be finite, got {lam}")
             self._members.clear()
             members = self._members[lam] = {}
         value = members.get((s, n))
@@ -359,15 +362,19 @@ class CoeffSeries:
     def truncated(self, order: int) -> "CoeffSeries":
         return CoeffSeries(t for t in self.terms if t.m <= order)
 
-    def __call__(self, f: GeneratingFamily, point: EquilibriumPoint) -> float:
-        point.require_domain()
+    def float_plan(self) -> tuple:
+        """The terms as (float(coef), s, dl, float(e), m), compiled on first use."""
         if self._plan is None:
             self._plan = tuple(
                 (float(t.coef), t.s, t.dl, float(t.ll_exp), t.m) for t in self.terms
             )
+        return self._plan
+
+    def __call__(self, f: GeneratingFamily, point: EquilibriumPoint) -> float:
+        point.require_domain()
         lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
         total = 0.0
-        for coef, s, dl, ll_exp, m in self._plan:
+        for coef, s, dl, ll_exp, m in self._plan or self.float_plan():
             factor = coef * f.ktilde_deriv(s, dl, lam)
             try:
                 factor *= lam_ll ** ll_exp

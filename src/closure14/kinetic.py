@@ -162,6 +162,8 @@ def kinetic_ktilde(
     deriv_order: int = 0,
 ) -> float:
     """Member ktilde_s(lam) (optionally its lam-derivative) by quadrature."""
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     kernel.check_decay(lam=lam)
     n = s + deriv_order
 

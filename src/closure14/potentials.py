@@ -8,17 +8,27 @@ evaluated together as averages over one unit-sphere rule.  Moments are
 the analytic gradients of the potentials, taken on the same nodes; boosts
 follow the transformation laws of the multipliers and of the moment
 hierarchy.
+
+The scalar coefficients of all terms form one grid per potential and
+derivative.  Each grid is compiled once, on first use, into flat arrays of
+its series terms; at a point it looks up each distinct family member and
+power once and sums the cells with ``np.bincount``, bit-identical to
+calling every series on its own.  One node pass per state fills the rows
+x^k / k! of the three node projections in a single table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coeffs
 from .coeffs import CoeffSeries, EquilibriumPoint, GeneratingFamily
-from .symtensor import SymMatrix, _sphere_rule, deviator
+from .errors import DomainError
+from .symtensor import SymMatrix, _sphere_rule
 
 LAB = "lab"
 HATTED = "hatted"
@@ -135,38 +145,109 @@ class MomentSet:
 def _node_pass(state: MultiplierState, N: int):
     """Sphere rule exact to degree N + 1 and the rows x^k / k! at its nodes.
 
-    Returns ``(nodes, weights, powers)``, where ``powers`` holds the tables
-    for x = n.l_i and n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2).
+    Returns ``(point, nodes, weights, powers)``: the scalar point, checked
+    with ``require_domain``, and in ``powers`` the tables for x = n.l_i and
+    n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2), row slices of one
+    table filled by a single ``cumprod``.  A vector or matrix multiplier
+    that is not finite raises ``DomainError``.
     """
-    state.scalar_point().require_domain()
+    point = state.scalar_point()
+    point.require_domain()
     nodes, weights = _sphere_rule(N + 1)
-    dev = deviator(state.lam_ij).as_array()
+    dev = state.lam_ij.as_array() - (point.lam_ll / 3) * np.eye(3)
+    x = np.empty((3, len(weights)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.matmul(nodes, state.lam_i, out=x[0])
+        np.matmul(nodes, state.lam_ill, out=x[1])
+        np.einsum("ni,ij,nj->n", nodes, dev, nodes, out=x[2])
+    if not np.isfinite(x).all():
+        raise DomainError("lam_i, lam_ij and lam_ill must be finite")
+    table = np.empty((3, N + 1, len(weights)))
+    table[:, 0] = 1.0
+    np.divide(x[:, None], np.arange(1, N + 1)[:, None], out=table[:, 1:])
+    np.cumprod(table, axis=1, out=table)
+    return point, nodes, weights, (table[0], table[1], table[2, : N // 2 + 1])
 
-    def powers(x, k_max):
-        steps = x / np.arange(1, k_max + 1)[:, None]
-        return np.cumprod(np.vstack([np.ones_like(x), steps]), axis=0)
 
-    return nodes, weights, (
-        powers(nodes @ state.lam_i, N),
-        powers(nodes @ state.lam_ill, N),
-        powers(np.einsum("ni,ij,nj->n", nodes, dev, nodes), N // 2),
-    )
+class _GridPlan(NamedTuple):
+    """Every term of every (p, q, r) cell of one coefficient grid, in cell order.
 
-
-def _grid(f, point, N: int, S: int, free: bool, derive=lambda series: series):
-    """(rank + 1) x coefficient of every (p, q, r) term of h_hat or phi_hat.
-
-    p + q is even for h_hat and odd for phi_hat, and p + q + 2r <= N.  The
-    series are looked up at call time and mapped through ``derive``.
+    Term t adds coef[t] * K[member[t]] * L[ll[t]] * M[m[t]] to the flat cell
+    cell[t], where K holds the distinct members (s, dl) of ``members``, L the
+    powers of lam_ll to ``exponents`` and M the powers of lam_ppqq up to m_max.
     """
-    series_of = coeffs.phi_series if free else coeffs.h_series
-    grid = np.zeros((N + 1, N + 1, N // 2 + 1))
+
+    cell: np.ndarray
+    coef: np.ndarray
+    member: np.ndarray
+    ll: np.ndarray
+    m: np.ndarray
+    members: tuple
+    exponents: tuple
+    m_max: int
+    rank1: np.ndarray  # (rank + 1) of every cell
+
+
+@functools.cache
+def _grid_plan(series_of, N: int, S: int, free: bool, derive) -> _GridPlan:
+    """Compile the grid of ``series_of`` (mapped through ``derive``) to flat arrays.
+
+    The series are symbolic, so the plan holds for every family.  A derivative
+    that raises (``TruncationError`` from ``d_ppqq``) is not cached.
+    """
+    shape = (N + 1, N + 1, N // 2 + 1)
+    rows = []
     for p in range(N + 1):
         for q in range((p + free) % 2, N + 1 - p, 2):
             for r in range((N - p - q) // 2 + 1):
-                series = derive(series_of(f, p, q, r, S))
-                grid[p, q, r] = (p + q + 2 * r + free + 1) * series(f, point)
-    return grid
+                series = series_of(None, p, q, r, S)
+                if derive is not None:
+                    series = derive(series)
+                cell = np.ravel_multi_index((p, q, r), shape)
+                rows.extend((cell, *term) for term in series.float_plan())
+    members = tuple(dict.fromkeys((s, dl) for _, _, s, dl, _, _ in rows))
+    exponents = tuple(dict.fromkeys(e for *_, e, _ in rows))
+    member_index = {key: i for i, key in enumerate(members)}
+    exponent_index = {e: i for i, e in enumerate(exponents)}
+    p, q, r = np.indices(shape)
+    return _GridPlan(
+        cell=np.array([row[0] for row in rows], dtype=np.intp),
+        coef=np.array([row[1] for row in rows], dtype=float),
+        member=np.array([member_index[row[2:4]] for row in rows], dtype=np.intp),
+        ll=np.array([exponent_index[row[4]] for row in rows], dtype=np.intp),
+        m=np.array([row[5] for row in rows], dtype=np.intp),
+        members=members,
+        exponents=exponents,
+        m_max=max((row[5] for row in rows), default=0),
+        rank1=(p + q + 2 * r + free + 1).astype(float),
+    )
+
+
+def _grid(f, point, N: int, S: int, free: bool, derive=None):
+    """(rank + 1) x coefficient of every (p, q, r) term of h_hat or phi_hat.
+
+    p + q is even for h_hat and odd for phi_hat, and p + q + 2r <= N.  The
+    series are looked up at call time and mapped through ``derive``; each
+    cell sums its terms in the order ``CoeffSeries.__call__`` does, so the
+    grid is bit-identical to calling every series on its own.
+    """
+    series_of = coeffs.phi_series if free else coeffs.h_series
+    plan = _grid_plan(series_of, N, S, free, derive)
+    if not plan.cell.size:  # phi_hat at N = 0 has no terms
+        return np.zeros(plan.rank1.shape)
+    point.require_domain()
+    lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
+    K = np.array([f.ktilde_deriv(s, dl, lam) for s, dl in plan.members])
+    try:
+        L = np.array([lam_ll ** e for e in plan.exponents])
+        M = np.array([1.0, *(lam_ppqq ** m for m in range(1, plan.m_max + 1))])
+    except OverflowError as exc:
+        raise DomainError(f"coefficient overflows at {point}") from exc
+    values = plan.coef * K[plan.member]
+    values *= L[plan.ll]
+    values *= M[plan.m]
+    sums = np.bincount(plan.cell, values, plan.rank1.size).reshape(plan.rank1.shape)
+    return plan.rank1 * sums
 
 
 def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
@@ -179,49 +260,54 @@ def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
     return np.einsum("pqr,pn,qn,rn->n", grid[sa:, sb:, sc:], *trimmed)
 
 
-def _eval_potential(f, state, N, S, free):
-    """h_hat (free=False) or phi_hat (free=True): the value part of the pass."""
-    nodes, weights, powers = _node_pass(state, N)
-    field = _field(_grid(f, state.scalar_point(), N, S, free), powers)
+def _potential(f, N, S, free, node_pass):
+    """h_hat (free=False) or phi_hat (free=True) on a node pass of its state."""
+    point, nodes, weights, powers = node_pass
+    field = _field(_grid(f, point, N, S, free), powers)
     return (weights * field) @ nodes if free else float(weights @ field)
 
 
 def eval_h_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> float:
     """Truncated entropy-density potential at a hatted state."""
-    return _eval_potential(f, state, N, S, False)
+    return _potential(f, N, S, False, _node_pass(state, N))
 
 
 def eval_phi_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> np.ndarray:
     """Truncated entropy-flux potential (3-vector) at a hatted state."""
-    return _eval_potential(f, state, N, S, True)
+    return _potential(f, N, S, True, _node_pass(state, N))
 
 
 # --- Galilean transformations -----------------------------------------------
 
 
 def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
-    """Transformation of the main field to the frame moving with velocity v."""
+    """Transformation of the main field to the frame moving with velocity v.
+
+    Multipliers that are not finite give a hatted state that is not finite,
+    without a floating-point warning; the potentials reject it.
+    """
     if lab.frame != LAB:
         raise ValueError("hat_multipliers expects a lab-frame state")
     u = v.v
     u2 = float(u @ u)
     L = lab.lam_ij.as_array()
     li, lill, lpp = lab.lam_i, lab.lam_ill, lab.lam_iill
-    lam_hat = (
-        lab.lam + float(li @ u) + float(u @ L @ u) + float(lill @ u) * u2 + lpp * u2 * u2
-    )
-    lam_i_hat = (
-        li + 2.0 * L @ u + 2.0 * float(lill @ u) * u + lill * u2 + 4.0 * lpp * u2 * u
-    )
-    lam_ij_hat = SymMatrix(
-        L
-        + float(lill @ u) * np.eye(3)
-        + np.outer(lill, u)
-        + np.outer(u, lill)
-        + 2.0 * lpp * u2 * np.eye(3)
-        + 4.0 * lpp * np.outer(u, u)
-    )
-    lam_ill_hat = lill + 4.0 * lpp * u
+    with np.errstate(invalid="ignore", over="ignore"):
+        lam_hat = (
+            lab.lam + float(li @ u) + float(u @ L @ u) + float(lill @ u) * u2 + lpp * u2 * u2
+        )
+        lam_i_hat = (
+            li + 2.0 * L @ u + 2.0 * float(lill @ u) * u + lill * u2 + 4.0 * lpp * u2 * u
+        )
+        lam_ij_hat = SymMatrix(
+            L
+            + float(lill @ u) * np.eye(3)
+            + np.outer(lill, u)
+            + np.outer(u, lill)
+            + 2.0 * lpp * u2 * np.eye(3)
+            + 4.0 * lpp * np.outer(u, u)
+        )
+        lam_ill_hat = lill + 4.0 * lpp * u
     return MultiplierState(
         frame=HATTED,
         lam=lam_hat,
@@ -241,8 +327,9 @@ def lab_potentials(
 ) -> PotentialPair:
     """Lab-frame potentials via h' = h_hat', phi'^k = phi_hat'^k + h_hat' v^k."""
     hatted = hat_multipliers(lab, v)
-    h = eval_h_hat(f, hatted, N, S)
-    phi = eval_phi_hat(f, hatted, N, S) + h * v.v
+    node_pass = _node_pass(hatted, N)
+    h = _potential(f, N, S, False, node_pass)
+    phi = _potential(f, N, S, True, node_pass) + h * v.v
     return PotentialPair(h=h, phi=phi, N=N, S=S)
 
 
@@ -335,14 +422,14 @@ def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
 # --- moment recovery ---------------------------------------------------------
 
 
-def _gradients(f, point, N, S, free, node_pass):
+def _gradients(f, N, S, free, node_pass):
     """Gradients of h_hat or phi_hat in (lam, lam_i, lam_ij, lam_ill, lam_iill).
 
     Blocks carry phi's own index k first.  The lam_ij block is symmetric in
     the nine-component convention dh = G_ij dlam_ij; besides the deviator
     part it holds delta_ij times the lam_ll derivative of the coefficients.
     """
-    nodes, weights, powers = node_pass
+    point, nodes, weights, powers = node_pass
     w = weights[:, None] * nodes if free else weights
     grid = _grid(f, point, N, S, free)
 
@@ -377,9 +464,9 @@ def moments_from_potentials(
     """
     if state.frame != HATTED:
         raise ValueError("moments_from_potentials expects a hatted state")
-    point, node_pass = state.scalar_point(), _node_pass(state, N)
+    node_pass = _node_pass(state, N)
     return MomentSet(
         "rest",
-        *_gradients(f, point, N, S, False, node_pass),
-        *_gradients(f, point, N, S, True, node_pass),
+        *_gradients(f, N, S, False, node_pass),
+        *_gradients(f, N, S, True, node_pass),
     )

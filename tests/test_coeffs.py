@@ -488,6 +488,19 @@ class TestMemberTable:
         assert len(deriv.calls) == before + 2
         assert f.ktilde_deriv(0, 0, -1.0) == deriv.fn(0, 0, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_non_finite_lam_rejected(self, kind, lam):
+        # NaN gave nan and +inf gave 0.0; a table filled at 0.3 makes lam a miss
+        f = make_family(kind)
+        f.ktilde(0, 0.3)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                f.ktilde(0, lam)
+            with pytest.raises(DomainError):
+                f.ktilde_deriv(1, 2, lam)
+        assert f.ktilde(0, 0.3) == f.deriv(0, 0, 0.3)
+
     def test_replace_starts_an_empty_table(self, counted):
         f, deriv = counted
         f.ktilde_deriv(0, 1, 0.25)

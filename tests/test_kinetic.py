@@ -238,6 +238,16 @@ class TestKineticFamily:
             k00(exp_family, pt, S=2), rel=1e-9
         )
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lam_rejected(self, exp_kernel, lam):
+        # inf gave 0.0 and NaN a DecayError
+        fam = make_kinetic_family(exp_kernel, s_max=1)
+        for call in (lambda: kinetic_ktilde(exp_kernel, 0, lam),
+                     lambda: kinetic_ktilde(exp_kernel, 1, lam, deriv_order=1),
+                     lambda: fam.ktilde(0, lam)):
+            with pytest.raises(DomainError):
+                call()
+
     def test_gate_rejects_non_family_kernel_chain(self):
         # a kernel whose "derivative" oracle is inconsistent breaks the ladder
         bad = KineticKernel(lambda n, x: np.exp(-x) / (1.0 + n), name="inconsistent")

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 from math import factorial
 
@@ -25,6 +27,7 @@ from closure14.potentials import (
     lab_moments_from_rest,
     lab_potentials,
     moments_from_potentials,
+    _grid,
 )
 from closure14.symtensor import SymMatrix, delta_contract, deviator
 
@@ -133,6 +136,77 @@ class TestPotentialEvaluation:
     def test_overflow_is_typed(self, fam):
         with pytest.raises(ClosureError):
             eval_h_hat(fam, MultiplierState.equilibrium(-1000.0, 1.0), N, S)
+
+
+class TestCompiledGrid:
+    """The compiled coefficient grid against the per-series route, bit for bit."""
+
+    POINT = EquilibriumPoint(0.3, 1.2, 0.02)
+    DERIVES = (None, CoeffSeries.d_lam, CoeffSeries.d_ll, CoeffSeries.d_ppqq)
+
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_every_cell_matches_its_series(self, kind):
+        f, S_grid = make_family(kind), 6
+        for N in range(9):
+            for free in (False, True):
+                series_of = phi_series if free else h_series
+                for derive in self.DERIVES:
+                    want = np.zeros((N + 1, N + 1, N // 2 + 1))
+                    for p in range(N + 1):
+                        for q in range((p + free) % 2, N + 1 - p, 2):
+                            for r in range((N - p - q) // 2 + 1):
+                                series = series_of(f, p, q, r, S_grid)
+                                if derive is not None:
+                                    series = derive(series)
+                                rank1 = p + q + 2 * r + free + 1
+                                want[p, q, r] = rank1 * series(f, self.POINT)
+                    got = _grid(f, self.POINT, N, S_grid, free, derive)
+                    assert got.tobytes() == want.tobytes(), (N, free, derive)
+
+    def test_phi_hat_at_order_zero_is_zero(self, fam):
+        # phi_hat at N = 0 has no term, so its grid has no cells
+        got = eval_phi_hat(fam, hatted_state(3), 0, S)
+        assert got.shape == (3,) and np.array_equal(got, np.zeros(3))
+
+    def test_exhausted_order_raises_every_call(self, fam):
+        # at N = 2, S = 1 the value grid compiles but its d_ppqq grid cannot
+        st = hatted_state(4)
+        assert math.isfinite(eval_h_hat(fam, st, 2, 1))
+        for _ in range(3):
+            with pytest.raises(TruncationError):
+                moments_from_potentials(fam, st, 2, 1)
+
+
+class TestNonFiniteMultipliers:
+    @staticmethod
+    def spoiled(field, value):
+        st = hatted_state(5)
+        if field == "lam_ij":
+            L = st.lam_ij.as_array().copy()
+            L[0, 1] = L[1, 0] = value
+            return replace(st, lam_ij=SymMatrix(L))
+        vec = getattr(st, field).copy()
+        vec[1] = value
+        return replace(st, **{field: vec})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lam_i", "lam_ill", "lam_ij"])
+    def test_rejected_without_warnings(self, fam, field, value):
+        # NaN gave NaN potentials, and inf a RuntimeWarning as well
+        st = self.spoiled(field, value)
+        lab = replace(st, frame="lab")
+        calls = (
+            lambda: eval_h_hat(fam, st, N, S),
+            lambda: eval_phi_hat(fam, st, N, S),
+            lambda: moments_from_potentials(fam, st, N, S),
+            lambda: lab_potentials(fam, lab, BoostVelocity([0.1, -0.2, 0.05]), N, S),
+            lambda: lab_potentials(fam, lab, BoostVelocity([0.0, 0.0, 0.0]), N, S),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError):
+                    call()
 
 
 class TestBoostLaw:

@@ -127,6 +127,25 @@ class TestFaultInjection:
         assert not rep.all_passed
         assert any(c.startswith("compatibility") for c in rep.failed_conditions())
 
+    def test_perturbed_flux_coefficient_breaks_compatibility(
+        self, exp_family, monkeypatch
+    ):
+        true_phi_series = coeffs_mod.phi_series
+
+        def skewed(f, p, q, r, S):
+            series = true_phi_series(f, p, q, r, S)
+            if (p, q, r) == (1, 0, 0):
+                series = series.scaled(1.01)
+            return series
+
+        states = TestPointSet(count=2).hatted_states()
+        assert check_compatibility(exp_family, states, N=6, S=4).all_passed
+
+        monkeypatch.setattr(coeffs_mod, "phi_series", skewed)
+        rep = check_compatibility(exp_family, states, N=6, S=4)
+        assert not rep.all_passed
+        assert any(c.startswith("compatibility") for c in rep.failed_conditions())
+
 
 class TestVelocityIndependence:
     def test_skip_when_untruncatable(self, exp_family):
