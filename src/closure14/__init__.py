@@ -32,7 +32,6 @@ from .errors import (
 )
 from .kinetic import (
     KineticKernel,
-    QuadratureSpec,
     exponential_kernel,
     kinetic_kpq,
     kinetic_ktilde,
@@ -74,7 +73,6 @@ __all__ = [
     "MultiplierState",
     "ParityError",
     "PotentialPair",
-    "QuadratureSpec",
     "SubsystemTable",
     "SymMatrix",
     "SymTensor",

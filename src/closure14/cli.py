@@ -206,37 +206,21 @@ def _emit(cfg: RunConfig, text: str):
             sys.stdout.write("\n")
 
 
+_MOMENT_BLOCKS = [f.name for f in fields(MomentSet) if f.name != "frame"]
+_SCALAR_BLOCKS = ("m", "m_iill")
+
+
 def _moments_dict(m: MomentSet) -> dict:
-    return {
-        "frame": m.frame,
-        "m": m.m,
-        "m_i": m.m_i.tolist(),
-        "m_ij": m.m_ij if isinstance(m.m_ij, list) else np.asarray(m.m_ij).tolist(),
-        "m_ill": m.m_ill.tolist(),
-        "m_iill": m.m_iill,
-        "f_k": m.f_k.tolist(),
-        "f_ki": np.asarray(m.f_ki).tolist(),
-        "f_kij": np.asarray(m.f_kij).tolist(),
-        "f_kill": np.asarray(m.f_kill).tolist(),
-        "f_kiill": np.asarray(m.f_kiill).tolist(),
-    }
+    return {"frame": m.frame, **{k: np.asarray(getattr(m, k)).tolist() for k in _MOMENT_BLOCKS}}
 
 
 def _moments_from_dict(d: dict) -> MomentSet:
     try:
-        return MomentSet(
-            frame=d.get("frame", "rest"),
-            m=float(d["m"]),
-            m_i=np.array(d["m_i"], dtype=float),
-            m_ij=np.array(d["m_ij"], dtype=float),
-            m_ill=np.array(d["m_ill"], dtype=float),
-            m_iill=float(d["m_iill"]),
-            f_k=np.array(d["f_k"], dtype=float),
-            f_ki=np.array(d["f_ki"], dtype=float),
-            f_kij=np.array(d["f_kij"], dtype=float),
-            f_kill=np.array(d["f_kill"], dtype=float),
-            f_kiill=np.array(d["f_kiill"], dtype=float),
-        )
+        blocks = {
+            k: float(d[k]) if k in _SCALAR_BLOCKS else np.array(d[k], dtype=float)
+            for k in _MOMENT_BLOCKS
+        }
+        return MomentSet(frame=d.get("frame", "rest"), **blocks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid moments record: {exc}") from exc
 

@@ -9,12 +9,16 @@ scalars are obtained as velocity-space integrals of a decaying kernel F,
 
 with arg = l + l_ll c^2/3 + l_ppqq c^4.
 
+Every scalar is one radial moment int F^(n)(arg) c^k dc, built by
+``_radial_moment``; ktilde_s is the moment at l_ll = 1, and k_s the one at
+l_ppqq = 0.
+
 Each integral is cut at a radius R found by a scalar search: R grows by 1.5x
-from ``cutoff_start`` until |g(R)| R is negligible, and past ``cutoff_max``
+from ``_CUTOFF_START`` until |g(R)| R is negligible, and past ``_CUTOFF_MAX``
 the kernel is taken not to decay.  On [0, R] a composite Gauss-Legendre rule
 (Golub & Welsch 1969), 4 panels of 64 nodes, gives the value; a 4 x 32 rule
 on the same panels, evaluated in the same array call, gives the error
-estimate |full - half|, which must be within 10 rel_tol int |g|.
+estimate |full - half|, which must be within 10 ``_REL_TOL`` int |g|.
 """
 
 from __future__ import annotations
@@ -32,22 +36,9 @@ from .errors import AccuracyError, DecayError, DomainError
 _FOUR_PI = 4.0 * math.pi
 _PANELS = 4
 _ORDER = 64  # nodes per panel of the full rule; the error estimate uses half as many
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for semi-infinite quadrature of kernel integrands."""
-
-    rel_tol: float = 1e-11
-    cutoff_start: float = 8.0
-    cutoff_max: float = 1e4
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol <= 1e-4:
-            raise ValueError(f"rel_tol must be in (0, 1e-4], got {self.rel_tol}")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+_REL_TOL = 1e-11
+_CUTOFF_START = 8.0
+_CUTOFF_MAX = 1e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +57,9 @@ class KineticKernel:
     def __call__(self, x: float) -> float:
         return self.deriv(0, x)
 
-    def check_decay(self, lam: float = 0.0, quartic: float = 0.0, tol: float = 1e-12):
+    def check_decay(self, lam: float = 0.0, quartic: float = 0.0):
         """Verify F(x(c)) c^3 -> 0 along the evaluation ray."""
+        tol = 1e-12
         probes = [20.0, 40.0, 80.0]
         with np.errstate(over="ignore", invalid="ignore"):
             vals = [
@@ -125,7 +117,7 @@ def _finite(v: float) -> float:
     return v
 
 
-def _semi_infinite_quad(g, spec: QuadratureSpec) -> float:
+def _semi_infinite_quad(g) -> float:
     """Integrate g on [0, inf) with an explicit exponential-tail cutoff.
 
     ``g`` takes a float or an array.  A non-finite integrand raises
@@ -133,11 +125,11 @@ def _semi_infinite_quad(g, spec: QuadratureSpec) -> float:
     """
 
     with np.errstate(over="ignore", invalid="ignore"):
-        R = spec.cutoff_start
+        R = _CUTOFF_START
         ref = max(abs(_finite(g(1.0))), abs(_finite(g(R / 2))), 1e-300)
-        while abs(_finite(g(R))) * R > spec.rel_tol * ref * 1e-3:
+        while abs(_finite(g(R))) * R > _REL_TOL * ref * 1e-3:
             R *= 1.5
-            if R > spec.cutoff_max:
+            if R > _CUTOFF_MAX:
                 raise DecayError("integrand tail does not fall below tolerance before cutoff")
         nodes, weights = _panel_rule()
         y = g(R * nodes)
@@ -147,78 +139,46 @@ def _semi_infinite_quad(g, spec: QuadratureSpec) -> float:
     _finite(full)
     _finite(half)
     err = abs(full - half)
-    if err > 10 * spec.rel_tol * magnitude:
+    if err > 10 * _REL_TOL * magnitude:
         raise AccuracyError(
             f"quadrature error {err:.3e} exceeds tolerance for value {full:.6e}"
         )
     return float(full)
 
 
-def kinetic_ktilde(
-    kernel: KineticKernel,
-    s: int,
-    lam: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    deriv_order: int = 0,
-) -> float:
-    """Member ktilde_s(lam) (optionally its lam-derivative) by quadrature."""
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam}")
-    kernel.check_decay(lam=lam)
-    n = s + deriv_order
-
-    def g(e):
-        return kernel.deriv(n, lam + e * e / 3.0) * e ** (4 * s + 2)
-
-    return _FOUR_PI * _semi_infinite_quad(g, spec)
-
-
-def kinetic_kpq(
-    kernel: KineticKernel,
-    p: int,
-    q: int,
-    point: EquilibriumPoint,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Matrix element k_{p,q} as a velocity-space integral."""
+def _radial_moment(kernel: KineticKernel, n: int, power: int, point: EquilibriumPoint) -> float:
+    """int_0^inf F^(n)(l + l_ll c^2/3 + l_ppqq c^4) c^power dc, the one kinetic integrand."""
     point.require_domain()
     kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
-    n = p + q
-    if n % 2 == 0:
-        power, divisor = p + 3 * q + 2, n + 1
-    else:
-        power, divisor = p + 3 * q + 3, n + 2
 
     def g(c):
-        arg = point.lam + point.lam_ll * c * c / 3.0 + point.lam_ppqq * c**4
+        arg = point.lam + point.lam_ll * c * c / 3.0
+        if point.lam_ppqq:  # adding 0.0 c^4 would change no bit, only cost a pow per node
+            arg += point.lam_ppqq * c**4
         return kernel.deriv(n, arg) * c**power
 
-    return _FOUR_PI / divisor * _semi_infinite_quad(g, spec)
+    return _semi_infinite_quad(g)
 
 
-def kinetic_series_coefficient(
-    kernel: KineticKernel,
-    s: int,
-    lam: float,
-    lam_ll: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def kinetic_ktilde(kernel: KineticKernel, s: int, lam: float, deriv_order: int = 0) -> float:
+    """Member ktilde_s(lam) (optionally its lam-derivative) by quadrature."""
+    point = EquilibriumPoint(lam, 1.0)
+    return _FOUR_PI * _radial_moment(kernel, s + deriv_order, 4 * s + 2, point)
+
+
+def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) -> float:
+    """Matrix element k_{p,q} as a velocity-space integral."""
+    n = p + q
+    odd = n % 2
+    return _FOUR_PI / (n + 1 + odd) * _radial_moment(kernel, n, p + 3 * q + 2 + odd, point)
+
+
+def kinetic_series_coefficient(kernel: KineticKernel, s: int, lam: float, lam_ll: float) -> float:
     """Series coefficient k_s = 4 pi int F^(s)(l + l_ll c^2/3) c^(4s+2) dc."""
-    EquilibriumPoint(lam, lam_ll).require_domain()
-    kernel.check_decay(lam=lam)
-
-    def g(c):
-        return kernel.deriv(s, lam + lam_ll * c * c / 3.0) * c ** (4 * s + 2)
-
-    return _FOUR_PI * _semi_infinite_quad(g, spec)
+    return _FOUR_PI * _radial_moment(kernel, s, 4 * s + 2, EquilibriumPoint(lam, lam_ll))
 
 
-def make_kinetic_family(
-    kernel: KineticKernel,
-    s_max: int = 6,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    n_max: int = 12,
-) -> GeneratingFamily:
+def make_kinetic_family(kernel: KineticKernel, s_max: int = 6) -> GeneratingFamily:
     """Generating family whose members are quadratures of the kernel.
 
     The derivative oracle differentiates under the integral via F^(n).
@@ -227,37 +187,23 @@ def make_kinetic_family(
     kernel.check_decay()
 
     def deriv(s, n, lam):
-        return kinetic_ktilde(kernel, s, lam, spec, deriv_order=n)
+        return kinetic_ktilde(kernel, s, lam, deriv_order=n)
 
     fam = GeneratingFamily(
         kind="kinetic",
         deriv=deriv,
         s_max=s_max,
-        n_max=n_max,
         params={"kernel": kernel.name, **kernel.params},
     )
     return _ladder_gate(fam)
 
 
-def f1_by_parts_check(
-    kernel: KineticKernel,
-    point: EquilibriumPoint,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def f1_by_parts_check(kernel: KineticKernel, point: EquilibriumPoint) -> float:
     """Residual of 0 = 3 int F c^2 + (2/3) l_ll int F' c^4 + 4 l_ppqq int F' c^6."""
-    point.require_domain()
-    kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
-
-    def arg(c):
-        return point.lam + point.lam_ll * c * c / 3.0 + point.lam_ppqq * c**4
-
-    i0 = _semi_infinite_quad(lambda c: kernel.deriv(0, arg(c)) * c * c, spec)
-    i1 = _semi_infinite_quad(lambda c: kernel.deriv(1, arg(c)) * c**4, spec)
-    i2 = _semi_infinite_quad(lambda c: kernel.deriv(1, arg(c)) * c**6, spec)
     terms = [
-        3.0 * i0,
-        (2.0 / 3.0) * point.lam_ll * i1,
-        4.0 * point.lam_ppqq * i2,
+        3.0 * _radial_moment(kernel, 0, 2, point),
+        (2.0 / 3.0) * point.lam_ll * _radial_moment(kernel, 1, 4, point),
+        4.0 * point.lam_ppqq * _radial_moment(kernel, 1, 6, point),
     ]
     scale = max(abs(t) for t in terms)
     return abs(sum(terms)) / max(scale, 1e-30)

@@ -283,8 +283,8 @@ def eval_phi_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) ->
 def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
     """Transformation of the main field to the frame moving with velocity v.
 
-    Multipliers that are not finite give a hatted state that is not finite,
-    without a floating-point warning; the potentials reject it.
+    A hatted state that is not finite, from multipliers that are not finite
+    or that overflow, raises ``DomainError`` without a floating-point warning.
     """
     if lab.frame != LAB:
         raise ValueError("hat_multipliers expects a lab-frame state")
@@ -308,6 +308,9 @@ def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
             + 4.0 * lpp * np.outer(u, u)
         )
         lam_ill_hat = lill + 4.0 * lpp * u
+    parts = (lam_hat, lam_i_hat, lam_ij_hat.as_array(), lam_ill_hat, lpp)
+    if not all(np.isfinite(x).all() for x in parts):
+        raise DomainError("boosted multipliers must be finite")
     return MultiplierState(
         frame=HATTED,
         lam=lam_hat,

@@ -507,7 +507,6 @@ def check_kinetic_equivalence(
     pq_total_max: int = 6,
     s_series_max: int = 4,
     S: int = 4,
-    spec: kinetic.QuadratureSpec = kinetic.DEFAULT_SPEC,
 ) -> VerificationReport:
     """Coefficient engine against the velocity-space quadrature oracle."""
     tol = DEFAULT_TOLERANCES["kinetic"]
@@ -521,7 +520,7 @@ def check_kinetic_equivalence(
                     macro = coeffs.k_pq(f, p, q, eq_point, S)
                 except TruncationError:
                     continue
-                quad = kinetic.kinetic_kpq(kernel, p, q, eq_point, spec)
+                quad = kinetic.kinetic_kpq(kernel, p, q, eq_point)
                 report.add(
                     f"kinetic.k_pq.p{p}q{q}",
                     "matrix element equals its velocity-space integral",
@@ -532,7 +531,7 @@ def check_kinetic_equivalence(
         for s in range(s_series_max + 1):
             macro = coeffs.k_s_value(f, s, eq_point)
             quad = kinetic.kinetic_series_coefficient(
-                kernel, s, eq_point.lam, eq_point.lam_ll, spec
+                kernel, s, eq_point.lam, eq_point.lam_ll
             )
             report.add(
                 f"kinetic.series_coefficient.s{s}",

@@ -21,7 +21,6 @@ from closure14.coeffs import (
 from closure14.errors import AccuracyError, DecayError, DomainError
 from closure14.kinetic import (
     KineticKernel,
-    QuadratureSpec,
     exponential_kernel,
     f1_by_parts_check,
     kinetic_kpq,
@@ -45,14 +44,6 @@ def exp_kernel():
 @pytest.fixture(scope="module")
 def exp_family():
     return make_family("exponential")
-
-
-class TestQuadratureSpec:
-    def test_rejects_loose_tolerance(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-3)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
 
 
 def quadpack(g):
@@ -228,6 +219,22 @@ class TestQuadratureVsClosedForm:
         # lam_ll = inf returned 0.0 and a NaN lam raised DecayError before the point check
         with pytest.raises(DomainError):
             kinetic_series_coefficient(exp_kernel, 0, lam, lam_ll)
+
+
+class TestSingleRoute:
+    # every scalar is the same radial moment, so where two of them coincide
+    # they must agree to the last bit
+    @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
+    def test_special_cases_agree_exactly(self, entry):
+        kernel = kernel_for(entry.name)
+        for lam in (-0.45, 0.0, 0.4):
+            for s in range(4):
+                got = kinetic_series_coefficient(kernel, s, lam, 1.0)
+                assert got.hex() == kinetic_ktilde(kernel, s, lam).hex(), (lam, s)
+            for lam_ll in (0.7, 1.6):
+                got = kinetic_kpq(kernel, 0, 0, EquilibriumPoint(lam, lam_ll, 0.0))
+                want = kinetic_series_coefficient(kernel, 0, lam, lam_ll)
+                assert got.hex() == want.hex(), (lam, lam_ll)
 
 
 class TestKineticFamily:

@@ -192,7 +192,8 @@ class TestNonFiniteMultipliers:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lam_i", "lam_ill", "lam_ij"])
     def test_rejected_without_warnings(self, fam, field, value):
-        # NaN gave NaN potentials, and inf a RuntimeWarning as well
+        # NaN gave NaN potentials, inf a RuntimeWarning as well, and
+        # hat_multipliers a hatted state that was not finite
         st = self.spoiled(field, value)
         lab = replace(st, frame="lab")
         calls = (
@@ -201,6 +202,8 @@ class TestNonFiniteMultipliers:
             lambda: moments_from_potentials(fam, st, N, S),
             lambda: lab_potentials(fam, lab, BoostVelocity([0.1, -0.2, 0.05]), N, S),
             lambda: lab_potentials(fam, lab, BoostVelocity([0.0, 0.0, 0.0]), N, S),
+            lambda: hat_multipliers(lab, BoostVelocity([0.1, -0.2, 0.05])),
+            lambda: hat_multipliers(lab, BoostVelocity([0.0, 0.0, 0.0])),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
