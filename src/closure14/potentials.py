@@ -308,8 +308,8 @@ def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
             + 4.0 * lpp * np.outer(u, u)
         )
         lam_ill_hat = lill + 4.0 * lpp * u
-    parts = (lam_hat, lam_i_hat, lam_ij_hat.as_array(), lam_ill_hat, lpp)
-    if not all(np.isfinite(x).all() for x in parts):
+    parts = (lam_i_hat, lam_ill_hat, lam_ij_hat.as_array().ravel(), (lam_hat, lpp))
+    if not np.isfinite(np.concatenate(parts)).all():
         raise DomainError("boosted multipliers must be finite")
     return MultiplierState(
         frame=HATTED,
