@@ -21,7 +21,6 @@ from .coeffs import (
 )
 from .errors import (
     AccuracyError,
-    ArityError,
     ClosureError,
     ConfigError,
     DecayError,
@@ -50,14 +49,13 @@ from .potentials import (
     lab_potentials,
     moments_from_potentials,
 )
-from .symtensor import SymMatrix, SymTensor, contract, delta_contract, deviator, sym_delta
+from .symtensor import SymMatrix, delta_contract, deviator
 from .verify import TestPointSet, VerificationReport, VerifyConfig, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "ArityError",
     "BoostVelocity",
     "ClosureError",
     "CoefficientRequest",
@@ -75,12 +73,10 @@ __all__ = [
     "PotentialPair",
     "SubsystemTable",
     "SymMatrix",
-    "SymTensor",
     "TestPointSet",
     "TruncationError",
     "VerificationReport",
     "VerifyConfig",
-    "contract",
     "delta_contract",
     "deviator",
     "eval_h_hat",

@@ -9,10 +9,6 @@ class ParityError(ClosureError, ValueError):
     """An index/rank parity requirement was violated."""
 
 
-class ArityError(ClosureError, ValueError):
-    """Contraction slots do not match the tensor rank."""
-
-
 class DomainError(ClosureError, ValueError):
     """Evaluation point outside the admissible domain (e.g. lambda_ll <= 0)."""
 

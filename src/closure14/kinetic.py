@@ -197,13 +197,3 @@ def make_kinetic_family(kernel: KineticKernel, s_max: int = 6) -> GeneratingFami
     )
     return _ladder_gate(fam)
 
-
-def f1_by_parts_check(kernel: KineticKernel, point: EquilibriumPoint) -> float:
-    """Residual of 0 = 3 int F c^2 + (2/3) l_ll int F' c^4 + 4 l_ppqq int F' c^6."""
-    terms = [
-        3.0 * _radial_moment(kernel, 0, 2, point),
-        (2.0 / 3.0) * point.lam_ll * _radial_moment(kernel, 1, 4, point),
-        4.0 * point.lam_ppqq * _radial_moment(kernel, 1, 6, point),
-    ]
-    scale = max(abs(t) for t in terms)
-    return abs(sum(terms)) / max(scale, 1e-30)

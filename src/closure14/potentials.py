@@ -20,7 +20,7 @@ x^k / k! of the three node projections in a single table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -149,7 +149,8 @@ def _node_pass(state: MultiplierState, N: int):
     with ``require_domain``, and in ``powers`` the tables for x = n.l_i and
     n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2), row slices of one
     table filled by a single ``cumprod``.  A vector or matrix multiplier
-    that is not finite raises ``DomainError``.
+    that is not finite raises ``DomainError``; a power that overflows stays
+    inf, without a warning, for the caller's finiteness check.
     """
     point = state.scalar_point()
     point.require_domain()
@@ -165,7 +166,8 @@ def _node_pass(state: MultiplierState, N: int):
     table = np.empty((3, N + 1, len(weights)))
     table[:, 0] = 1.0
     np.divide(x[:, None], np.arange(1, N + 1)[:, None], out=table[:, 1:])
-    np.cumprod(table, axis=1, out=table)
+    with np.errstate(over="ignore"):
+        np.cumprod(table, axis=1, out=table)
     return point, nodes, weights, (table[0], table[1], table[2, : N // 2 + 1])
 
 
@@ -260,11 +262,18 @@ def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
     return np.einsum("pqr,pn,qn,rn->n", grid[sa:, sb:, sc:], *trimmed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _potential(f, N, S, free, node_pass):
-    """h_hat (free=False) or phi_hat (free=True) on a node pass of its state."""
+    """h_hat (free=False) or phi_hat (free=True) on a node pass of its state.
+
+    A value that overflows raises ``DomainError`` without a warning.
+    """
     point, nodes, weights, powers = node_pass
     field = _field(_grid(f, point, N, S, free), powers)
-    return (weights * field) @ nodes if free else float(weights @ field)
+    value = (weights * field) @ nodes if free else float(weights @ field)
+    if not np.isfinite(value).all():
+        raise DomainError(f"{'phi' if free else 'h'}_hat overflows")
+    return value
 
 
 def eval_h_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> float:
@@ -336,8 +345,20 @@ def lab_potentials(
     return PotentialPair(h=h, phi=phi, N=N, S=S)
 
 
+def _require_finite(ms: MomentSet) -> MomentSet:
+    """``ms``, or ``DomainError`` when a block is not finite."""
+    blocks = [np.ravel(getattr(ms, fld.name)) for fld in fields(MomentSet)[1:]]
+    if not np.isfinite(np.concatenate(blocks)).all():
+        raise DomainError(f"{ms.frame}-frame moments overflow")
+    return ms
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
-    """Boost a rest-frame moment set to the lab frame (densities and fluxes)."""
+    """Boost a rest-frame moment set to the lab frame (densities and fluxes).
+
+    A block that overflows raises ``DomainError`` without a warning.
+    """
     if rest.frame != "rest":
         raise ValueError("lab_moments_from_rest expects a rest-frame moment set")
     u = v.v
@@ -407,7 +428,7 @@ def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
         + 4.0 * (mki @ u) * u2
         + mk * u2 * u2
     )
-    return MomentSet(
+    return _require_finite(MomentSet(
         frame=LAB,
         m=F,
         m_i=F_i,
@@ -419,7 +440,7 @@ def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
         f_kij=F_kij,
         f_kill=F_kill,
         f_kiill=F_kiill,
-    )
+    ))
 
 
 # --- moment recovery ---------------------------------------------------------
@@ -454,6 +475,7 @@ def _gradients(f, N, S, free, node_pass):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moments_from_potentials(
     f: GeneratingFamily, state: MultiplierState, N: int, S: int
 ) -> MomentSet:
@@ -463,13 +485,14 @@ def moments_from_potentials(
     potentials: the vector and matrix directions differentiate the node
     monomials, the scalar directions (lam, lam_ll, lam_iill) the coefficient
     series, so every block is exact to rounding for the truncated series.
-    Raises ``TruncationError`` when S leaves a term no lam_iill order.
+    Raises ``TruncationError`` when S leaves a term no lam_iill order, and
+    ``DomainError`` without a warning when a block overflows.
     """
     if state.frame != HATTED:
         raise ValueError("moments_from_potentials expects a hatted state")
     node_pass = _node_pass(state, N)
-    return MomentSet(
+    return _require_finite(MomentSet(
         "rest",
         *_gradients(f, N, S, False, node_pass),
         *_gradients(f, N, S, True, node_pass),
-    )
+    ))

@@ -1,5 +1,6 @@
 import json
 import tomllib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,28 @@ class TestEvalAndBoost:
         assert payload["lab"]["m_i"][0] == pytest.approx(
             moments["m_i"][0] + moments["m"] * 0.1, rel=1e-12
         )
+
+    @pytest.mark.parametrize("command", ["eval", "boost"])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"lam_i": [0, 1e200, 0]},
+            # 1e308 overflowed when SymMatrix symmetrized lam_ij
+            {"lam_i": [0, 1e308, 0], "lam_ij": [[1e308, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        ],
+        ids=["lam_i", "lam_ij"],
+    )
+    def test_overflowing_state_exit_code(self, tmp_path, capsys, command, state):
+        # finite multipliers whose potentials overflow: one error line, no NaN output
+        full = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "lam_ill": [0, 0, 0], "lam_iill": 0, **state}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"state": full}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code == 3
+        assert out == "" and len(err.splitlines()) == 1 and "overflow" in err
 
     def test_boost_rejects_non_finite_moments(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

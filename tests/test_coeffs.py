@@ -81,7 +81,12 @@ class TestFamily:
         )
         for s in range(3):
             for lam in (-1.0, 0.0, 1.0):
-                assert ladder_residual(fam, s, lam, derivative=mode) < 1e-6
+                if mode == "oracle":
+                    # the family's own derivative oracle obeys the ladder
+                    rhs = float(ladder_factor(s)) * fam.ktilde(s, lam)
+                    assert abs(fam.ktilde_deriv(s + 1, 1, lam) - rhs) < 1e-6 * abs(rhs)
+                else:
+                    assert ladder_residual(fam, s, lam) < 1e-6
 
     def test_gate_rejects_broken_family(self):
         # a family violating the ladder recursion must not pass construction

@@ -22,7 +22,6 @@ from closure14.errors import AccuracyError, DecayError, DomainError
 from closure14.kinetic import (
     KineticKernel,
     exponential_kernel,
-    f1_by_parts_check,
     kinetic_kpq,
     kinetic_ktilde,
     kinetic_series_coefficient,
@@ -30,6 +29,7 @@ from closure14.kinetic import (
     make_kinetic_family,
     poly_exponential_kernel,
 )
+from oracles import f1_by_parts_check
 
 KT0_AT_0 = 28.933881011162246
 KT1_AT_0 = -976.5184841267256

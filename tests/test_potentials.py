@@ -189,6 +189,25 @@ class TestNonFiniteMultipliers:
         vec[1] = value
         return replace(st, **{field: vec})
 
+    @staticmethod
+    def potential_calls(fam, st):
+        lab = replace(st, frame="lab")
+        return (
+            lambda: eval_h_hat(fam, st, N, S),
+            lambda: eval_phi_hat(fam, st, N, S),
+            lambda: moments_from_potentials(fam, st, N, S),
+            lambda: lab_potentials(fam, lab, BoostVelocity([0.1, -0.2, 0.05]), N, S),
+            lambda: lab_potentials(fam, lab, BoostVelocity([0.0, 0.0, 0.0]), N, S),
+        )
+
+    @staticmethod
+    def assert_domain_errors(calls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError):
+                    call()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lam_i", "lam_ill", "lam_ij"])
     def test_rejected_without_warnings(self, fam, field, value):
@@ -196,20 +215,17 @@ class TestNonFiniteMultipliers:
         # hat_multipliers a hatted state that was not finite
         st = self.spoiled(field, value)
         lab = replace(st, frame="lab")
-        calls = (
-            lambda: eval_h_hat(fam, st, N, S),
-            lambda: eval_phi_hat(fam, st, N, S),
-            lambda: moments_from_potentials(fam, st, N, S),
-            lambda: lab_potentials(fam, lab, BoostVelocity([0.1, -0.2, 0.05]), N, S),
-            lambda: lab_potentials(fam, lab, BoostVelocity([0.0, 0.0, 0.0]), N, S),
+        self.assert_domain_errors((
+            *self.potential_calls(fam, st),
             lambda: hat_multipliers(lab, BoostVelocity([0.1, -0.2, 0.05])),
             lambda: hat_multipliers(lab, BoostVelocity([0.0, 0.0, 0.0])),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for call in calls:
-                with pytest.raises(DomainError):
-                    call()
+        ))
+
+    @pytest.mark.parametrize("field", ["lam_i", "lam_ill", "lam_ij"])
+    def test_overflow_rejected_without_warnings(self, fam, field):
+        # finite, but the node powers overflowed into NaN potentials and
+        # moments with a RuntimeWarning
+        self.assert_domain_errors(self.potential_calls(fam, self.spoiled(field, 1e200)))
 
 
 class TestBoostLaw:
@@ -320,6 +336,14 @@ class TestMoments:
         with pytest.raises(ValueError):
             lab_moments_from_rest(lab, BoostVelocity(np.zeros(3)))
 
+    def test_boost_overflow_is_a_domain_error(self, fam):
+        rest = moments_from_potentials(fam, hatted_state(7), N, S)
+        huge = replace(rest, m_ij=1e300 * rest.m_ij)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                lab_moments_from_rest(huge, BoostVelocity([1e10, 0.0, 0.0]))
+
     def test_mass_density_boost_invariant(self, fam):
         st = hatted_state(9)
         rest = moments_from_potentials(fam, st, N, S)
@@ -382,28 +406,32 @@ def _diff_in_domain(fn, x: float, h: float):
     return (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * h)
 
 
-def fd_moments(f, state, h):
-    """All ten blocks by 4th-order central differences of the potentials."""
+def fd_moments(potentials_at, state, h):
+    """All ten blocks by 4th-order differences of ``potentials_at(state)``.
 
-    def h_at(**kw):
-        return eval_h_hat(f, replace(state, **kw), N, S)
+    ``potentials_at`` returns the 4-vector (h, phi^1, phi^2, phi^3); its
+    gradients in the five multipliers of ``state`` are the ten blocks.
+    """
 
-    def phi_at(**kw):
-        return eval_phi_hat(f, replace(state, **kw), N, S)
+    def at(**kw):
+        return potentials_at(replace(state, **kw))
 
+    d_lam = central_diff(lambda x: at(lam=x), state.lam, h)
+    d_i = _grad_vector(lambda w: at(lam_i=w), state.lam_i, h)
+    d_ij = _grad_symmatrix(lambda w: at(lam_ij=w), state.lam_ij, h)
+    d_ill = _grad_vector(lambda w: at(lam_ill=w), state.lam_ill, h)
+    d_iill = _diff_in_domain(lambda x: at(lam_iill=x), state.lam_iill, h)
     return {
-        "m": central_diff(lambda x: h_at(lam=x), state.lam, h),
-        "m_i": _grad_vector(lambda w: h_at(lam_i=w), state.lam_i, h),
-        "m_ij": _grad_symmatrix(lambda w: h_at(lam_ij=w), state.lam_ij, h),
-        "m_ill": _grad_vector(lambda w: h_at(lam_ill=w), state.lam_ill, h),
-        "m_iill": _diff_in_domain(lambda x: h_at(lam_iill=x), state.lam_iill, h),
-        "f_k": central_diff(lambda x: phi_at(lam=x), state.lam, h),
-        "f_ki": _grad_vector(lambda w: phi_at(lam_i=w), state.lam_i, h).T,
-        "f_kij": np.transpose(
-            _grad_symmatrix(lambda w: phi_at(lam_ij=w), state.lam_ij, h), (2, 0, 1)
-        ),
-        "f_kill": _grad_vector(lambda w: phi_at(lam_ill=w), state.lam_ill, h).T,
-        "f_kiill": _diff_in_domain(lambda x: phi_at(lam_iill=x), state.lam_iill, h),
+        "m": d_lam[0],
+        "m_i": d_i[:, 0],
+        "m_ij": d_ij[..., 0],
+        "m_ill": d_ill[:, 0],
+        "m_iill": d_iill[0],
+        "f_k": d_lam[1:],
+        "f_ki": d_i[:, 1:].T,
+        "f_kij": np.transpose(d_ij[..., 1:], (2, 0, 1)),
+        "f_kill": d_ill[:, 1:].T,
+        "f_kiill": d_iill[1:],
     }
 
 
@@ -418,9 +446,26 @@ FD_STEP = 1e-4
 def test_analytic_blocks_match_finite_differences(fam, seed, eps):
     st = hatted_state(seed, eps)
     ms = moments_from_potentials(fam, st, N, S)
-    fd = fd_moments(fam, st, FD_STEP)
+    fd = fd_moments(lambda s: np.array([eval_h_hat(fam, s, N, S), *eval_phi_hat(fam, s, N, S)]),
+                    st, FD_STEP)
     for name in BLOCKS:
         assert rel_residual_sym(getattr(ms, name), fd[name]) <= 1e-5, name
+
+
+def test_boosted_blocks_match_lab_gradients(fam, noneq_lab_state):
+    # the moment boost law: each lab block is the gradient of the lab
+    # potentials in the lab multipliers
+    v = BoostVelocity([0.1, -0.2, 0.05])
+    rest = moments_from_potentials(fam, hat_multipliers(noneq_lab_state, v), N, S)
+    lab = lab_moments_from_rest(rest, v)
+
+    def lab_pair(st):
+        pair = lab_potentials(fam, st, v, N, S)
+        return np.array([pair.h, *pair.phi])
+
+    fd = fd_moments(lab_pair, noneq_lab_state, FD_STEP)
+    for name in BLOCKS:
+        assert rel_residual_sym(getattr(lab, name), fd[name]) <= 1e-5, name
 
 
 # --- isotropy -----------------------------------------------------------------

