@@ -20,6 +20,7 @@ x^k / k! of the three node projections in a single table.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -150,24 +151,24 @@ def _node_pass(state: MultiplierState, N: int):
     n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2), row slices of one
     table filled by a single ``cumprod``.  A vector or matrix multiplier
     that is not finite raises ``DomainError``; a power that overflows stays
-    inf, without a warning, for the caller's finiteness check.
+    inf for the caller's finiteness check.  The public functions that call
+    it run under ``np.errstate(over="ignore", invalid="ignore")``, so
+    neither gives a floating-point warning.
     """
     point = state.scalar_point()
     point.require_domain()
     nodes, weights = _sphere_rule(N + 1)
     dev = state.lam_ij.as_array() - (point.lam_ll / 3) * np.eye(3)
     x = np.empty((3, len(weights)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.matmul(nodes, state.lam_i, out=x[0])
-        np.matmul(nodes, state.lam_ill, out=x[1])
-        np.einsum("ni,ij,nj->n", nodes, dev, nodes, out=x[2])
+    np.matmul(nodes, state.lam_i, out=x[0])
+    np.matmul(nodes, state.lam_ill, out=x[1])
+    np.einsum("ni,ij,nj->n", nodes, dev, nodes, out=x[2])
     if not np.isfinite(x).all():
         raise DomainError("lam_i, lam_ij and lam_ill must be finite")
     table = np.empty((3, N + 1, len(weights)))
     table[:, 0] = 1.0
     np.divide(x[:, None], np.arange(1, N + 1)[:, None], out=table[:, 1:])
-    with np.errstate(over="ignore"):
-        np.cumprod(table, axis=1, out=table)
+    np.cumprod(table, axis=1, out=table)
     return point, nodes, weights, (table[0], table[1], table[2, : N // 2 + 1])
 
 
@@ -262,25 +263,31 @@ def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
     return np.einsum("pqr,pn,qn,rn->n", grid[sa:, sb:, sc:], *trimmed)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _potential(f, N, S, free, node_pass):
     """h_hat (free=False) or phi_hat (free=True) on a node pass of its state.
 
-    A value that overflows raises ``DomainError`` without a warning.
+    A value that is not finite, from an overflow, raises ``DomainError``.
     """
     point, nodes, weights, powers = node_pass
     field = _field(_grid(f, point, N, S, free), powers)
-    value = (weights * field) @ nodes if free else float(weights @ field)
-    if not np.isfinite(value).all():
+    if free:
+        value = (weights * field) @ nodes
+        finite = np.isfinite(value).all()
+    else:
+        value = float(weights @ field)
+        finite = math.isfinite(value)
+    if not finite:
         raise DomainError(f"{'phi' if free else 'h'}_hat overflows")
     return value
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eval_h_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> float:
     """Truncated entropy-density potential at a hatted state."""
     return _potential(f, N, S, False, _node_pass(state, N))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eval_phi_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> np.ndarray:
     """Truncated entropy-flux potential (3-vector) at a hatted state."""
     return _potential(f, N, S, True, _node_pass(state, N))
@@ -330,6 +337,7 @@ def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lab_potentials(
     f: GeneratingFamily,
     lab: MultiplierState,
