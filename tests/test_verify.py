@@ -187,7 +187,7 @@ def fd_boost_jacobian_norm(f, lab_state, v, N, S) -> float:
 class TestBoostJacobian:
     """The chain-rule boost Jacobian against central differences.
 
-    At |v| = 0.2 the two agree to 6e-9 (equilibrium) and 4e-8
+    At |v| = 0.2 the two agree to 1e-8 (equilibrium) and 5e-8
     (nonequilibrium, eps = 5e-4) relative, the differencing error.  The
     velocity derivatives nearly cancel, so the norm fails the comparison
     when any one term of the chain rule is dropped; only the
