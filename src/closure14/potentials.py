@@ -135,8 +135,9 @@ class MomentSet:
 
 # --- truncated potentials on one sphere rule ----------------------------------
 #
-# By the isotropic identity sym_delta(2n) = (2n+1) <n^(2n)>, the (p, q, r)
-# term is (rank+1) coef <a^p b^q c^r> / (p! q! r!) over the unit sphere, with
+# By the isotropic identity Delta(2n) = (2n+1) <n^(2n)> for the symmetrized
+# product of n Kronecker deltas, the (p, q, r) term is
+# (rank+1) coef <a^p b^q c^r> / (p! q! r!) over the unit sphere, with
 # a = n.l_i, b = n.l_ill, c = n.dev.n (times n_k for phi).  Every term and
 # every gradient block has degree <= N + 1, so one rule of that degree is
 # exact for all of them.  A derivative in a, b or c shifts the coefficient

@@ -1,7 +1,7 @@
 """Symmetric 3x3 matrices and contractions of symmetrized delta products.
 
-A symmetrized product of n Kronecker deltas obeys the isotropic identity
-sym_delta(2n) = (2n+1) <n^(2n)>, an average over the unit sphere.  So
+The symmetrized product Delta(2n) of n Kronecker deltas obeys the isotropic
+identity Delta(2n) = (2n+1) <n^(2n)>, an average over the unit sphere.  So
 ``delta_contract`` contracts it against vectors and symmetric matrices on
 a unit-sphere rule (``_sphere_rule``) exact at the tensor's rank.  The
 potentials apply the same identity to all their terms at once on
@@ -86,9 +86,9 @@ def _sphere_rule(degree: int):
 
 
 def delta_contract(vectors, matrices, free: bool = False):
-    """Contraction of sym_delta against vectors/symmetric matrices.
+    """Contraction of a symmetrized delta product against vectors/symmetric matrices.
 
-    Uses the isotropic identity sym_delta(2n) = (2n+1) <n^(2n)>, the
+    Uses the isotropic identity Delta(2n) = (2n+1) <n^(2n)>, the
     average of the 2n-fold outer product of the unit normal over the
     sphere: the contraction is (2n+1) <prod (n.v) prod (n.M.n)>, taken on
     a rule exact at degree 2n.  With ``free=True`` one more index stays
