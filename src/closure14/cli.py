@@ -207,7 +207,9 @@ def _emit(cfg: RunConfig, text: str):
 
 
 _MOMENT_BLOCKS = [f.name for f in fields(MomentSet) if f.name != "frame"]
-_SCALAR_BLOCKS = ("m", "m_iill")
+_MOMENT_SHAPES = {"m": (), "m_i": (3,), "m_ij": (3, 3), "m_ill": (3,), "m_iill": (),
+                  "f_k": (3,), "f_ki": (3, 3), "f_kij": (3, 3, 3), "f_kill": (3, 3),
+                  "f_kiill": (3,)}
 
 
 def _moments_dict(m: MomentSet) -> dict:
@@ -215,14 +217,18 @@ def _moments_dict(m: MomentSet) -> dict:
 
 
 def _moments_from_dict(d: dict) -> MomentSet:
-    try:
-        blocks = {
-            k: float(d[k]) if k in _SCALAR_BLOCKS else np.array(d[k], dtype=float)
-            for k in _MOMENT_BLOCKS
-        }
-        return MomentSet(frame=d.get("frame", "rest"), **blocks)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid moments record: {exc}") from exc
+    blocks = {}
+    for k in _MOMENT_BLOCKS:
+        try:
+            block = np.array(d[k], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid moments record: {exc}") from exc
+        if block.shape != _MOMENT_SHAPES[k] or not np.isfinite(block).all():
+            raise ConfigError(
+                f"moments.{k} must be finite with shape {_MOMENT_SHAPES[k]}, got {d[k]!r}"
+            )
+        blocks[k] = float(block) if block.ndim == 0 else block
+    return MomentSet(frame=d.get("frame", "rest"), **blocks)
 
 
 # --- commands ----------------------------------------------------------------

@@ -5,9 +5,11 @@ multipliers: each (p, q, r) term is a scalar coefficient times the
 contraction of a symmetrized delta product against p copies of l_i,
 q copies of l_ill and r copies of the deviator of l_ij.  All terms are
 evaluated together as averages over one unit-sphere rule.  Moments are
-the analytic gradients of the potentials, taken on the same nodes; boosts
-follow the transformation laws of the multipliers and of the moment
-hierarchy.
+the analytic gradients of the potentials, taken on the same nodes.  Boosts
+follow the transformation law of the multipliers and one law for the
+moment densities, which moves each flux row as the density f_k. + v_k m.;
+the velocity Jacobian of the lab potentials is the chain rule through the
+multiplier boost.
 
 The scalar coefficients of all terms form one grid per potential and
 derivative.  Each grid is compiled once, on first use, into flat arrays of
@@ -301,7 +303,9 @@ def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
     """Transformation of the main field to the frame moving with velocity v.
 
     A hatted state that is not finite, from multipliers that are not finite
-    or that overflow, raises ``DomainError`` without a floating-point warning.
+    or that overflow, raises ``DomainError`` without a floating-point warning,
+    and so does a boosted lambda_ll that is not positive; its message names
+    the lab state and the velocity that gave it.
     """
     if lab.frame != LAB:
         raise ValueError("hat_multipliers expects a lab-frame state")
@@ -328,6 +332,12 @@ def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
     parts = (lam_i_hat, lam_ill_hat, lam_ij_hat.as_array().ravel(), (lam_hat, lpp))
     if not np.isfinite(np.concatenate(parts)).all():
         raise DomainError("boosted multipliers must be finite")
+    lam_ll_hat = lam_ij_hat.trace()
+    if not lam_ll_hat > 0:
+        raise DomainError(
+            f"boosted lambda_ll must be positive, got {lam_ll_hat} from lab "
+            f"lambda_ll {lab.lam_ll} and lambda_ill {lill.tolist()} at v = {u.tolist()}"
+        )
     return MultiplierState(
         frame=HATTED,
         lam=lam_hat,
@@ -336,6 +346,48 @@ def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
         lam_ill=lam_ill_hat,
         lam_iill=lpp,
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def boost_jacobian(
+    f: GeneratingFamily, lab: MultiplierState, v: BoostVelocity, N: int, S: int
+) -> np.ndarray:
+    """Jacobian d(h', phi'^k)/dv_h, rows (h', phi'^k), by the chain rule through the boost.
+
+    With h' = h_hat(lam_hat(v)) and phi'^k = phi_hat^k(lam_hat(v)) + h_hat v^k,
+    the boosted multipliers have closed-form velocity derivatives in the
+    hatted state: d lam_hat/dv_h = lam_hat_h, d lam_hat_i/dv_h = 2 lam_hat_ih,
+    d lam_hat_ij/dv_h = lam_hat_ill,h delta_ij + lam_hat_ill,i delta_jh
+    + delta_ih lam_hat_ill,j and d lam_hat_ill,i/dv_h = 4 lam_iill delta_ih.
+    They contract with the gradient blocks of one node pass at the hatted
+    state; lam_iill does not change under a boost, so its block is not
+    taken.  A Jacobian that is not finite raises ``DomainError``.
+    """
+    hatted = hat_multipliers(lab, v)
+    node_pass = _node_pass(hatted, N)
+    L, b = hatted.lam_ij.as_array(), hatted.lam_ill
+
+    def chain(g, g_i, g_ij, g_ill):
+        # each block carries the potential's own index first; the result
+        # ends in the velocity index h (g_ij is symmetric in its last two)
+        return (
+            np.multiply.outer(g, hatted.lam_i)
+            + 2.0 * g_i @ L
+            + np.multiply.outer(np.trace(g_ij, axis1=-2, axis2=-1), b)
+            + 2.0 * g_ij @ b
+            + 4.0 * hatted.lam_iill * g_ill
+        )
+
+    dh = chain(*_gradients(f, N, S, False, node_pass))
+    dphi = (
+        chain(*_gradients(f, N, S, True, node_pass))
+        + np.outer(v.v, dh)
+        + _potential(f, N, S, False, node_pass) * np.eye(3)
+    )
+    jacobian = np.vstack([dh, dphi])
+    if not np.isfinite(jacobian).all():
+        raise DomainError("boost Jacobian overflows")
+    return jacobian
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -362,6 +414,34 @@ def _require_finite(ms: MomentSet) -> MomentSet:
     return ms
 
 
+def _boost_density(m, m_i, m_ij, m_ill, m_iill, u):
+    """Lab densities of ranks 0-4 from the rest ones, in a frame moving with u.
+
+    Leading axes pass through, so flux row k boosts as the density
+    f_k. + u_k m. (Mueller and Ruggeri, Rational Extended Thermodynamics).
+    """
+    u2 = float(u @ u)
+    m_ll = np.trace(m_ij, axis1=-2, axis2=-1)
+    return (
+        m,
+        m_i + np.multiply.outer(m, u),
+        m_ij + m_i[..., :, None] * u + u[:, None] * m_i[..., None, :]
+        + np.multiply.outer(m, np.outer(u, u)),
+        m_ill
+        + np.multiply.outer(m_ll, u)
+        + 2.0 * m_ij @ u
+        + m_i * u2
+        + np.multiply.outer(2.0 * (m_i @ u), u)
+        + np.multiply.outer(m * u2, u),
+        m_iill
+        + 4.0 * (m_ill @ u)
+        + 2.0 * m_ll * u2
+        + 4.0 * (u @ m_ij @ u)
+        + 4.0 * (m_i @ u) * u2
+        + m * u2 * u2,
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
     """Boost a rest-frame moment set to the lab frame (densities and fluxes).
@@ -371,92 +451,27 @@ def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
     if rest.frame != "rest":
         raise ValueError("lab_moments_from_rest expects a rest-frame moment set")
     u = v.v
-    u2 = float(u @ u)
-    m, mi, mij, mill, miill = rest.m, rest.m_i, rest.m_ij, rest.m_ill, rest.m_iill
-    mll = float(np.trace(mij))
-
-    F = m
-    F_i = mi + m * u
-    F_ij = mij + np.outer(mi, u) + np.outer(u, mi) + m * np.outer(u, u)
-    F_ill = (
-        mill
-        + mll * u
-        + 2.0 * mij @ u
-        + mi * u2
-        + 2.0 * float(mi @ u) * u
-        + m * u2 * u
+    blocks = [getattr(rest, fld.name) for fld in fields(MomentSet)[1:]]
+    densities, fluxes = blocks[:5], blocks[5:]
+    rows = [flux + np.multiply.outer(u, density) for flux, density in zip(fluxes, densities)]
+    return _require_finite(
+        MomentSet(LAB, *_boost_density(*densities, u), *_boost_density(*rows, u))
     )
-    F_iill = (
-        miill
-        + 4.0 * float(mill @ u)
-        + 2.0 * mll * u2
-        + 4.0 * float(u @ mij @ u)
-        + 4.0 * float(mi @ u) * u2
-        + m * u2 * u2
-    )
-
-    mk, mki, mkij, mkill, mkiill = (
-        rest.f_k,
-        rest.f_ki,
-        rest.f_kij,
-        rest.f_kill,
-        rest.f_kiill,
-    )
-    mkll = np.trace(mkij, axis1=1, axis2=2)  # (k,)
-
-    F_k = F * u + mk
-    # F_{ik} = F_i v_k + m_{ik} + m_k v_i ; stored as [k, i]
-    F_ki = np.outer(u, F_i) + mki + np.outer(mk, u)
-    # F_{ijk} = F_{ij} v_k + m_{kij} + m_{ki} v_j + m_{kj} v_i + m_k v_i v_j
-    F_kij = (
-        np.einsum("ij,k->kij", F_ij, u)
-        + mkij
-        + np.einsum("ki,j->kij", mki, u)
-        + np.einsum("kj,i->kij", mki, u)
-        + np.einsum("k,i,j->kij", mk, u, u)
-    )
-    # F_{illk} = F_{ill} v_k + m_{kill} + m_{kll} v_i + 2 m_{kil} v_l
-    #            + m_{ki} v^2 + 2 m_{kl} v_l v_i + m_k v^2 v_i ; stored [k, i]
-    F_kill = (
-        np.outer(u, F_ill)
-        + mkill
-        + np.outer(mkll, u)
-        + 2.0 * np.einsum("kil,l->ki", mkij, u)
-        + mki * u2
-        + 2.0 * np.outer(mki @ u, u)
-        + u2 * np.outer(mk, u)
-    )
-    # F_{iillk} = F_{iill} v_k + m_{kiill} + 4 m_{kill} v_i + 2 m_{kll} v^2
-    #             + 4 m_{kli} v_l v_i + 4 m_{kl} v_l v^2 + m_k v^4
-    F_kiill = (
-        F_iill * u
-        + mkiill
-        + 4.0 * mkill @ u
-        + 2.0 * mkll * u2
-        + 4.0 * np.einsum("kli,l,i->k", mkij, u, u)
-        + 4.0 * (mki @ u) * u2
-        + mk * u2 * u2
-    )
-    return _require_finite(MomentSet(
-        frame=LAB,
-        m=F,
-        m_i=F_i,
-        m_ij=F_ij,
-        m_ill=F_ill,
-        m_iill=F_iill,
-        f_k=F_k,
-        f_ki=F_ki,
-        f_kij=F_kij,
-        f_kill=F_kill,
-        f_kiill=F_kiill,
-    ))
 
 
 # --- moment recovery ---------------------------------------------------------
 
 
+def _scalar_gradient(f, N, S, free, node_pass, derive):
+    """Gradient of h_hat or phi_hat in a scalar multiplier: ``derive`` the series."""
+    point, nodes, weights, powers = node_pass
+    w = weights[:, None] * nodes if free else weights
+    value = w.T @ _field(_grid(f, point, N, S, free, derive), powers)
+    return value if free else float(value)
+
+
 def _gradients(f, N, S, free, node_pass):
-    """Gradients of h_hat or phi_hat in (lam, lam_i, lam_ij, lam_ill, lam_iill).
+    """Gradients of h_hat or phi_hat in (lam, lam_i, lam_ij, lam_ill).
 
     Blocks carry phi's own index k first.  The lam_ij block is symmetric in
     the nine-component convention dh = G_ij dlam_ij; besides the deviator
@@ -466,21 +481,17 @@ def _gradients(f, N, S, free, node_pass):
     w = weights[:, None] * nodes if free else weights
     grid = _grid(f, point, N, S, free)
 
-    def scalar(derive):
-        value = w.T @ _field(_grid(f, point, N, S, free, derive), powers)
-        return value if free else float(value)
-
     def vector(shift):
         return np.einsum("n...,n,ni->...i", w, _field(grid, powers, shift), nodes)
 
+    d_ll = _scalar_gradient(f, N, S, free, node_pass, CoeffSeries.d_ll)
     projector = np.einsum("ni,nj->nij", nodes, nodes) - np.eye(3) / 3.0
     deviator_part = np.einsum("n...,n,nij->...ij", w, _field(grid, powers, (0, 0, 1)), projector)
     return (
-        scalar(CoeffSeries.d_lam),
+        _scalar_gradient(f, N, S, free, node_pass, CoeffSeries.d_lam),
         vector((1, 0, 0)),
-        deviator_part + np.multiply.outer(scalar(CoeffSeries.d_ll), np.eye(3)),
+        deviator_part + np.multiply.outer(d_ll, np.eye(3)),
         vector((0, 1, 0)),
-        scalar(CoeffSeries.d_ppqq),
     )
 
 
@@ -500,8 +511,8 @@ def moments_from_potentials(
     if state.frame != HATTED:
         raise ValueError("moments_from_potentials expects a hatted state")
     node_pass = _node_pass(state, N)
-    return _require_finite(MomentSet(
-        "rest",
-        *_gradients(f, N, S, False, node_pass),
-        *_gradients(f, N, S, True, node_pass),
-    ))
+    blocks = []
+    for free in (False, True):
+        blocks += _gradients(f, N, S, free, node_pass)
+        blocks.append(_scalar_gradient(f, N, S, free, node_pass, CoeffSeries.d_ppqq))
+    return _require_finite(MomentSet("rest", *blocks))

@@ -1,12 +1,13 @@
 """Condition harness: numerical verification of every closure condition.
 
 Each check evaluates one family of identities at seeded test points and
-records relative residuals.  The compatibility relations and the boost
-Jacobian read analytic gradient blocks of the truncated potentials; the
-ladder and the subsystem derivative relation use 4th-order central
-differences, independent of the family's derivative oracle.
-Truncated-series conditions that cannot hold exactly (velocity
-independence) are tested as convergence-order studies.
+records relative residuals.  The compatibility relations read analytic
+gradient blocks of the truncated potentials, and velocity independence
+reads the norm of ``potentials.boost_jacobian``; the ladder and the
+subsystem derivative relation use 4th-order central differences,
+independent of the family's derivative oracle.  Truncated-series
+conditions that cannot hold exactly (velocity independence) are tested as
+convergence-order studies.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .numdiff import RESIDUAL_FLOOR, central_diff, rel_residual, rel_residual_sy
 from .potentials import (
     BoostVelocity,
     MultiplierState,
-    eval_h_hat,
+    boost_jacobian,
     eval_phi_hat,
     hat_multipliers,
     lab_potentials,
@@ -235,41 +236,6 @@ def check_compatibility(f: GeneratingFamily, points, N: int, S: int) -> Verifica
 # --- Galilean velocity independence ------------------------------------------
 
 
-def _boost_jacobian_norm(f, lab_state, v, N, S) -> float:
-    """Frobenius norm of d(h', phi')/dv by the chain rule through the boost.
-
-    With h' = h_hat(lam_hat(v)) and phi'^k = phi_hat^k(lam_hat(v)) + h_hat v^k,
-    the boosted multipliers have closed-form velocity derivatives in the
-    hatted state: d lam_hat/dv_h = lam_hat_h, d lam_hat_i/dv_h = 2 lam_hat_ih,
-    d lam_hat_ij/dv_h = lam_hat_ill,h delta_ij + lam_hat_ill,i delta_jh
-    + delta_ih lam_hat_ill,j and d lam_hat_ill,i/dv_h = 4 lam_iill delta_ih.
-    They contract with the gradient blocks of one moment set at the hatted
-    state; lam_iill does not change under a boost.
-    """
-    hatted = hat_multipliers(lab_state, BoostVelocity(v))
-    ms = moments_from_potentials(f, hatted, N, S)
-    L, b = hatted.lam_ij.as_array(), hatted.lam_ill
-
-    def chain(g, g_i, g_ij, g_ill):
-        # each block carries the potential's own index first; the result
-        # ends in the velocity index h (g_ij is symmetric in its last two)
-        return (
-            np.multiply.outer(g, hatted.lam_i)
-            + 2.0 * g_i @ L
-            + np.multiply.outer(np.trace(g_ij, axis1=-2, axis2=-1), b)
-            + 2.0 * g_ij @ b
-            + 4.0 * hatted.lam_iill * g_ill
-        )
-
-    dh = chain(ms.m, ms.m_i, ms.m_ij, ms.m_ill)
-    dphi = (
-        chain(ms.f_k, ms.f_ki, ms.f_kij, ms.f_kill)
-        + np.outer(v, dh)
-        + eval_h_hat(f, hatted, N, S) * np.eye(3)
-    )
-    return float(np.linalg.norm(np.vstack([dh, dphi])))
-
-
 def check_velocity_independence(
     f: GeneratingFamily, lab_points, v_scales, N: int, S: int = 4
 ) -> VerificationReport:
@@ -278,8 +244,8 @@ def check_velocity_independence(
     The truncated closure cannot be exactly boost-invariant; the full
     series is.  The empirical convergence order of |d(potentials)/dv|
     under halving of |v| must be at least N - 0.5, and the v=0 gradient
-    must be at most 1e-9 relative to |h|.  Raises ``TruncationError`` where
-    ``moments_from_potentials`` does.
+    must be at most 1e-9 relative to |h|.  The derivative is
+    ``potentials.boost_jacobian``, the chain rule through the boost.
     """
     report = VerificationReport()
     floor_tol = DEFAULT_TOLERANCES["velocity_independence_floor"]
@@ -298,10 +264,14 @@ def check_velocity_independence(
     direction = np.array([0.6, -0.64, 0.48])
     direction /= np.linalg.norm(direction)
     order_tol = N - 0.5
+
+    def jacobian_norm(state, v):
+        return float(np.linalg.norm(boost_jacobian(f, state, BoostVelocity(v), N, S)))
+
     for state in lab_points:
         pd = _point_dict(state)
         h0 = lab_potentials(f, state, BoostVelocity(np.zeros(3)), N, S).h
-        r0 = _boost_jacobian_norm(f, state, np.zeros(3), N, S)
+        r0 = jacobian_norm(state, np.zeros(3))
         report.add(
             "velocity_independence.zero_boost_floor",
             "boost gradient vanishes at v=0",
@@ -309,10 +279,7 @@ def check_velocity_independence(
             r0 / max(abs(h0), RESIDUAL_FLOOR),
             floor_tol,
         )
-        rs = [
-            _boost_jacobian_norm(f, state, scale * direction, N, S)
-            for scale in v_scales
-        ]
+        rs = [jacobian_norm(state, scale * direction) for scale in v_scales]
         orders = [
             float(np.log2(rs[i] / rs[i + 1]))
             for i in range(len(rs) - 1)

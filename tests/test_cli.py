@@ -235,6 +235,22 @@ class TestEvalAndBoost:
         assert code == 3
         assert out == "" and len(err.splitlines()) == 1 and "overflow" in err
 
+    @pytest.mark.parametrize(
+        "block,value",
+        [("f_k", [1.0]), ("f_kiill", [2.0]), ("f_ki", [[1, 2, 3]]), ("m_i", [0.5]),
+         ("m_ill", [None, 0, 0])],
+        ids=["f_k", "f_kiill", "f_ki", "m_i", "m_ill_null"],
+    )
+    def test_boost_rejects_malformed_moment_block(self, tmp_path, capsys, block, value):
+        # numpy would broadcast the first three to lab moments, and null to NaN
+        code, out, _ = run_cli(capsys, "eval", "--n-trunc", "4")
+        moments = {**json.loads(out)["moments"], block: value}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"moments": moments, "velocity": [0.1, 0.0, 0.0]}))
+        code, out, err = run_cli(capsys, "boost", "--config", str(cfgfile))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"moments.{block} must be finite" in err
+
     def test_boost_rejects_non_finite_moments(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"moments": {"frame": "rest", "m": float("nan")}}))

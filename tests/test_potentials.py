@@ -19,7 +19,9 @@ from closure14.coeffs import (
 from closure14.errors import ClosureError, DomainError, TruncationError
 from closure14.numdiff import central_diff, rel_residual_sym
 from closure14.potentials import (
+    LAB,
     BoostVelocity,
+    MomentSet,
     MultiplierState,
     eval_h_hat,
     eval_phi_hat,
@@ -277,6 +279,63 @@ class TestBoostLaw:
         phi_hat = eval_phi_hat(fam, hat, N, S)
         h = eval_h_hat(fam, hat, N, S)
         np.testing.assert_allclose(phi_hat, -h * v.v, rtol=1e-6)
+
+    @pytest.mark.parametrize("lam_ill", [[0, 5, 0], [0, 1e200, 0]], ids=["5", "1e200"])
+    def test_boosted_lam_ll_named(self, lam_ill):
+        # the lam_ill terms of the boost turn the lab's lambda_ll = 1 negative
+        lab = MultiplierState(frame=LAB, lam=0.0, lam_i=np.zeros(3),
+                              lam_ij=SymMatrix(np.eye(3) / 3.0),
+                              lam_ill=np.array(lam_ill, dtype=float), lam_iill=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"boosted lambda_ll .* lab lambda_ll 1\.0"):
+                hat_multipliers(lab, BoostVelocity([0.1, -0.2, 0.05]))
+
+
+def _pairing_terms(state, blocks, lead=()):
+    """The products lam_A m_A of sum_A lam_A m_A, one row per leading index."""
+    lams = (state.lam, state.lam_i, state.lam_ij.as_array(), state.lam_ill, state.lam_iill)
+    return np.concatenate(
+        [np.reshape(np.asarray(m) * lam, (*lead, -1)) for m, lam in zip(blocks, lams)], axis=-1
+    )
+
+
+def test_boost_laws_are_adjoint():
+    """sum_A lam_A F_A(v) = sum_B lam_hat_B(v) m_B, and per flux row k with
+    m_B replaced by f_kB + v_k m_B: the moment boost and the multiplier boost
+    are one Galilean law.  The moments are random, not from the potentials.
+    """
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(200):
+        sym = rng.uniform(-1, 1, (3, 3))
+        f_kij = rng.uniform(-1, 1, (3, 3, 3))
+        rest = MomentSet(
+            "rest", rng.uniform(-1, 1), rng.uniform(-1, 1, 3), sym + sym.T,
+            rng.uniform(-1, 1, 3), rng.uniform(-1, 1), rng.uniform(-1, 1, 3),
+            rng.uniform(-1, 1, (3, 3)), f_kij + f_kij.transpose(0, 2, 1),
+            rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3),
+        )
+        lab = MultiplierState(
+            frame=LAB, lam=rng.uniform(-1, 1), lam_i=rng.uniform(-1, 1, 3),
+            # 20 I keeps the boosted lambda_ll positive for every v in [-1, 1]^3
+            lam_ij=SymMatrix(rng.uniform(-1, 1, (3, 3)) + 20.0 * np.eye(3)),
+            lam_ill=rng.uniform(-1, 1, 3), lam_iill=rng.uniform(-1, 1),
+        )
+        v = BoostVelocity(rng.uniform(-1, 1, 3))
+        hat = hat_multipliers(lab, v)
+        moved = lab_moments_from_rest(rest, v)
+        blocks = [getattr(rest, name) for name in BLOCKS]
+        rows = [flux + np.multiply.outer(v.v, m) for flux, m in zip(blocks[5:], blocks[:5])]
+        for lead, lab_blocks, rest_blocks in (
+            ((), [getattr(moved, name) for name in BLOCKS[:5]], blocks[:5]),
+            ((3,), [getattr(moved, name) for name in BLOCKS[5:]], rows),
+        ):
+            lhs = _pairing_terms(lab, lab_blocks, lead)
+            rhs = _pairing_terms(hat, rest_blocks, lead)
+            scale = np.abs(lhs).sum(-1) + np.abs(rhs).sum(-1)
+            worst = max(worst, np.max(np.abs(lhs.sum(-1) - rhs.sum(-1)) / scale))
+    assert worst <= 1e-13
 
 
 class TestMoments:

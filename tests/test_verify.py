@@ -7,12 +7,19 @@ from closure14 import coeffs as coeffs_mod
 from closure14.coeffs import GeneratingFamily, make_family
 from closure14.kinetic import exponential_kernel
 from closure14.numdiff import central_diff
-from closure14.potentials import BoostVelocity, lab_potentials
+from closure14.errors import DomainError
+from closure14.potentials import (
+    LAB,
+    BoostVelocity,
+    MultiplierState,
+    boost_jacobian,
+    lab_potentials,
+)
+from closure14.symtensor import SymMatrix
 from closure14.verify import (
     TestPointSet,
     VerificationReport,
     VerifyConfig,
-    _boost_jacobian_norm,
     check_compatibility,
     check_ladder,
     check_velocity_independence,
@@ -169,10 +176,18 @@ class TestVelocityIndependence:
         ]
         assert orders and all(o >= 3.5 for o in orders)
 
+    @pytest.mark.parametrize("N,S", [(6, 3), (4, 2)])
+    def test_half_order_series(self, exp_family, N, S):
+        # S = N/2 leaves the lam_iill blocks no series order; the boost
+        # Jacobian does not take them
+        states = TestPointSet(count=2).equilibrium_lab_states()
+        rep = check_velocity_independence(exp_family, states, (0.2, 0.1), N=N, S=S)
+        assert len(rep.records) == 6 and rep.all_passed
 
-def fd_boost_jacobian_norm(f, lab_state, v, N, S) -> float:
-    """Frobenius norm of d(h', phi')/dv by central differences of the lab potentials."""
-    rows = []
+
+def fd_boost_jacobian(f, lab_state, v, N, S) -> np.ndarray:
+    """d(h', phi')/dv by central differences of the lab potentials, rows (h', phi'^k)."""
+    columns = []
     for h_comp in range(3):
         def g(x, h=h_comp):
             w = v.copy()
@@ -180,8 +195,8 @@ def fd_boost_jacobian_norm(f, lab_state, v, N, S) -> float:
             pair = lab_potentials(f, lab_state, BoostVelocity(w), N, S)
             return np.array([pair.h, *pair.phi])
 
-        rows.append(central_diff(g, float(v[h_comp])))
-    return float(np.linalg.norm(np.array(rows)))
+        columns.append(central_diff(g, float(v[h_comp])))
+    return np.array(columns).T
 
 
 class TestBoostJacobian:
@@ -189,24 +204,42 @@ class TestBoostJacobian:
 
     At |v| = 0.2 the two agree to 1e-8 (equilibrium) and 5e-8
     (nonequilibrium, eps = 5e-4) relative, the differencing error.  The
-    velocity derivatives nearly cancel, so the norm fails the comparison
-    when any one term of the chain rule is dropped; only the
-    nonequilibrium state, with lam_ill and lam_iill nonzero, exercises the
-    lam_ij and lam_ill terms.
+    velocity derivatives nearly cancel, so the comparison fails when any
+    one term of the chain rule is dropped; only the nonequilibrium state,
+    with lam_ill and lam_iill nonzero, exercises the lam_ij and lam_ill
+    terms.
     """
 
     V = 0.2 * np.array([0.6, -0.64, 0.48])
 
+    @staticmethod
+    def assert_matches_fd(f, lab):
+        want = fd_boost_jacobian(f, lab, TestBoostJacobian.V, 6, 4)
+        got = boost_jacobian(f, lab, BoostVelocity(TestBoostJacobian.V), 6, 4)
+        assert got.shape == (4, 3)
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
     def test_equilibrium_state(self, kind):
-        f = make_family(kind)
         lab = TestPointSet(count=1).equilibrium_lab_states()[0]
-        want = fd_boost_jacobian_norm(f, lab, self.V, 6, 4)
-        assert _boost_jacobian_norm(f, lab, self.V, 6, 4) == pytest.approx(want, rel=1e-6)
+        self.assert_matches_fd(make_family(kind), lab)
 
     @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
     def test_nonequilibrium_state(self, kind, noneq_lab_state):
-        f = make_family(kind)
-        want = fd_boost_jacobian_norm(f, noneq_lab_state, self.V, 6, 4)
-        got = _boost_jacobian_norm(f, noneq_lab_state, self.V, 6, 4)
-        assert got == pytest.approx(want, rel=1e-6)
+        self.assert_matches_fd(make_family(kind), noneq_lab_state)
+
+    @pytest.mark.parametrize(
+        "lam,lam_i,match",
+        [
+            # lam_hat is near 0 and h' near 1e298; the chain rule
+            # multiplies it by lam_hat_i
+            (1.28e49, [0, 1e50, 0], "boost Jacobian overflows"),
+            (0.0, [0, 1e200, 0], "overflows"),
+        ],
+        ids=["jacobian", "potentials"],
+    )
+    def test_overflow_is_a_domain_error(self, lam, lam_i, match):
+        lab = MultiplierState(frame=LAB, lam=lam, lam_i=np.array(lam_i, dtype=float),
+                              lam_ij=SymMatrix(np.eye(3)), lam_ill=np.zeros(3), lam_iill=0.0)
+        with pytest.raises(DomainError, match=match):
+            boost_jacobian(make_family("exponential"), lab, BoostVelocity(self.V), 6, 4)
