@@ -421,7 +421,7 @@ def _boost_density(m, m_i, m_ij, m_ill, m_iill, u):
     f_k. + u_k m. (Mueller and Ruggeri, Rational Extended Thermodynamics).
     """
     u2 = float(u @ u)
-    m_ll = np.trace(m_ij, axis1=-2, axis2=-1)
+    m_ll, m_u = np.trace(m_ij, axis1=-2, axis2=-1), m_i @ u
     return (
         m,
         m_i + np.multiply.outer(m, u),
@@ -431,13 +431,13 @@ def _boost_density(m, m_i, m_ij, m_ill, m_iill, u):
         + np.multiply.outer(m_ll, u)
         + 2.0 * m_ij @ u
         + m_i * u2
-        + np.multiply.outer(2.0 * (m_i @ u), u)
+        + np.multiply.outer(2.0 * m_u, u)
         + np.multiply.outer(m * u2, u),
         m_iill
         + 4.0 * (m_ill @ u)
         + 2.0 * m_ll * u2
         + 4.0 * (u @ m_ij @ u)
-        + 4.0 * (m_i @ u) * u2
+        + 4.0 * m_u * u2
         + m * u2 * u2,
     )
 
