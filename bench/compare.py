@@ -7,13 +7,15 @@
 The benchmark command and its run length are the ``command`` and
 ``run_seconds`` of the change's ``BENCHMARK.json``.  For each workload, pair i
 runs the command with ``--trace 0`` once in each checkout with seed N + i; the
-side that runs first alternates from pair to pair.  Then one ``--trace 1``
-run per side, at seed N + pairs, records the ``coeffs.*``, ``potentials.*``,
-``kinetic.*`` and ``verify.*`` layer metrics.  The output holds the command, the run
-length, the environment, every run's metrics, per-side medians and quartiles
-of the end-to-end metrics declared in ``BENCHMARK.json``, and the number of
-pairs the change won on each.  It is rewritten after every
-run, so an interrupted comparison keeps the runs it made.
+side that runs first alternates from pair to pair.  Then ``TRACED_RUNS``
+``--trace 1`` runs per side, at seeds N + pairs onwards and again alternating
+the side that runs first, record the ``coeffs.*``, ``potentials.*``,
+``kinetic.*`` and ``verify.*`` layer metrics of each run and their per-side
+median; one traced run is too noisy to resolve a layer.  The output holds the
+command, the run length, the environment, every run's metrics, per-side
+medians and quartiles of the end-to-end metrics declared in
+``BENCHMARK.json``, and the number of pairs the change won on each.  It is
+rewritten after every run, so an interrupted comparison keeps the runs it made.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 LAYER_PREFIXES = ("coeffs.", "potentials.", "kinetic.", "verify.")
+TRACED_RUNS = 3
 
 
 def parse_args(argv=None):
@@ -125,11 +128,17 @@ def main(argv=None) -> int:
             entry["pairs"].append(pair)
             entry["summary"] = summarize(entry["pairs"], bench["end_to_end"])
             save()
-        for side in SIDES:
-            run = bench_run(bench, dirs[side], workload, args.first_seed + args.pairs, trace=1)
-            entry["traced"][side] = {"seed": run["seed"], "correct": run["correct"],
-                                     "failed": run["failed"], **layer_metrics(run)}
-            save()
+        traced = entry["traced"] = {side: {"runs": [], "median": {}} for side in SIDES}
+        for i in range(TRACED_RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                run = bench_run(bench, dirs[side], workload, args.first_seed + args.pairs + i,
+                                trace=1)
+                runs = traced[side]["runs"]
+                runs.append({"seed": run["seed"], "correct": run["correct"],
+                             "failed": run["failed"], **layer_metrics(run)})
+                traced[side]["median"] = {name: statistics.median(r[name] for r in runs)
+                                          for name in layer_metrics(run)}
+                save()
     return 0
 
 

@@ -53,25 +53,27 @@ def _render_floats(obj, counter, table):
     return obj
 
 
-def dumps17(obj, indent=2) -> str:
-    """json.dumps with every float printed to 17 significant digits."""
+def dumps17(obj) -> str:
+    """json.dumps, indented by 2, with every float printed to 17 significant digits."""
     counter, table = [0], {}
-    text = json.dumps(_render_floats(obj, counter, table), indent=indent, sort_keys=True)
+    text = json.dumps(_render_floats(obj, counter, table), indent=2, sort_keys=True)
     for token, value in table.items():
         text = text.replace(f'"{token}"', value)
     return text
 
 
 def _require_finite(name: str, value):
-    """Reject NaN and infinite numbers anywhere inside a config value.
+    """Reject NaN, infinite numbers and null list items anywhere inside a config value.
 
-    Entries that are not numbers are left to the parsing that uses them.
+    Other entries that are not numbers are left to the parsing that uses them.
     """
     if isinstance(value, dict):
         for key, item in value.items():
             _require_finite(f"{name}.{key}", item)
     elif isinstance(value, (list, tuple)):
         for k, item in enumerate(value):
+            if item is None:  # numpy would read it as NaN
+                raise ConfigError(f"{name} must be finite, got null at {name}[{k}]")
             _require_finite(f"{name}[{k}]", item)
     elif value is not None and not isinstance(value, bool):
         try:
@@ -125,13 +127,11 @@ class RunConfig:
 
     def equilibrium_point(self) -> EquilibriumPoint:
         try:
-            return EquilibriumPoint(
-                lam=float(self.point.get("lam", 0.0)),
-                lam_ll=float(self.point.get("lam_ll", 1.0)),
-                lam_ppqq=float(self.point.get("lam_ppqq", 0.0)),
-            )
-        except (TypeError, ValueError) as exc:
+            values = [float(self.point.get(key, default))
+                      for key, default in (("lam", 0.0), ("lam_ll", 1.0), ("lam_ppqq", 0.0))]
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid point record: {exc}") from exc
+        return EquilibriumPoint(*values)  # outside the try: a DomainError exits 3
 
     def multiplier_state(self) -> MultiplierState:
         if self.state is None:

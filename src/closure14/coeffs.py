@@ -38,17 +38,16 @@ _LADDER_GRID = tuple(np.linspace(-1.0, 1.0, 9))
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
-    """Scalar arguments of the coefficient functions."""
+    """Scalar arguments of the coefficient functions, checked at construction.
+
+    All fields finite, lambda_ll > 0 and lambda_ppqq >= 0, else ``DomainError``.
+    """
 
     lam: float
     lam_ll: float
     lam_ppqq: float = 0.0
 
-    def require_domain(self):
-        """All fields finite, lambda_ll > 0 and lambda_ppqq >= 0, else ``DomainError``.
-
-        At lambda_ppqq < 0, chi is not bounded below and the integrals diverge.
-        """
+    def __post_init__(self):
         if not all(map(math.isfinite, (self.lam, self.lam_ll, self.lam_ppqq))):
             raise DomainError(f"equilibrium point must be finite, got {self}")
         if not self.lam_ll > 0:
@@ -304,14 +303,14 @@ class CoeffSeries:
     """Finite sum of terms coef * d^dl ktilde_s(l) * l_ll**e * l_ppqq**m.
 
     The steps act on the exact terms and are kept on the series.  A call runs
-    a float plan, (float(coef), s, dl, float(e), m) per term, compiled once.
+    ``plan``, the terms as (float(coef), s, dl, float(e), m), compiled at once.
     """
 
-    __slots__ = ("terms", "_plan", "_steps")
+    __slots__ = ("terms", "plan", "_steps")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
-        self._plan = None
+        self.plan = tuple((float(t.coef), t.s, t.dl, float(t.ll_exp), t.m) for t in self.terms)
         self._steps = {}
 
     @classmethod
@@ -359,19 +358,10 @@ class CoeffSeries:
     def truncated(self, order: int) -> "CoeffSeries":
         return CoeffSeries(t for t in self.terms if t.m <= order)
 
-    def float_plan(self) -> tuple:
-        """The terms as (float(coef), s, dl, float(e), m), compiled on first use."""
-        if self._plan is None:
-            self._plan = tuple(
-                (float(t.coef), t.s, t.dl, float(t.ll_exp), t.m) for t in self.terms
-            )
-        return self._plan
-
     def __call__(self, f: GeneratingFamily, point: EquilibriumPoint) -> float:
-        point.require_domain()
         lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
         total = 0.0
-        for coef, s, dl, ll_exp, m in self._plan or self.float_plan():
+        for coef, s, dl, ll_exp, m in self.plan:
             factor = coef * f.ktilde_deriv(s, dl, lam)
             try:
                 factor *= lam_ll ** ll_exp
@@ -380,6 +370,8 @@ class CoeffSeries:
             except OverflowError as exc:
                 raise DomainError(f"coefficient overflows at {point}") from exc
             total += factor
+        if not math.isfinite(total):  # an inf member or power, or inf - inf
+            raise DomainError(f"coefficient overflows at {point}")
         return total
 
 
@@ -456,51 +448,36 @@ def _ll_power(lam_ll: float, exponent: float) -> float:
 
 
 def k_s_value(f: GeneratingFamily, s: int, point: EquilibriumPoint) -> float:
-    point.require_domain()
     return _ll_power(point.lam_ll, -(3 + 4 * s) / 2) * f.ktilde(s, point.lam)
 
 
 # --- tensor-coefficient scalars --------------------------------------------
 
 
-def h_series(f: GeneratingFamily, p: int, q: int, r: int, S: int) -> CoeffSeries:
-    return _h_series_cached(p, q, r, S)
+@functools.cache
+def tensor_series(p: int, q: int, r: int, S: int) -> CoeffSeries:
+    """Series of the (p, q, r) term of h_hat (p+q even) or phi_hat (p+q odd).
 
-
-@functools.lru_cache(maxsize=None)
-def _h_series_cached(p: int, q: int, r: int, S: int) -> CoeffSeries:
-    if (p + q) % 2:
-        raise ParityError(f"h_{{p,q,r}} needs p+q even, got p={p}, q={q}")
+    r lambda_ll-derivatives of k_{p,q} times 3^r (n+1+odd)/(n+2r+1+odd), n = p+q.
+    """
+    n = p + q
+    odd = n % 2
     series = _k_series_cached(p, q, S, None)
     for _ in range(r):
         series = series.d_ll()
-    return series.scaled(Fraction(3**r * (p + q + 1), p + q + 2 * r + 1))
-
-
-def phi_series(f: GeneratingFamily, p: int, q: int, r: int, S: int) -> CoeffSeries:
-    return _phi_series_cached(p, q, r, S)
-
-
-@functools.lru_cache(maxsize=None)
-def _phi_series_cached(p: int, q: int, r: int, S: int) -> CoeffSeries:
-    if (p + q) % 2 == 0:
-        raise ParityError(f"phi_{{p,q,r}} needs p+q odd, got p={p}, q={q}")
-    series = _k_series_cached(p, q, S, None)
-    for _ in range(r):
-        series = series.d_ll()
-    return series.scaled(Fraction(3**r * (p + q + 2), p + q + 2 * r + 2))
+    return series.scaled(Fraction(3**r * (n + 1 + odd), n + 2 * r + 1 + odd))
 
 
 def h_pqr(f: GeneratingFamily, req: CoefficientRequest, point: EquilibriumPoint) -> float:
     if (req.p + req.q) % 2:
         return 0.0  # parity-forbidden: isotropic odd-rank coefficient
-    return h_series(f, req.p, req.q, req.r, req.S)(f, point)
+    return tensor_series(req.p, req.q, req.r, req.S)(f, point)
 
 
 def phi_pqr(f: GeneratingFamily, req: CoefficientRequest, point: EquilibriumPoint) -> float:
     if (req.p + req.q) % 2 == 0:
         return 0.0
-    return phi_series(f, req.p, req.q, req.r, req.S)(f, point)
+    return tensor_series(req.p, req.q, req.r, req.S)(f, point)
 
 
 # --- closed forms (cross-check oracles) ------------------------------------
@@ -522,7 +499,7 @@ def eta_descending_literal(a: int, b: int) -> int:
 
 def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
     """Closed form for k_{0,q} at lambda_ppqq = 0 (corrected eta convention)."""
-    EquilibriumPoint(lam, lam_ll).require_domain()
+    EquilibriumPoint(lam, lam_ll)  # checks the domain
     if q % 2 == 0:
         s = q // 2
         return (

@@ -148,7 +148,6 @@ def _semi_infinite_quad(g) -> float:
 
 def _radial_moment(kernel: KineticKernel, n: int, power: int, point: EquilibriumPoint) -> float:
     """int_0^inf F^(n)(l + l_ll c^2/3 + l_ppqq c^4) c^power dc, the one kinetic integrand."""
-    point.require_domain()
     kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
 
     def g(c):

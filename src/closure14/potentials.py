@@ -12,10 +12,10 @@ the velocity Jacobian of the lab potentials is the chain rule through the
 multiplier boost.
 
 The scalar coefficients of all terms form one grid per potential and
-derivative.  Each grid is compiled once, on first use, into flat arrays of
-its series terms; at a point it looks up each distinct family member and
-power once and sums the cells with ``np.bincount``, bit-identical to
-calling every series on its own.  One node pass per state fills the rows
+derivative.  Each grid is compiled once, on first use, from the plans of
+``coeffs.tensor_series`` by index (p, q, r) into flat term arrays; at a point
+it looks up each distinct member and power once and sums the cells with
+``np.bincount``, bit-identical to calling every series on its own.  One node pass per state fills the rows
 x^k / k! of the three node projections in a single table.
 """
 
@@ -149,8 +149,8 @@ class MomentSet:
 def _node_pass(state: MultiplierState, N: int):
     """Sphere rule exact to degree N + 1 and the rows x^k / k! at its nodes.
 
-    Returns ``(point, nodes, weights, powers)``: the scalar point, checked
-    with ``require_domain``, and in ``powers`` the tables for x = n.l_i and
+    Returns ``(point, nodes, weights, powers)``: the scalar point, which
+    checks its domain, and in ``powers`` the tables for x = n.l_i and
     n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2), row slices of one
     table filled by a single ``cumprod``.  A vector or matrix multiplier
     that is not finite raises ``DomainError``; a power that overflows stays
@@ -159,7 +159,6 @@ def _node_pass(state: MultiplierState, N: int):
     neither gives a floating-point warning.
     """
     point = state.scalar_point()
-    point.require_domain()
     nodes, weights = _sphere_rule(N + 1)
     dev = state.lam_ij.as_array() - (point.lam_ll / 3) * np.eye(3)
     x = np.empty((3, len(weights)))
@@ -195,8 +194,8 @@ class _GridPlan(NamedTuple):
 
 
 @functools.cache
-def _grid_plan(series_of, N: int, S: int, free: bool, derive) -> _GridPlan:
-    """Compile the grid of ``series_of`` (mapped through ``derive``) to flat arrays.
+def _grid_plan(N: int, S: int, free: bool, derive) -> _GridPlan:
+    """Compile the grid of h_hat or phi_hat (mapped through ``derive``) to flat arrays.
 
     The series are symbolic, so the plan holds for every family.  A derivative
     that raises (``TruncationError`` from ``d_ppqq``) is not cached.
@@ -206,11 +205,11 @@ def _grid_plan(series_of, N: int, S: int, free: bool, derive) -> _GridPlan:
     for p in range(N + 1):
         for q in range((p + free) % 2, N + 1 - p, 2):
             for r in range((N - p - q) // 2 + 1):
-                series = series_of(None, p, q, r, S)
+                series = coeffs.tensor_series(p, q, r, S)
                 if derive is not None:
                     series = derive(series)
                 cell = np.ravel_multi_index((p, q, r), shape)
-                rows.extend((cell, *term) for term in series.float_plan())
+                rows.extend((cell, *term) for term in series.plan)
     members = tuple(dict.fromkeys((s, dl) for _, _, s, dl, _, _ in rows))
     exponents = tuple(dict.fromkeys(e for *_, e, _ in rows))
     member_index = {key: i for i, key in enumerate(members)}
@@ -233,15 +232,13 @@ def _grid(f, point, N: int, S: int, free: bool, derive=None):
     """(rank + 1) x coefficient of every (p, q, r) term of h_hat or phi_hat.
 
     p + q is even for h_hat and odd for phi_hat, and p + q + 2r <= N.  The
-    series are looked up at call time and mapped through ``derive``; each
-    cell sums its terms in the order ``CoeffSeries.__call__`` does, so the
-    grid is bit-identical to calling every series on its own.
+    series are mapped through ``derive``; each cell sums its terms in the
+    order ``CoeffSeries.__call__`` does, so the grid is bit-identical to
+    calling every series on its own.
     """
-    series_of = coeffs.phi_series if free else coeffs.h_series
-    plan = _grid_plan(series_of, N, S, free, derive)
+    plan = _grid_plan(N, S, free, derive)
     if not plan.cell.size:  # phi_hat at N = 0 has no terms
         return np.zeros(plan.rank1.shape)
-    point.require_domain()
     lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
     K = np.array([f.ktilde_deriv(s, dl, lam) for s, dl in plan.members])
     try:

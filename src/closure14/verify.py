@@ -46,16 +46,19 @@ DEFAULT_TOLERANCES = {
 }
 
 
+LAM_RANGE = (-1.0, 1.0)
+LAM_LL_RANGE = (0.5, 4.0)
+LAM_PPQQ_RANGE = (0.0, 0.05)
+S_SERIES_MAX = 4  # highest series coefficient k_s checked against quadrature
+
+
 @dataclass(frozen=True)
 class TestPointSet:
     """Seeded pseudo-random evaluation states for the harness."""
 
     seed: int = 0
     count: int = 10
-    lam_range: tuple = (-1.0, 1.0)
-    lam_ll_range: tuple = (0.5, 4.0)
     noneq_magnitude: float = 5e-4
-    lam_ppqq_range: tuple = (0.0, 0.05)
     N: int = 6
     S: int = 4
 
@@ -67,9 +70,9 @@ class TestPointSet:
         rng = np.random.default_rng(self.seed)
         pts = []
         for _ in range(self.count):
-            lam = rng.uniform(*self.lam_range)
-            lam_ll = rng.uniform(*self.lam_ll_range)
-            ppqq = rng.uniform(*self.lam_ppqq_range) if with_ppqq else 0.0
+            lam = rng.uniform(*LAM_RANGE)
+            lam_ll = rng.uniform(*LAM_LL_RANGE)
+            ppqq = rng.uniform(*LAM_PPQQ_RANGE) if with_ppqq else 0.0
             pts.append(EquilibriumPoint(lam, lam_ll, ppqq))
         return pts
 
@@ -86,8 +89,8 @@ class TestPointSet:
         eps = self.noneq_magnitude
         states = []
         for _ in range(self.count):
-            lam = rng.uniform(*self.lam_range)
-            lam_ll = rng.uniform(*self.lam_ll_range)
+            lam = rng.uniform(*LAM_RANGE)
+            lam_ll = rng.uniform(*LAM_LL_RANGE)
             ppqq = rng.uniform(0.0, eps / 2.0)
             dev = rng.uniform(-eps, eps, size=(3, 3))
             dev = 0.5 * (dev + dev.T)
@@ -108,8 +111,8 @@ class TestPointSet:
         rng = np.random.default_rng(self.seed)
         return [
             MultiplierState.equilibrium(
-                rng.uniform(*self.lam_range),
-                rng.uniform(*self.lam_ll_range),
+                rng.uniform(*LAM_RANGE),
+                rng.uniform(*LAM_LL_RANGE),
                 frame=potentials.LAB,
             )
             for _ in range(self.count)
@@ -159,27 +162,13 @@ class VerificationReport:
             "failed": sum(not r["passed"] for r in self.records),
         }
 
-    def to_json(self, indent=2) -> str:
+    def to_json(self) -> str:
         payload = {
             "metadata": self.metadata,
             "summary": self.summary(),
             "records": self.records,
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
-
-    def to_table(self) -> str:
-        lines = [f"{'condition':42s} {'residual':>12s} {'tol':>9s}  status"]
-        for r in self.records:
-            res = "-" if r["residual"] is None else f"{r['residual']:.3e}"
-            flag = "PASS" if r["passed"] else "FAIL"
-            if r["status"] == "skipped":
-                flag = "SKIP"
-            lines.append(
-                f"{r['condition']:42s} {res:>12s} {r['tolerance']:>9.0e}  {flag}"
-            )
-        s = self.summary()
-        lines.append(f"{s['passed']}/{s['total']} checks passed")
-        return "\n".join(lines)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _point_dict(obj) -> dict:
@@ -348,8 +337,8 @@ def check_scalar_identity_chain(
                 for r in range(r_max + 1):
                     n = p + q + 2 * r
                     try:
-                        hs = coeffs.h_series(f, p, q, r, S)
-                        hs1 = coeffs.h_series(f, p, q, r + 1, S)
+                        hs = coeffs.tensor_series(p, q, r, S)
+                        hs1 = coeffs.tensor_series(p, q, r + 1, S)
                         t0 = (n + 1) * hs(f, point)
                         t1 = (2.0 / 3.0) * point.lam_ll * hs1(f, point)
                         t2 = (n + 1) / (n + 3) * (
@@ -494,7 +483,6 @@ def check_kinetic_equivalence(
     kernel: kinetic.KineticKernel,
     points,
     pq_total_max: int = 6,
-    s_series_max: int = 4,
     S: int = 4,
 ) -> VerificationReport:
     """Coefficient engine against the velocity-space quadrature oracle."""
@@ -517,7 +505,7 @@ def check_kinetic_equivalence(
                     rel_residual_sym(macro, quad),
                     tol,
                 )
-        for s in range(s_series_max + 1):
+        for s in range(S_SERIES_MAX + 1):
             macro = coeffs.k_s_value(f, s, eq_point)
             quad = kinetic.kinetic_series_coefficient(
                 kernel, s, eq_point.lam, eq_point.lam_ll

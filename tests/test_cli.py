@@ -74,6 +74,10 @@ class TestCoeffsCommand:
             ({"lam_ll": 1e-300}, 3),
             ({"lam": float("nan")}, 2),
             ({"lam_ppqq": float("inf")}, 2),
+            # inf members without an OverflowError: the sums were nan and printed
+            ({"lam": -700}, 3),
+            ({"lam": -600, "lam_ll": 1e-20}, 3),
+            ({"lam": -690, "lam_ll": 0.05}, 3),
         ],
     )
     def test_overflow_and_non_finite_exit_codes(self, tmp_path, capsys, point, expected):
@@ -81,7 +85,14 @@ class TestCoeffsCommand:
         cfgfile.write_text(json.dumps({"point": point}))
         code, out, err = run_cli(capsys, "coeffs", "--config", str(cfgfile))
         assert code == expected
-        assert out == "" and "Traceback" not in err
+        assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("point", [3, [0.0, 1.0]], ids=["number", "list"])
+    def test_point_must_be_an_object(self, tmp_path, capsys, point):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"point": point}))
+        code, out, err = run_cli(capsys, "coeffs", "--config", str(cfgfile))
+        assert code == 2 and out == "" and "invalid point record" in err
 
     @pytest.mark.parametrize(
         "command, config",
@@ -234,6 +245,26 @@ class TestEvalAndBoost:
             code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
         assert code == 3
         assert out == "" and len(err.splitlines()) == 1 and "overflow" in err
+
+    @pytest.mark.parametrize("command", ["eval", "boost"])
+    @pytest.mark.parametrize(
+        "state, path",
+        [
+            ({"lam_i": [None, 0, 0]}, "state.lam_i[0]"),
+            ({"lam_ij": [[1, 0, 0], [0, 1, None], [0, 0, 1]]}, "state.lam_ij[1][2]"),
+            ({"lam_ill": [0, 0, None]}, "state.lam_ill[2]"),
+        ],
+        ids=["lam_i", "lam_ij", "lam_ill"],
+    )
+    def test_null_in_state_is_a_config_error(self, tmp_path, capsys, command, state, path):
+        # numpy read null as NaN, which exited 3 as a domain error
+        full = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "lam_ill": [0, 0, 0], "lam_iill": 0, **state}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"state": full}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"got null at {path}" in err
 
     @pytest.mark.parametrize(
         "block,value",

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from closure14.coeffs import (
     eta_descending_literal,
     eta_product,
     h_pqr,
-    h_series,
     k00,
     k0q_closed,
     k_pq,
@@ -27,9 +27,9 @@ from closure14.coeffs import (
     ladder_residual,
     make_family,
     phi_pqr,
-    phi_series,
     reduce_to_13,
     subsystem_coefficient,
+    tensor_series,
 )
 from closure14.errors import (
     ClosureError,
@@ -190,6 +190,14 @@ class TestScalarCoefficients:
             pytest.param(
                 lambda f: k_pq(f, 0, 0, EquilibriumPoint(-1000.0, 1.0, 0.0), S=4), id="point0"
             ),
+            # members are inf without an OverflowError, and inf - inf is nan
+            pytest.param(
+                lambda f: k_pq(f, 0, 0, EquilibriumPoint(-700.0, 1.0, 0.0), S=4), id="k_pq_nan"
+            ),
+            pytest.param(
+                lambda f: h_pqr(f, CoefficientRequest(0, 0, 1), EquilibriumPoint(-690.0, 0.05)),
+                id="h_pqr_nan",
+            ),
             pytest.param(
                 lambda f: k_pq(f, 0, 0, EquilibriumPoint(0.0, 1e-300, 0.0), S=4), id="point1"
             ),
@@ -207,34 +215,31 @@ class TestScalarCoefficients:
     )
     def test_overflow_is_typed(self, exp_family, call):
         # the family member's exp overflows at lam = -1000, the lam_ll power at 1e-300
-        with pytest.raises(ClosureError):
-            call(exp_family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ClosureError):
+                call(exp_family)
 
     @pytest.mark.parametrize(
         "point",
         [
-            EquilibriumPoint(0.0, 1.0, -5.0),
-            EquilibriumPoint(0.0, 1.0, -1e-12),
-            EquilibriumPoint(math.nan, 1.0, 0.0),
-            EquilibriumPoint(math.inf, 1.0, 0.0),
-            EquilibriumPoint(0.0, math.nan, 0.0),
-            EquilibriumPoint(0.0, math.inf, 0.0),
-            EquilibriumPoint(0.0, 1.0, math.nan),
-            EquilibriumPoint(0.0, 1.0, math.inf),
+            (0.0, 1.0, -5.0),
+            (0.0, 1.0, -1e-12),
+            (math.nan, 1.0, 0.0),
+            (math.inf, 1.0, 0.0),
+            (0.0, math.nan, 0.0),
+            (0.0, math.inf, 0.0),
+            (0.0, 1.0, math.nan),
+            (0.0, 1.0, math.inf),
         ],
         ids=["ppqq_neg", "ppqq_tiny_neg", "lam_nan", "lam_inf", "ll_nan", "ll_inf",
              "ppqq_nan", "ppqq_inf"],
     )
-    def test_domain_boundary(self, exp_family, point):
-        # lam_ppqq < 0 leaves chi unbounded below: the integral diverges
+    def test_domain_boundary(self, point):
+        # lam_ppqq < 0 leaves chi unbounded below: the integral diverges.  A
+        # point outside the domain cannot be built, so no coefficient sees one.
         with pytest.raises(DomainError):
-            point.require_domain()
-        with pytest.raises(DomainError):
-            k_pq(exp_family, 0, 0, point, S=4)
-        with pytest.raises(DomainError):
-            h_pqr(exp_family, CoefficientRequest(0, 0, 1), point)
-        with pytest.raises(DomainError):
-            k_s_value(exp_family, 0, point)
+            EquilibriumPoint(*point)
 
     def test_domain_boundary_closed_form(self, exp_family):
         with pytest.raises(DomainError):
@@ -266,6 +271,30 @@ class TestTensorCoefficients:
         assert phi_pqr(exp_family, CoefficientRequest(1, 0, 0), POINT) == pytest.approx(
             K10_REF, rel=1e-13
         )
+
+    def test_tensor_series_is_the_h_or_phi_formula(self):
+        # h: 3^r (n+1)/(n+2r+1) d^r k_{p,q}/dl_ll^r for even n = p+q;
+        # phi: 3^r (n+2)/(n+2r+2) times the same for odd n
+        S, checked = 6, 0
+        for p in range(9):
+            for q in range(9 - p):
+                for r in range((8 - p - q) // 2 + 1):
+                    try:
+                        base = k_series(None, p, q, S)
+                    except TruncationError:
+                        with pytest.raises(TruncationError):
+                            tensor_series(p, q, r, S)
+                        continue
+                    for _ in range(r):
+                        base = base.d_ll()
+                    n = p + q + 2 * r
+                    if (p + q) % 2:
+                        factor = Fraction(3**r * (p + q + 2), n + 2)
+                    else:
+                        factor = Fraction(3**r * (p + q + 1), n + 1)
+                    assert tensor_series(p, q, r, S).terms == base.scaled(factor).terms
+                    checked += 1
+        assert checked >= 90
 
     def test_h_prefactor_ratio(self, exp_family):
         # h_{p,q,r} / (d^r k_{p,q} / d lam_ll^r) = 3^r (p+q+1)/(p+q+2r+1)
@@ -376,7 +405,6 @@ def term_loop(series, f, point):
     bypassing the member table, with the arithmetic of ``CoeffSeries.__call__``
     in the same order; so the two must agree exactly, not to a tolerance.
     """
-    point.require_domain()
     total = 0.0
     for t in series.terms:
         factor = float(t.coef) * f.deriv(t.s, t.dl, point.lam)
@@ -388,7 +416,7 @@ def term_loop(series, f, point):
 
 
 def all_series(f, S):
-    """Every k_{p,q} (p, q <= 6) and h/phi (p+q+2r <= 8) series at S, and their steps."""
+    """Every k_{p,q} (p, q <= 6) and tensor (p+q+2r <= 8) series at S, and their steps."""
     bases = []
     for p in range(7):
         for q in range(7):
@@ -398,7 +426,7 @@ def all_series(f, S):
         for q in range(9 - p):
             for r in range((8 - p - q) // 2 + 1):
                 with contextlib.suppress(TruncationError):
-                    bases.append((phi_series if (p + q) % 2 else h_series)(f, p, q, r, S))
+                    bases.append(tensor_series(p, q, r, S))
     for series in bases:
         yield series
         for step in (CoeffSeries.d_lam, CoeffSeries.d_ll, CoeffSeries.d_ppqq):

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as hst
 from closure14.coeffs import (
     CoeffSeries,
     EquilibriumPoint,
-    h_series,
     k00,
     k_pq,
     make_family,
-    phi_series,
+    tensor_series,
 )
 from closure14.errors import ClosureError, DomainError, TruncationError
 from closure14.numdiff import central_diff, rel_residual_sym
@@ -111,14 +110,13 @@ class TestPotentialEvaluation:
         # reference: each (p, q, r) term contracted on its own by delta_contract
         st = hatted_state(2)
         dev = deviator(st.lam_ij)
-        series_of = phi_series if free else h_series
         want = np.zeros(3) if free else 0.0
         for p in range(N + 1):
             for q in range(N + 1 - p):
                 if (p + q) % 2 != free:
                     continue
                 for r in range((N - p - q) // 2 + 1):
-                    coef = series_of(fam, p, q, r, S)(fam, st.scalar_point())
+                    coef = tensor_series(p, q, r, S)(fam, st.scalar_point())
                     geom = delta_contract([st.lam_i] * p + [st.lam_ill] * q, [dev] * r, free=free)
                     want = want + coef * geom / (factorial(p) * factorial(q) * factorial(r))
         got = (eval_phi_hat if free else eval_h_hat)(fam, st, N, S)
@@ -151,13 +149,12 @@ class TestCompiledGrid:
         f, S_grid = make_family(kind), 6
         for N in range(9):
             for free in (False, True):
-                series_of = phi_series if free else h_series
                 for derive in self.DERIVES:
                     want = np.zeros((N + 1, N + 1, N // 2 + 1))
                     for p in range(N + 1):
                         for q in range((p + free) % 2, N + 1 - p, 2):
                             for r in range((N - p - q) // 2 + 1):
-                                series = series_of(f, p, q, r, S_grid)
+                                series = tensor_series(p, q, r, S_grid)
                                 if derive is not None:
                                     series = derive(series)
                                 rank1 = p + q + 2 * r + free + 1
