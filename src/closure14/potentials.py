@@ -12,10 +12,10 @@ the velocity Jacobian of the lab potentials is the chain rule through the
 multiplier boost.
 
 The scalar coefficients of all terms form one grid per potential and
-derivative.  Each grid is compiled once, on first use, from the plans of
-``coeffs.tensor_series`` by index (p, q, r) into flat term arrays; at a point
-it looks up each distinct member and power once and sums the cells with
-``np.bincount``, bit-identical to calling every series on its own.  One node pass per state fills the rows
+derivative, compiled once from the plans of ``coeffs.tensor_series`` by
+index into flat term arrays; at a point it looks up each distinct member
+and power once and sums the cells with ``np.bincount``, bit-identical to
+calling every series on its own.  One node pass per state fills the rows
 x^k / k! of the three node projections in a single table.
 """
 
