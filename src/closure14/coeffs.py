@@ -447,8 +447,20 @@ def _ll_power(lam_ll: float, exponent: float) -> float:
         raise DomainError(f"lambda_ll**{exponent} overflows at lambda_ll={lam_ll}") from exc
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or ``DomainError`` naming ``what`` when it is not finite.
+
+    A family member can be inf without an ``OverflowError``, and a product
+    with it inf or nan.
+    """
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not finite")
+    return value
+
+
 def k_s_value(f: GeneratingFamily, s: int, point: EquilibriumPoint) -> float:
-    return _ll_power(point.lam_ll, -(3 + 4 * s) / 2) * f.ktilde(s, point.lam)
+    value = _ll_power(point.lam_ll, -(3 + 4 * s) / 2) * f.ktilde(s, point.lam)
+    return _finite(value, f"k_{s} at {point}")
 
 
 # --- tensor-coefficient scalars --------------------------------------------
@@ -499,10 +511,10 @@ def eta_descending_literal(a: int, b: int) -> int:
 
 def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
     """Closed form for k_{0,q} at lambda_ppqq = 0 (corrected eta convention)."""
-    EquilibriumPoint(lam, lam_ll)  # checks the domain
+    point = EquilibriumPoint(lam, lam_ll)  # checks the domain
     if q % 2 == 0:
         s = q // 2
-        return (
+        value = (
             3.0**s
             / (q + 1)
             * (-0.5) ** s
@@ -510,15 +522,17 @@ def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
             * _ll_power(lam_ll, -(3 + 3 * q) / 2)
             * f.ktilde(s, lam)
         )
-    s = (q + 1) // 2
-    return (
-        3.0 ** ((q - 1) // 2)
-        / (q + 2)
-        * (-0.5) ** ((q - 1) // 2)
-        * eta_product(2 * q + 5, 3 * q + 2)
-        * _ll_power(lam_ll, -(4 + 3 * q) / 2)
-        * f.ktilde(s, lam)
-    )
+    else:
+        s = (q + 1) // 2
+        value = (
+            3.0 ** ((q - 1) // 2)
+            / (q + 2)
+            * (-0.5) ** ((q - 1) // 2)
+            * eta_product(2 * q + 5, 3 * q + 2)
+            * _ll_power(lam_ll, -(4 + 3 * q) / 2)
+            * f.ktilde(s, lam)
+        )
+    return _finite(value, f"k_0,{q} at {point}")
 
 
 def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
@@ -595,16 +609,12 @@ def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam}")
     s = q // 2
-    return (
-        (-1.5) ** s / (q + 1) * eta_product(2 * q + 3, 3 * q + 1) * f.ktilde(s, lam)
-    )
+    value = (-1.5) ** s / (q + 1) * eta_product(2 * q + 3, 3 * q + 1) * f.ktilde(s, lam)
+    return _finite(value, f"I_{q} at lambda={lam}")
 
 
 def reduce_to_13(f: GeneratingFamily, q_max: int, lam: float) -> SubsystemTable:
     if q_max > 2 * f.s_max:
         raise TruncationError(f"q_max={q_max} needs family members beyond s_max={f.s_max}")
     values = {q: subsystem_coefficient(f, q, lam) for q in range(0, q_max + 1, 2)}
-    for q, v in values.items():
-        if not math.isfinite(v):
-            raise DomainError(f"I_{q} is not finite at lambda={lam}")
     return SubsystemTable(lam=lam, values=values)

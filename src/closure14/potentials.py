@@ -12,11 +12,13 @@ the velocity Jacobian of the lab potentials is the chain rule through the
 multiplier boost.
 
 The scalar coefficients of all terms form one grid per potential and
-derivative, compiled once from the plans of ``coeffs.tensor_series`` by
-index into flat term arrays; at a point it looks up each distinct member
-and power once and sums the cells with ``np.bincount``, bit-identical to
-calling every series on its own.  One node pass per state fills the rows
-x^k / k! of the three node projections in a single table.
+derivative.  The grids a call needs compile once, from the plans of
+``coeffs.tensor_series`` by index, into one stack of flat term arrays; at
+a point the stack looks up each distinct member and power once and sums
+every cell of every grid with one ``np.bincount``, bit-identical to
+calling each series on its own.  One node pass per state fills the rows
+x^k / k! of the three node projections in a single table, and the stacked
+grids contract against them in stages: r by one matmul, then q, then p.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .symtensor import SymMatrix, _sphere_rule
 
 LAB = "lab"
 HATTED = "hatted"
+_I3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -146,25 +149,33 @@ class MomentSet:
 # grid by one in that slot; the scalar directions differentiate the series.
 
 
+@functools.cache
+def _rule(N: int):
+    """Sphere rule exact to degree N + 1 and the products n_i n_j at its nodes."""
+    nodes, weights = _sphere_rule(N + 1)
+    return nodes, weights, np.einsum("ni,nj->nij", nodes, nodes)
+
+
 def _node_pass(state: MultiplierState, N: int):
     """Sphere rule exact to degree N + 1 and the rows x^k / k! at its nodes.
 
     Returns ``(point, nodes, weights, powers)``: the scalar point, which
     checks its domain, and in ``powers`` the tables for x = n.l_i and
     n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2), row slices of one
-    table filled by a single ``cumprod``.  A vector or matrix multiplier
+    table filled by a single ``cumprod``; n.dev.n is one matmul with the
+    cached products n_i n_j.  A vector or matrix multiplier
     that is not finite raises ``DomainError``; a power that overflows stays
     inf for the caller's finiteness check.  The public functions that call
     it run under ``np.errstate(over="ignore", invalid="ignore")``, so
     neither gives a floating-point warning.
     """
     point = state.scalar_point()
-    nodes, weights = _sphere_rule(N + 1)
-    dev = state.lam_ij.as_array() - (point.lam_ll / 3) * np.eye(3)
+    nodes, weights, outer = _rule(N)
+    dev = state.lam_ij.as_array() - (point.lam_ll / 3) * _I3
     x = np.empty((3, len(weights)))
     np.matmul(nodes, state.lam_i, out=x[0])
     np.matmul(nodes, state.lam_ill, out=x[1])
-    np.einsum("ni,ij,nj->n", nodes, dev, nodes, out=x[2])
+    np.matmul(outer.reshape(-1, 9), dev.ravel(), out=x[2])
     if not np.isfinite(x).all():
         raise DomainError("lam_i, lam_ij and lam_ill must be finite")
     table = np.empty((3, N + 1, len(weights)))
@@ -175,11 +186,12 @@ def _node_pass(state: MultiplierState, N: int):
 
 
 class _GridPlan(NamedTuple):
-    """Every term of every (p, q, r) cell of one coefficient grid, in cell order.
+    """Every term of every (p, q, r) cell of a stack of coefficient grids, in cell order.
 
     Term t adds coef[t] * K[member[t]] * L[ll[t]] * M[m[t]] to the flat cell
-    cell[t], where K holds the distinct members (s, dl) of ``members``, L the
-    powers of lam_ll to ``exponents`` and M the powers of lam_ppqq up to m_max.
+    cell[t] of the stack, where K holds the distinct members (s, dl) of
+    ``members``, L the powers of lam_ll to ``exponents`` and M the powers of
+    lam_ppqq up to m_max, shared by all grids of the stack.
     """
 
     cell: np.ndarray
@@ -190,31 +202,35 @@ class _GridPlan(NamedTuple):
     members: tuple
     exponents: tuple
     m_max: int
-    rank1: np.ndarray  # (rank + 1) of every cell
+    rank1: np.ndarray  # (rank + 1) of every cell, shape (grids, N + 1, N + 1, N // 2 + 1)
 
 
 @functools.cache
-def _grid_plan(N: int, S: int, free: bool, derive) -> _GridPlan:
-    """Compile the grid of h_hat or phi_hat (mapped through ``derive``) to flat arrays.
+def _grid_plan(N: int, S: int, specs: tuple) -> _GridPlan:
+    """Compile the grids ``specs``, pairs (free, derive), to one set of flat arrays.
 
-    The series are symbolic, so the plan holds for every family.  A derivative
-    that raises (``TruncationError`` from ``d_ppqq``) is not cached.
+    Grid g holds h_hat (free False) or phi_hat (free True), its series mapped
+    through ``derive`` unless that is None.  The series are symbolic, so the
+    plan holds for every family.  A derivative that raises (``TruncationError``
+    from ``d_ppqq``) is not cached.
     """
-    shape = (N + 1, N + 1, N // 2 + 1)
+    shape = (len(specs), N + 1, N + 1, N // 2 + 1)
     rows = []
-    for p in range(N + 1):
-        for q in range((p + free) % 2, N + 1 - p, 2):
-            for r in range((N - p - q) // 2 + 1):
-                series = coeffs.tensor_series(p, q, r, S)
-                if derive is not None:
-                    series = derive(series)
-                cell = np.ravel_multi_index((p, q, r), shape)
-                rows.extend((cell, *term) for term in series.plan)
+    for g, (free, derive) in enumerate(specs):
+        for p in range(N + 1):
+            for q in range((p + free) % 2, N + 1 - p, 2):
+                for r in range((N - p - q) // 2 + 1):
+                    series = coeffs.tensor_series(p, q, r, S)
+                    if derive is not None:
+                        series = derive(series)
+                    cell = np.ravel_multi_index((g, p, q, r), shape)
+                    rows.extend((cell, *term) for term in series.plan)
     members = tuple(dict.fromkeys((s, dl) for _, _, s, dl, _, _ in rows))
     exponents = tuple(dict.fromkeys(e for *_, e, _ in rows))
     member_index = {key: i for i, key in enumerate(members)}
     exponent_index = {e: i for i, e in enumerate(exponents)}
-    p, q, r = np.indices(shape)
+    free = np.array([free for free, _ in specs]).reshape(-1, 1, 1, 1)
+    _, p, q, r = np.indices(shape)
     return _GridPlan(
         cell=np.array([row[0] for row in rows], dtype=np.intp),
         coef=np.array([row[1] for row in rows], dtype=float),
@@ -228,17 +244,17 @@ def _grid_plan(N: int, S: int, free: bool, derive) -> _GridPlan:
     )
 
 
-def _grid(f, point, N: int, S: int, free: bool, derive=None):
-    """(rank + 1) x coefficient of every (p, q, r) term of h_hat or phi_hat.
+def _grids(f, point, N: int, S: int, specs: tuple) -> np.ndarray:
+    """(rank + 1) x coefficient of every (p, q, r) term of each grid of ``specs``.
 
-    p + q is even for h_hat and odd for phi_hat, and p + q + 2r <= N.  The
-    series are mapped through ``derive``; each cell sums its terms in the
-    order ``CoeffSeries.__call__`` does, so the grid is bit-identical to
-    calling every series on its own.
+    Returns the grids stacked, shape (len(specs), N + 1, N + 1, N // 2 + 1);
+    see ``_grid_plan`` for the specs.  p + q is even for h_hat and odd for
+    phi_hat, and p + q + 2r <= N.  Each distinct member and power is looked
+    up once for the whole stack, and each cell sums its terms in the order
+    ``CoeffSeries.__call__`` does, so every grid is bit-identical to calling
+    each series on its own.
     """
-    plan = _grid_plan(N, S, free, derive)
-    if not plan.cell.size:  # phi_hat at N = 0 has no terms
-        return np.zeros(plan.rank1.shape)
+    plan = _grid_plan(N, S, specs)
     lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
     K = np.array([f.ktilde_deriv(s, dl, lam) for s, dl in plan.members])
     try:
@@ -254,43 +270,54 @@ def _grid(f, point, N: int, S: int, free: bool, derive=None):
 
 
 def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
-    """Sum of grid[p,q,r] a^p b^q c^r / (p! q! r!) at every node.
+    """Sum of grid[..., p, q, r] a^p b^q c^r / (p! q! r!) at every node.
 
-    A shift of one in a slot gives the derivative in that slot's variable.
+    Leading axes of ``grid`` stack grids and pass through to the result.  The
+    contraction is staged: r by one matmul, then q, then p, so no stage loops
+    over all of P Q R and the nodes at once.  A shift of one in a slot gives
+    the derivative in that slot's variable: the grid drops the slot's first
+    cell and the slot's power table its last row.
     """
     (sa, sb, sc), (A, B, C) = shift, powers
-    trimmed = (A[: len(A) - sa], B[: len(B) - sb], C[: len(C) - sc])
-    return np.einsum("pqr,pn,qn,rn->n", grid[sa:, sb:, sc:], *trimmed)
+    grid = grid[..., sa:, sb:, sc:]
+    *lead, P, Q, R = grid.shape
+    G, n = math.prod(lead), A.shape[1]
+    t = grid.reshape(G * P * Q, R) @ C[:R]
+    t = np.einsum("xqn,qn->xn", t.reshape(G * P, Q, n), B[:Q])
+    return np.einsum("gpn,pn->gn", t.reshape(G, P, n), A[:P]).reshape(*lead, n)
 
 
-def _potential(f, N, S, free, node_pass):
-    """h_hat (free=False) or phi_hat (free=True) on a node pass of its state.
+def _potentials(f, N, S, frees, node_pass):
+    """h_hat (free False) and phi_hat (free True) for each of ``frees``, on a node pass.
 
     A value that is not finite, from an overflow, raises ``DomainError``.
     """
     point, nodes, weights, powers = node_pass
-    field = _field(_grid(f, point, N, S, free), powers)
-    if free:
-        value = (weights * field) @ nodes
-        finite = np.isfinite(value).all()
-    else:
-        value = float(weights @ field)
-        finite = math.isfinite(value)
-    if not finite:
-        raise DomainError(f"{'phi' if free else 'h'}_hat overflows")
-    return value
+    grids = _grids(f, point, N, S, tuple((free, None) for free in frees))
+    values = []
+    for free, field in zip(frees, _field(grids, powers)):
+        if free:
+            value = (weights * field) @ nodes
+            finite = np.isfinite(value).all()
+        else:
+            value = float(weights @ field)
+            finite = math.isfinite(value)
+        if not finite:
+            raise DomainError(f"{'phi' if free else 'h'}_hat overflows")
+        values.append(value)
+    return values
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def eval_h_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> float:
     """Truncated entropy-density potential at a hatted state."""
-    return _potential(f, N, S, False, _node_pass(state, N))
+    return _potentials(f, N, S, (False,), _node_pass(state, N))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def eval_phi_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> np.ndarray:
     """Truncated entropy-flux potential (3-vector) at a hatted state."""
-    return _potential(f, N, S, True, _node_pass(state, N))
+    return _potentials(f, N, S, (True,), _node_pass(state, N))[0]
 
 
 # --- Galilean transformations -----------------------------------------------
@@ -319,10 +346,10 @@ def hat_multipliers(lab: MultiplierState, v: BoostVelocity) -> MultiplierState:
         )
         lam_ij_hat = SymMatrix(
             L
-            + float(lill @ u) * np.eye(3)
+            + float(lill @ u) * _I3
             + np.outer(lill, u)
             + np.outer(u, lill)
-            + 2.0 * lpp * u2 * np.eye(3)
+            + 2.0 * lpp * u2 * _I3
             + 4.0 * lpp * np.outer(u, u)
         )
         lam_ill_hat = lill + 4.0 * lpp * u
@@ -375,12 +402,9 @@ def boost_jacobian(
             + 4.0 * hatted.lam_iill * g_ill
         )
 
-    dh = chain(*_gradients(f, N, S, False, node_pass))
-    dphi = (
-        chain(*_gradients(f, N, S, True, node_pass))
-        + np.outer(v.v, dh)
-        + _potential(f, N, S, False, node_pass) * np.eye(3)
-    )
+    (h, h_blocks), (_, phi_blocks) = _gradients(f, N, S, node_pass, quartic=False)
+    dh = chain(*h_blocks)
+    dphi = chain(*phi_blocks) + np.outer(v.v, dh) + h * _I3
     jacobian = np.vstack([dh, dphi])
     if not np.isfinite(jacobian).all():
         raise DomainError("boost Jacobian overflows")
@@ -398,9 +422,8 @@ def lab_potentials(
     """Lab-frame potentials via h' = h_hat', phi'^k = phi_hat'^k + h_hat' v^k."""
     hatted = hat_multipliers(lab, v)
     node_pass = _node_pass(hatted, N)
-    h = _potential(f, N, S, False, node_pass)
-    phi = _potential(f, N, S, True, node_pass) + h * v.v
-    return PotentialPair(h=h, phi=phi, N=N, S=S)
+    h, phi_hat = _potentials(f, N, S, (False, True), node_pass)
+    return PotentialPair(h=h, phi=phi_hat + h * v.v, N=N, S=S)
 
 
 def _require_finite(ms: MomentSet) -> MomentSet:
@@ -459,37 +482,43 @@ def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
 # --- moment recovery ---------------------------------------------------------
 
 
-def _scalar_gradient(f, N, S, free, node_pass, derive):
-    """Gradient of h_hat or phi_hat in a scalar multiplier: ``derive`` the series."""
-    point, nodes, weights, powers = node_pass
-    w = weights[:, None] * nodes if free else weights
-    value = w.T @ _field(_grid(f, point, N, S, free, derive), powers)
-    return value if free else float(value)
+def _gradients(f, N, S, node_pass, quartic):
+    """Values and gradients of h_hat and phi_hat, as ``[(h, blocks), (phi, blocks)]``.
 
-
-def _gradients(f, N, S, free, node_pass):
-    """Gradients of h_hat or phi_hat in (lam, lam_i, lam_ij, lam_ill).
-
-    Blocks carry phi's own index k first.  The lam_ij block is symmetric in
-    the nine-component convention dh = G_ij dlam_ij; besides the deviator
-    part it holds delta_ij times the lam_ll derivative of the coefficients.
+    The blocks are the gradients in (lam, lam_i, lam_ij, lam_ill) and, if
+    ``quartic``, lam_iill, with phi's own index k first.  The scalar
+    directions differentiate the series, the vector and matrix ones the node
+    monomials; one grid stack holds the value and scalar-derivative grids of
+    both potentials.  The lam_ij block is symmetric in the nine-component
+    convention dh = G_ij dlam_ij; besides the deviator part it holds delta_ij
+    times the lam_ll derivative of the coefficients.
     """
     point, nodes, weights, powers = node_pass
-    w = weights[:, None] * nodes if free else weights
-    grid = _grid(f, point, N, S, free)
+    steps = (None, CoeffSeries.d_lam, CoeffSeries.d_ll, CoeffSeries.d_ppqq)[: 3 + quartic]
+    grids = _grids(f, point, N, S, tuple((free, step) for free in (False, True) for step in steps))
+    grids = grids.reshape(2, len(steps), *grids.shape[1:])
+    scalar = _field(grids, powers)
+    d_a, d_b, d_c = (_field(grids[:, 0], powers, shift)
+                     for shift in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    projector = _rule(N)[2] - _I3 / 3.0
+    out = []
+    for free, w in enumerate((weights, weights[:, None] * nodes)):
+        sums = [w.T @ field for field in scalar[free]]
+        value, d_lam, d_ll, *d_ppqq = sums if free else map(float, sums)
 
-    def vector(shift):
-        return np.einsum("n...,n,ni->...i", w, _field(grid, powers, shift), nodes)
+        def vector(field):
+            return np.einsum("n...,n,ni->...i", w, field, nodes)
 
-    d_ll = _scalar_gradient(f, N, S, free, node_pass, CoeffSeries.d_ll)
-    projector = np.einsum("ni,nj->nij", nodes, nodes) - np.eye(3) / 3.0
-    deviator_part = np.einsum("n...,n,nij->...ij", w, _field(grid, powers, (0, 0, 1)), projector)
-    return (
-        _scalar_gradient(f, N, S, free, node_pass, CoeffSeries.d_lam),
-        vector((1, 0, 0)),
-        deviator_part + np.multiply.outer(d_ll, np.eye(3)),
-        vector((0, 1, 0)),
-    )
+        deviator_part = np.einsum("n...,n,nij->...ij", w, d_c[free], projector)
+        blocks = [
+            d_lam,
+            vector(d_a[free]),
+            deviator_part + np.multiply.outer(d_ll, _I3),
+            vector(d_b[free]),
+            *d_ppqq,
+        ]
+        out.append((value, blocks))
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -507,9 +536,5 @@ def moments_from_potentials(
     """
     if state.frame != HATTED:
         raise ValueError("moments_from_potentials expects a hatted state")
-    node_pass = _node_pass(state, N)
-    blocks = []
-    for free in (False, True):
-        blocks += _gradients(f, N, S, free, node_pass)
-        blocks.append(_scalar_gradient(f, N, S, free, node_pass, CoeffSeries.d_ppqq))
-    return _require_finite(MomentSet("rest", *blocks))
+    (_, h_blocks), (_, phi_blocks) = _gradients(f, N, S, _node_pass(state, N), quartic=True)
+    return _require_finite(MomentSet("rest", *h_blocks, *phi_blocks))

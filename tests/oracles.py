@@ -2,10 +2,11 @@
 
 Symmetrized Kronecker-delta products with exact rational entries, built by
 counting pairings and by averaging over every index permutation, their
-contraction by a sweep over all 3^rank index tuples, and the by-parts
-identity of the kinetic radial moments.  They are slow and stay out of the
-package, whose routes are ``symtensor.delta_contract``, the sphere-rule
-potentials and ``kinetic._radial_moment``.
+contraction by a sweep over all 3^rank index tuples, the node field of a
+coefficient grid by one unstaged einsum, and the by-parts identity of the
+kinetic radial moments.  They are slow and stay out of the package, whose
+routes are ``symtensor.delta_contract``, the sphere-rule potentials with
+their staged ``potentials._field`` and ``kinetic._radial_moment``.
 """
 
 from __future__ import annotations
@@ -102,6 +103,17 @@ def contract(t: SymTensor, slots, free_indices: int = 0):
             pos += arr.ndim
         total += prod
     return total
+
+
+def field_einsum(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
+    """Sum of grid[..., p, q, r] a^p b^q c^r / (p! q! r!) at every node, in one einsum.
+
+    ``powers`` are the rows x^k / k! of the three node projections; a shift
+    of one in a slot drops the slot's first cell and its table's last row.
+    """
+    (sa, sb, sc), (A, B, C) = shift, powers
+    trimmed = (A[: len(A) - sa], B[: len(B) - sb], C[: len(C) - sc])
+    return np.einsum("...pqr,pn,qn,rn->...n", grid[..., sa:, sb:, sc:], *trimmed)
 
 
 def f1_by_parts_check(kernel, point) -> float:

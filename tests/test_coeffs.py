@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from closure14.coeffs import (
     CoefficientRequest,
@@ -221,6 +222,26 @@ class TestScalarCoefficients:
                 call(exp_family)
 
     @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda f: k_s_value(f, 2, EquilibriumPoint(-700.0, 1.0)), "k_2"),
+            (lambda f: k0q_closed(f, 4, -700.0, 1.0), "k_0,4"),
+            (lambda f: k0q_closed(f, 3, -700.0, 1.0), "k_0,3"),
+            (lambda f: subsystem_coefficient(f, 4, -700.0), "I_4"),
+            (lambda f: reduce_to_13(f, 4, -700.0), "I_4"),
+        ],
+        ids=["k_s_value", "k0q_closed_even", "k0q_closed_odd", "subsystem_coefficient",
+             "reduce_to_13"],
+    )
+    def test_closed_form_inf_is_a_domain_error(self, exp_family, call, name):
+        # ktilde_2(-700) is inf without an OverflowError: the closed forms
+        # returned inf or -inf, not an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"{name} at .* is not finite"):
+                call(exp_family)
+
+    @pytest.mark.parametrize(
         "point",
         [
             (0.0, 1.0, -5.0),
@@ -254,6 +275,23 @@ class TestScalarCoefficients:
 
 
 class TestTensorCoefficients:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=hst.integers(0, 8),
+        q=hst.integers(0, 8),
+        r=hst.integers(0, 4),
+        S=hst.integers(0, 6),
+        lam=hst.floats(-1.0, 1.0),
+        lam_ll=hst.floats(0.1, 3.0),
+        lam_ppqq=hst.floats(0.0, 0.1),
+    )
+    def test_parity_zeros(self, p, q, r, S, lam, lam_ll, lam_ppqq):
+        """h has no p + q odd term and phi no p + q even term, at any point and order."""
+        f = make_family("exponential")
+        req, point = CoefficientRequest(p, q, r, S), EquilibriumPoint(lam, lam_ll, lam_ppqq)
+        forbidden = phi_pqr if (p + q) % 2 == 0 else h_pqr
+        assert forbidden(f, req, point) == 0.0
+
     def test_parity_forbidden_exact_zero(self, exp_family):
         assert h_pqr(exp_family, CoefficientRequest(1, 0, 0), POINT) == 0.0
         assert h_pqr(exp_family, CoefficientRequest(0, 3, 2), POINT) == 0.0

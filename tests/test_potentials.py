@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as hst
 from closure14.coeffs import (
     CoeffSeries,
     EquilibriumPoint,
+    GeneratingFamily,
     k00,
     k_pq,
     make_family,
@@ -28,9 +30,12 @@ from closure14.potentials import (
     lab_moments_from_rest,
     lab_potentials,
     moments_from_potentials,
-    _grid,
+    _field,
+    _grids,
+    _node_pass,
 )
 from closure14.symtensor import SymMatrix, delta_contract, deviator
+from oracles import field_einsum
 
 K00_EQ = 28.933881011162246  # h at the unit equilibrium state, exponential family
 
@@ -139,28 +144,54 @@ class TestPotentialEvaluation:
 
 
 class TestCompiledGrid:
-    """The compiled coefficient grid against the per-series route, bit for bit."""
+    """The compiled coefficient grids against the per-series route, bit for bit."""
 
     POINT = EquilibriumPoint(0.3, 1.2, 0.02)
     DERIVES = (None, CoeffSeries.d_lam, CoeffSeries.d_ll, CoeffSeries.d_ppqq)
+    SPECS = tuple(itertools.product((False, True), DERIVES))
 
     @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
     def test_every_cell_matches_its_series(self, kind):
+        # each grid alone and as one of the eight grids of a shared plan
         f, S_grid = make_family(kind), 6
         for N in range(9):
-            for free in (False, True):
-                for derive in self.DERIVES:
-                    want = np.zeros((N + 1, N + 1, N // 2 + 1))
-                    for p in range(N + 1):
-                        for q in range((p + free) % 2, N + 1 - p, 2):
-                            for r in range((N - p - q) // 2 + 1):
-                                series = tensor_series(p, q, r, S_grid)
-                                if derive is not None:
-                                    series = derive(series)
-                                rank1 = p + q + 2 * r + free + 1
-                                want[p, q, r] = rank1 * series(f, self.POINT)
-                    got = _grid(f, self.POINT, N, S_grid, free, derive)
-                    assert got.tobytes() == want.tobytes(), (N, free, derive)
+            shared = _grids(f, self.POINT, N, S_grid, self.SPECS)
+            for g, (free, derive) in enumerate(self.SPECS):
+                want = np.zeros((N + 1, N + 1, N // 2 + 1))
+                for p in range(N + 1):
+                    for q in range((p + free) % 2, N + 1 - p, 2):
+                        for r in range((N - p - q) // 2 + 1):
+                            series = tensor_series(p, q, r, S_grid)
+                            if derive is not None:
+                                series = derive(series)
+                            rank1 = p + q + 2 * r + free + 1
+                            want[p, q, r] = rank1 * series(f, self.POINT)
+                alone = _grids(f, self.POINT, N, S_grid, ((free, derive),))
+                assert alone.shape == (1, *want.shape)
+                assert alone[0].tobytes() == want.tobytes(), (N, free, derive)
+                assert shared[g].tobytes() == want.tobytes(), (N, free, derive)
+
+    def test_one_member_lookup_per_state(self, fam, monkeypatch):
+        # the eight grids of a moment set share one member table
+        st = hatted_state(5)
+        wanted = {
+            (s, dl)
+            for free, derive in self.SPECS
+            for p in range(N + 1)
+            for q in range((p + free) % 2, N + 1 - p, 2)
+            for r in range((N - p - q) // 2 + 1)
+            for _, s, dl, _, _ in (derive or (lambda x: x))(tensor_series(p, q, r, S)).plan
+        }
+        calls = []
+        true_deriv = GeneratingFamily.ktilde_deriv
+
+        def counted(self, s, n, lam):
+            calls.append((s, n))
+            return true_deriv(self, s, n, lam)
+
+        monkeypatch.setattr(GeneratingFamily, "ktilde_deriv", counted)
+        moments_from_potentials(fam, st, N, S)
+        assert sorted(calls) == sorted(wanted)
 
     def test_phi_hat_at_order_zero_is_zero(self, fam):
         # phi_hat at N = 0 has no term, so its grid has no cells
@@ -174,6 +205,28 @@ class TestCompiledGrid:
         for _ in range(3):
             with pytest.raises(TruncationError):
                 moments_from_potentials(fam, st, 2, 1)
+
+
+class TestStagedField:
+    """The staged node contraction against one unstaged einsum."""
+
+    SHIFTS = tuple(itertools.product((0, 1), repeat=3))
+
+    @pytest.mark.parametrize("order", range(13))
+    def test_matches_one_einsum(self, fam, order):
+        # every shift, h and phi grids alone and stacked on one or two axes;
+        # at N <= 1 a shift in c leaves no r cell, and phi at N = 0 has no term
+        st = hatted_state(order, eps=5e-2)
+        point, _, _, powers = _node_pass(st, order)
+        grids = _grids(fam, point, order, 6, ((False, None), (True, None)))
+        for shift in self.SHIFTS:
+            for grid in (grids[0], grids[1], grids, np.stack([grids, 2.0 * grids])):
+                got, want = _field(grid, powers, shift), field_einsum(grid, powers, shift)
+                assert got.shape == want.shape, (order, shift)
+                if not np.any(want):
+                    assert not np.any(got), (order, shift)
+                else:
+                    assert rel_residual_sym(got, want) <= 1e-13, (order, shift)
 
 
 class TestNonFiniteMultipliers:
@@ -545,6 +598,37 @@ def _rotated(R, st: MultiplierState) -> MultiplierState:
         lam_ij=SymMatrix(R @ st.lam_ij.as_array() @ R.T),
         lam_ill=R @ st.lam_ill,
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    eps=hst.sampled_from([5e-4, 1e-2, 5e-2]),
+    n_trunc=hst.integers(0, 8),
+)
+def test_zero_boost_is_the_hatted_potentials(seed, eps, n_trunc):
+    """lab_potentials at v = 0 are h_hat and phi_hat of the same multipliers."""
+    fam = make_family("exponential")
+    st = hatted_state(seed, eps)
+    pair = lab_potentials(fam, replace(st, frame=LAB), BoostVelocity(np.zeros(3)), n_trunc, S)
+    assert pair.h == pytest.approx(eval_h_hat(fam, st, n_trunc, S), rel=1e-14)
+    assert rel_residual_sym(pair.phi, eval_phi_hat(fam, st, n_trunc, S)) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=hst.integers(0, 2**16), scale=hst.sampled_from([1e-3, 1.0, 1e3]))
+def test_zero_boost_keeps_every_moment_block(seed, scale):
+    """lab_moments_from_rest at v = 0 returns the rest blocks, whatever they hold."""
+    rng = np.random.default_rng(seed)
+    shapes = [(), (3,), (3, 3), (3,), (), (3,), (3, 3), (3, 3, 3), (3, 3), (3,)]
+    rest = MomentSet(
+        "rest", *(scale * (rng.standard_normal(shape) if shape else rng.standard_normal())
+                  for shape in shapes)
+    )
+    lab = lab_moments_from_rest(rest, BoostVelocity(np.zeros(3)))
+    assert lab.frame == LAB
+    for name in BLOCKS:
+        np.testing.assert_array_equal(getattr(lab, name), getattr(rest, name), err_msg=name)
 
 
 # At odd N the flux terms reach degree N + 1 on the sphere, at even N only N.
