@@ -447,20 +447,11 @@ def _ll_power(lam_ll: float, exponent: float) -> float:
         raise DomainError(f"lambda_ll**{exponent} overflows at lambda_ll={lam_ll}") from exc
 
 
-def _finite(value: float, what: str) -> float:
-    """``value``, or ``DomainError`` naming ``what`` when it is not finite.
-
-    A family member can be inf without an ``OverflowError``, and a product
-    with it inf or nan.
-    """
-    if not math.isfinite(value):
-        raise DomainError(f"{what} is not finite")
-    return value
-
-
 def k_s_value(f: GeneratingFamily, s: int, point: EquilibriumPoint) -> float:
     value = _ll_power(point.lam_ll, -(3 + 4 * s) / 2) * f.ktilde(s, point.lam)
-    return _finite(value, f"k_{s} at {point}")
+    if not math.isfinite(value):  # a member can be inf without an OverflowError
+        raise DomainError(f"k_{s} at {point} is not finite")
+    return value
 
 
 # --- tensor-coefficient scalars --------------------------------------------
@@ -512,27 +503,19 @@ def eta_descending_literal(a: int, b: int) -> int:
 def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
     """Closed form for k_{0,q} at lambda_ppqq = 0 (corrected eta convention)."""
     point = EquilibriumPoint(lam, lam_ll)  # checks the domain
-    if q % 2 == 0:
-        s = q // 2
-        value = (
-            3.0**s
-            / (q + 1)
-            * (-0.5) ** s
-            * eta_product(2 * q + 3, 3 * q + 1)
-            * _ll_power(lam_ll, -(3 + 3 * q) / 2)
-            * f.ktilde(s, lam)
-        )
-    else:
-        s = (q + 1) // 2
-        value = (
-            3.0 ** ((q - 1) // 2)
-            / (q + 2)
-            * (-0.5) ** ((q - 1) // 2)
-            * eta_product(2 * q + 5, 3 * q + 2)
-            * _ll_power(lam_ll, -(4 + 3 * q) / 2)
-            * f.ktilde(s, lam)
-        )
-    return _finite(value, f"k_0,{q} at {point}")
+    odd = q % 2
+    half = q // 2  # (q - 1) / 2 for odd q
+    value = (
+        3.0**half
+        / (q + 1 + odd)
+        * (-0.5) ** half
+        * eta_product(2 * q + 3 + 2 * odd, 3 * q + 1 + odd)
+        * _ll_power(lam_ll, -(3 + 3 * q + odd) / 2)
+        * f.ktilde(half + odd, lam)
+    )
+    if not math.isfinite(value):
+        raise DomainError(f"k_0,{q} at {point} is not finite")
+    return value
 
 
 def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
@@ -610,7 +593,9 @@ def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:
         raise DomainError(f"lambda must be finite, got {lam}")
     s = q // 2
     value = (-1.5) ** s / (q + 1) * eta_product(2 * q + 3, 3 * q + 1) * f.ktilde(s, lam)
-    return _finite(value, f"I_{q} at lambda={lam}")
+    if not math.isfinite(value):
+        raise DomainError(f"I_{q} at lambda={lam} is not finite")
+    return value
 
 
 def reduce_to_13(f: GeneratingFamily, q_max: int, lam: float) -> SubsystemTable:

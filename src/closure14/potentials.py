@@ -273,10 +273,10 @@ def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
     """Sum of grid[..., p, q, r] a^p b^q c^r / (p! q! r!) at every node.
 
     Leading axes of ``grid`` stack grids and pass through to the result.  The
-    contraction is staged: r by one matmul, then q, then p, so no stage loops
-    over all of P Q R and the nodes at once.  A shift of one in a slot gives
-    the derivative in that slot's variable: the grid drops the slot's first
-    cell and the slot's power table its last row.
+    contraction is staged, each stage a product of two operands: r by one
+    matmul, then q, then p.  A shift of one in a slot gives the derivative in
+    that slot's variable: the grid drops the slot's first cell and the
+    slot's power table its last row.
     """
     (sa, sb, sc), (A, B, C) = shift, powers
     grid = grid[..., sa:, sb:, sc:]
@@ -505,19 +505,9 @@ def _gradients(f, N, S, node_pass, quartic):
     for free, w in enumerate((weights, weights[:, None] * nodes)):
         sums = [w.T @ field for field in scalar[free]]
         value, d_lam, d_ll, *d_ppqq = sums if free else map(float, sums)
-
-        def vector(field):
-            return np.einsum("n...,n,ni->...i", w, field, nodes)
-
-        deviator_part = np.einsum("n...,n,nij->...ij", w, d_c[free], projector)
-        blocks = [
-            d_lam,
-            vector(d_a[free]),
-            deviator_part + np.multiply.outer(d_ll, _I3),
-            vector(d_b[free]),
-            *d_ppqq,
-        ]
-        out.append((value, blocks))
+        g_i, g_ill = (np.einsum("n...,n,ni->...i", w, d[free], nodes) for d in (d_a, d_b))
+        g_ij = np.einsum("n...,n,nij->...ij", w, d_c[free], projector)
+        out.append((value, [d_lam, g_i, g_ij + np.multiply.outer(d_ll, _I3), g_ill, *d_ppqq]))
     return out
 
 
