@@ -5,13 +5,17 @@
 
 The gated benchmark runs the potentials only to N = 6, so this script is
 the in-process evidence for higher orders.  Each round runs one probe
-process per checkout, with that checkout's ``src/`` first on the import
-path; the side that runs first alternates from round to round.  A probe
-builds the exponential family, calls ``moments_from_potentials`` once at
-each order of ``ORDERS`` to warm its caches, then times it there: the
-median over ``REPEATS`` repeats of the mean time per call.  The output
-holds the environment, the commits, every round's times, and per order
-the per-side median over the rounds and the parent/change ratio.
+process per checkout and thread setting, with that checkout's ``src/``
+first on the import path; the side that runs first alternates from round
+to round.  A probe builds the exponential family, calls
+``moments_from_potentials`` once at each order of ``ORDERS`` to warm its
+caches, then times it there: the median over ``REPEATS`` repeats of the
+mean time per call.  Each probe runs twice, once with the BLAS library's
+default threads and once with one BLAS thread: a matrix product large
+enough to be split over threads can be much slower when the threads
+compete for few cores.  The output holds the environment, the commits,
+every round's times, and per thread setting and order the per-side median
+over the rounds and the parent/change ratio.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ SIDES = ("parent", "change")
 # 6 where that suffices
 ORDERS = ((6, 4, 6), (12, 7, 14), (18, 10, 14))
 REPEATS = 7
+THREADS = {  # environment of the probe process, on top of this one's
+    "default_threads": {},
+    "one_blas_thread": {name: "1" for name in
+                        ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")},
+}
 REPEAT_SECONDS = 0.2  # the calls of one repeat take about this long
 
 
@@ -87,9 +96,9 @@ def git_commit(checkout: Path) -> str:
     return res.stdout.strip() if res.returncode == 0 else "unknown"
 
 
-def run_probe(checkout: Path) -> dict:
+def run_probe(checkout: Path, env: dict) -> dict:
     res = subprocess.run([sys.executable, __file__, "--probe", str(checkout / "src")],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env={**os.environ, **env})
     if res.returncode != 0:
         sys.exit(f"orders: probe in {checkout} failed:\n{res.stderr[-2000:]}")
     return json.loads(res.stdout.splitlines()[-1])
@@ -104,20 +113,27 @@ def main(argv=None) -> int:
         "commits": {side: git_commit(path) for side, path in dirs.items()},
         "orders": [{"N": N, "S": S, "s_max": s_max} for N, S, s_max in ORDERS],
         "repeats": REPEATS,
+        "threads": THREADS,
         "unit": "ms per call",
         "rounds": [],
     }
     for i in range(args.rounds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         entry = {"first": order[0]}
-        for side in order:
-            entry[side] = run_probe(dirs[side])
-            print(f"round {i} {side}: {entry[side]}", flush=True)
+        for threads, env in THREADS.items():
+            for side in order:
+                entry.setdefault(threads, {})[side] = run_probe(dirs[side], env)
+                print(f"round {i} {threads} {side}: {entry[threads][side]}", flush=True)
         report["rounds"].append(entry)
-    report["median"] = {side: {key: statistics.median(r[side][key] for r in report["rounds"])
-                               for key in report["rounds"][0][side]} for side in SIDES}
-    report["speedup"] = {key: report["median"]["parent"][key] / report["median"]["change"][key]
-                         for key in report["median"]["parent"]}
+    report["median"], report["speedup"] = {}, {}
+    for threads in THREADS:
+        runs = [r[threads] for r in report["rounds"]]
+        median = report["median"][threads] = {
+            side: {key: statistics.median(run[side][key] for run in runs) for key in runs[0][side]}
+            for side in SIDES
+        }
+        report["speedup"][threads] = {key: median["parent"][key] / median["change"][key]
+                                      for key in median["parent"]}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(json.dumps(report["speedup"]))
     return 0
