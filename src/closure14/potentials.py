@@ -163,11 +163,11 @@ def _node_pass(state: MultiplierState, N: int):
     checks its domain, and in ``powers`` the tables for x = n.l_i and
     n.l_ill (k <= N) and for x = n.dev.n (k <= N // 2), row slices of one
     table filled by a single ``cumprod``; n.dev.n is one matmul with the
-    cached products n_i n_j.  A vector or matrix multiplier
-    that is not finite raises ``DomainError``; a power that overflows stays
-    inf for the caller's finiteness check.  The public functions that call
-    it run under ``np.errstate(over="ignore", invalid="ignore")``, so
-    neither gives a floating-point warning.
+    cached products n_i n_j.  A vector or matrix multiplier that is not
+    finite raises ``DomainError``; a power that overflows stays inf for the
+    caller's finiteness check.  The public functions that call it run under
+    ``np.errstate(over="ignore", invalid="ignore")``, so neither gives a
+    floating-point warning.
     """
     point = state.scalar_point()
     nodes, weights, outer = _rule(N)
