@@ -6,8 +6,10 @@
 Each command runs as ``python -m closure14.cli`` with that checkout's
 ``src/`` on ``PYTHONPATH``, for both built-in families: ``verify --seed``
 0 to 9, ``coeffs`` as JSON and as CSV, ``eval``, ``kinetic``, ``subsystem``
-and ``boost`` at their defaults, and ``eval`` and ``boost`` at a
-nonequilibrium state with a nonzero velocity.  For each command it prints
+and ``boost`` at their defaults, ``eval`` and ``boost`` at a
+nonequilibrium state with a nonzero velocity, and ``coeffs`` with each of
+``COEFFS_CONFIGS``: a 13 x 13 table at S = 6, and two tables that exit 3,
+one past n_max and one past the series order S.  For each command it prints
 ``identical``, or the first line where stdout, stderr or the exit code
 differ.  It exits 1 when any command differs.
 """
@@ -34,9 +36,14 @@ NONEQ_CONFIG = {
     },
     "velocity": [0.1, -0.2, 0.05],
 }
+COEFFS_CONFIGS = {
+    "coeffs_p12_q12_S6.json": {"p_max": 12, "q_max": 12, "S": 6},
+    "coeffs_p30_q0.json": {"p_max": 30, "q_max": 0},
+    "coeffs_p2_q14_S6.json": {"p_max": 2, "q_max": 14, "S": 6},
+}
 
 
-def commands(noneq_config: str):
+def commands(noneq_config: str, coeffs_configs: list):
     for family in FAMILIES:
         fam = ["--family", family]
         for seed in range(10):
@@ -47,6 +54,8 @@ def commands(noneq_config: str):
             yield [name, *fam]
         for name in ("eval", "boost"):
             yield [name, *fam, "--config", noneq_config]
+        for config in coeffs_configs:
+            yield ["coeffs", *fam, "--config", config]
 
 
 def run(checkout: Path, args: list, workdir: str) -> str:
@@ -73,10 +82,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     differing = 0
     with tempfile.TemporaryDirectory() as workdir:
-        config = Path(workdir) / "noneq.json"
-        config.write_text(json.dumps(NONEQ_CONFIG))
-        for cmd in commands(str(config)):
-            label = " ".join(cmd).replace(str(config), "noneq.json")
+        configs = {"noneq.json": NONEQ_CONFIG, **COEFFS_CONFIGS}
+        for name, config in configs.items():
+            (Path(workdir) / name).write_text(json.dumps(config))
+        for cmd in commands("noneq.json", list(COEFFS_CONFIGS)):
+            label = " ".join(cmd)
             diff = first_difference(run(args.parent, cmd, workdir),
                                     run(args.change, cmd, workdir))
             if diff is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -30,36 +31,37 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
 CSV_HEADER = "p,q,S,lambda,lambda_ll,lambda_ppqq,value"
+_FLOAT_TOKEN = re.compile(r'"@float(\d+)@"')  # a float's placeholder, as json.dumps quotes it
 
 
 def fmt17(x: float) -> str:
-    """17-significant-digit decimal form (round-trips to the same float)."""
-    return format(float(x), ".17g")
+    """17-significant-digit decimal form (round-trips to the same float).
+
+    Negative zero is "-0.0": JSON reads "-0" as the integer 0 and drops the sign.
+    """
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
 
 
-def _render_floats(obj, counter, table):
+def _render_floats(obj, table):
     """Replace floats with placeholder tokens for exact-format JSON output."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        token = f"@float{counter[0]}@"
-        table[token] = fmt17(obj)
-        counter[0] += 1
-        return token
+        table.append(fmt17(obj))
+        return f"@float{len(table) - 1}@"
     if isinstance(obj, dict):
-        return {k: _render_floats(v, counter, table) for k, v in obj.items()}
+        return {k: _render_floats(v, table) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_render_floats(v, counter, table) for v in obj]
+        return [_render_floats(v, table) for v in obj]
     return obj
 
 
 def dumps17(obj) -> str:
     """json.dumps, indented by 2, with every float printed to 17 significant digits."""
-    counter, table = [0], {}
-    text = json.dumps(_render_floats(obj, counter, table), indent=2, sort_keys=True)
-    for token, value in table.items():
-        text = text.replace(f'"{token}"', value)
-    return text
+    table = []
+    text = json.dumps(_render_floats(obj, table), indent=2, sort_keys=True)
+    return _FLOAT_TOKEN.sub(lambda match: table[int(match[1])], text)
 
 
 def _require_finite(name: str, value):

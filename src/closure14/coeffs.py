@@ -14,7 +14,9 @@ family's derivative oracle.
 
 A series compiles its exact terms to floats once and keeps its derivative
 series, and a family keeps its member values at the most recent l, so the
-coefficients at one point consult the oracle at most once per (s, n).
+coefficients at one point consult the oracle at most once per (s, n).  A
+series call fetches that member table once and reads each term's member
+from it; only a member not yet in the table goes through ``ktilde_deriv``.
 """
 
 from __future__ import annotations
@@ -80,9 +82,11 @@ class GeneratingFamily:
     direct instantiation skips the gate (used for fault injection).
 
     ``ktilde_deriv`` keeps a one-point member table, the (s, n) values at the
-    most recent lam, so ``deriv`` must be a pure function.  A call that raises
-    is not stored; ``dataclasses.replace`` starts an empty table.  A new lam
-    that is not finite raises ``DomainError``.
+    most recent lam, so ``deriv`` must be a pure function.  ``members_at``
+    returns that table for readers that look members up themselves.  A member
+    out of range or a call that raises is not stored, so a reader that misses
+    calls ``ktilde_deriv`` and gets its error; ``dataclasses.replace`` starts
+    an empty table.  A new lam that is not finite raises ``DomainError``.
     """
 
     kind: str
@@ -101,12 +105,7 @@ class GeneratingFamily:
             raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
         if n > self.n_max:
             raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
-        members = self._members.get(lam)
-        if members is None:  # a new point: forget the previous one
-            if not math.isfinite(lam):
-                raise DomainError(f"lambda must be finite, got {lam}")
-            self._members.clear()
-            members = self._members[lam] = {}
+        members = self.members_at(lam)
         value = members.get((s, n))
         if value is None:
             try:
@@ -114,6 +113,16 @@ class GeneratingFamily:
             except OverflowError as exc:
                 raise DomainError(f"ktilde_{s} derivative {n} overflows at lambda={lam}") from exc
         return value
+
+    def members_at(self, lam: float) -> dict:
+        """The member table {(s, n): value} at lam, emptied when lam is new."""
+        members = self._members.get(lam)
+        if members is None:  # a new point: forget the previous one
+            if not math.isfinite(lam):
+                raise DomainError(f"lambda must be finite, got {lam}")
+            self._members.clear()
+            members = self._members[lam] = {}
+        return members
 
     def describe(self) -> dict:
         return {"kind": self.kind, "s_max": self.s_max, "params": dict(self.params)}
@@ -303,14 +312,18 @@ class CoeffSeries:
     """Finite sum of terms coef * d^dl ktilde_s(l) * l_ll**e * l_ppqq**m.
 
     The steps act on the exact terms and are kept on the series.  A call runs
-    ``plan``, the terms as (float(coef), s, dl, float(e), m), compiled at once.
+    ``plan``, the terms as (float(coef), (s, dl), float(e), m), compiled at
+    once.  It fetches the family's member table at l once (``members_at``) and
+    reads each term's member from it by its (s, dl) key; only a miss calls
+    ``ktilde_deriv``, which stores the member or raises the truncation or
+    domain error.
     """
 
     __slots__ = ("terms", "plan", "_steps")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
-        self.plan = tuple((float(t.coef), t.s, t.dl, float(t.ll_exp), t.m) for t in self.terms)
+        self.plan = tuple((float(t.coef), (t.s, t.dl), float(t.ll_exp), t.m) for t in self.terms)
         self._steps = {}
 
     @classmethod
@@ -360,9 +373,13 @@ class CoeffSeries:
 
     def __call__(self, f: GeneratingFamily, point: EquilibriumPoint) -> float:
         lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
+        members = f.members_at(lam)
         total = 0.0
-        for coef, s, dl, ll_exp, m in self.plan:
-            factor = coef * f.ktilde_deriv(s, dl, lam)
+        for coef, key, ll_exp, m in self.plan:
+            member = members.get(key)
+            if member is None:  # not yet looked up, or out of range: ktilde_deriv raises
+                member = f.ktilde_deriv(*key, lam)
+            factor = coef * member
             try:
                 factor *= lam_ll ** ll_exp
                 if m:
@@ -545,6 +562,16 @@ def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S:
 # --- scalar constraints -----------------------------------------------------
 
 
+@functools.cache
+def _constraint_series(S: int):
+    """k00 and the two sides of the first scalar condition, built once per S."""
+    if S < 2:
+        raise TruncationError("constraint check needs S >= 2")
+    base = CoeffSeries.k00(S)
+    rhs = base.d_lam().d_ppqq()
+    return base, base.d_ll().d_ll().truncated(rhs.max_order()), rhs
+
+
 def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
     """Relative residuals of the two scalar conditions on k00.
 
@@ -557,12 +584,8 @@ def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
     order-by-order (the lambda_ppqq prefactor restores the order), so no
     truncation is applied there.
     """
-    if S < 2:
-        raise TruncationError("constraint check needs S >= 2")
-    base = CoeffSeries.k00(S)
-    rhs_series = base.d_lam().d_ppqq()
-    order = rhs_series.max_order()
-    lhs_c = 9.0 * base.d_ll().d_ll().truncated(order)(f, point)
+    base, lhs_series, rhs_series = _constraint_series(S)
+    lhs_c = 9.0 * lhs_series(f, point)
     rhs_c = rhs_series(f, point)
     c_resid = abs(lhs_c - rhs_c) / max(abs(lhs_c), abs(rhs_c), RESIDUAL_FLOOR)
 

@@ -225,8 +225,8 @@ def _grid_plan(N: int, S: int, specs: tuple) -> _GridPlan:
                         series = derive(series)
                     cell = np.ravel_multi_index((g, p, q, r), shape)
                     rows.extend((cell, *term) for term in series.plan)
-    members = tuple(dict.fromkeys((s, dl) for _, _, s, dl, _, _ in rows))
-    exponents = tuple(dict.fromkeys(e for *_, e, _ in rows))
+    members = tuple(dict.fromkeys(row[2] for row in rows))
+    exponents = tuple(dict.fromkeys(row[3] for row in rows))
     member_index = {key: i for i, key in enumerate(members)}
     exponent_index = {e: i for i, e in enumerate(exponents)}
     free = np.array([free for free, _ in specs]).reshape(-1, 1, 1, 1)
@@ -234,12 +234,12 @@ def _grid_plan(N: int, S: int, specs: tuple) -> _GridPlan:
     return _GridPlan(
         cell=np.array([row[0] for row in rows], dtype=np.intp),
         coef=np.array([row[1] for row in rows], dtype=float),
-        member=np.array([member_index[row[2:4]] for row in rows], dtype=np.intp),
-        ll=np.array([exponent_index[row[4]] for row in rows], dtype=np.intp),
-        m=np.array([row[5] for row in rows], dtype=np.intp),
+        member=np.array([member_index[row[2]] for row in rows], dtype=np.intp),
+        ll=np.array([exponent_index[row[3]] for row in rows], dtype=np.intp),
+        m=np.array([row[4] for row in rows], dtype=np.intp),
         members=members,
         exponents=exponents,
-        m_max=max((row[5] for row in rows), default=0),
+        m_max=max((row[4] for row in rows), default=0),
         rank1=(p + q + 2 * r + free + 1).astype(float),
     )
 

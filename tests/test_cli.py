@@ -1,9 +1,11 @@
 import json
+import math
 import tomllib
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 import closure14
 
@@ -30,6 +32,25 @@ class TestFormatting:
         text = dumps17({"a": 1.0 / 3.0, "b": [True, False], "c": "s"})
         assert "0.33333333333333331" in text
         assert json.loads(text) == {"a": 1.0 / 3.0, "b": [True, False], "c": "s"}
+
+    def test_negative_zero_keeps_its_sign(self):
+        # "-0" would read back as the integer 0
+        assert fmt17(-0.0) == "-0.0" and fmt17(0.0) == "0" and fmt17(-1.0) == "-1"
+        assert math.copysign(1.0, json.loads(dumps17([-0.0]))[0]) == -1.0
+
+    def test_dumps17_keeps_every_float_in_place(self):
+        values = [k / 7.0 for k in range(-1500, 1500)]  # tokens of one to four digits
+        obj = {"rows": [{"i": i, "x": x} for i, x in enumerate(values)], "y": values[::-1]}
+        assert json.loads(dumps17(obj)) == obj
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=hst.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072009e-308)  # the largest subnormal, negated
+    def test_dumps17_round_trips_every_finite_float(self, x):
+        (back,) = json.loads(dumps17([x]))
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
 class TestCoeffsCommand:

@@ -32,6 +32,9 @@ from closure14.coeffs import (
     subsystem_coefficient,
     tensor_series,
 )
+from closure14.numdiff import RESIDUAL_FLOOR
+from closure14.potentials import MultiplierState, eval_h_hat, eval_phi_hat
+from closure14.verify import LAM_LL_RANGE, LAM_PPQQ_RANGE, LAM_RANGE
 from closure14.errors import (
     ClosureError,
     DomainError,
@@ -50,6 +53,9 @@ K02_REF = 3417.81469444354
 K00_S2_REF = 26.08977092614316  # k00 at (0, 1, 0.01), S = 2
 
 POINT = EquilibriumPoint(lam=0.0, lam_ll=1.0, lam_ppqq=0.0)
+
+
+BUILT_IN = {kind: make_family(kind) for kind in ("exponential", "poly_exponential")}
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +407,39 @@ class TestConstraints:
         with pytest.raises(TruncationError):
             constraint_residuals(exp_family, POINT, S=1)
 
+    @pytest.mark.parametrize("S", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_compiled_once_same_bits(self, kind, S, request):
+        # the series built once per S give the bits of the formula rebuilt per call
+        fam = request.getfixturevalue("exp_family" if kind == "exponential" else "poly_family")
+        for pt in random_points(seed=10 + S):
+            base = CoeffSeries(CoeffSeries.k00(S).terms)
+            rhs_series = base.d_lam().d_ppqq()
+            lhs_c = 9.0 * base.d_ll().d_ll().truncated(rhs_series.max_order())(fam, pt)
+            rhs_c = rhs_series(fam, pt)
+            t0 = 3.0 * base(fam, pt)
+            t1 = 2.0 * pt.lam_ll * base.d_ll()(fam, pt)
+            t2 = 4.0 * pt.lam_ppqq * base.d_ppqq()(fam, pt)
+            expect = (
+                abs(lhs_c - rhs_c) / max(abs(lhs_c), abs(rhs_c), RESIDUAL_FLOOR),
+                abs(t0 + t1 + t2) / max(abs(t0), abs(t1), abs(t2), RESIDUAL_FLOOR),
+            )
+            assert constraint_residuals(fam, pt, S) == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=hst.sampled_from(["exponential", "poly_exponential"]),
+        S=hst.integers(2, 6),
+        lam=hst.floats(*LAM_RANGE),
+        lam_ll=hst.floats(*LAM_LL_RANGE),
+        lam_ppqq=hst.floats(*LAM_PPQQ_RANGE),
+    )
+    def test_scaling_identity_holds_over_the_verify_ranges(self, kind, S, lam, lam_ll, lam_ppqq):
+        # 3 k00 + 2 l_ll dk00/dl_ll + 4 l_ppqq dk00/dl_ppqq = 0 holds order by order
+        f = BUILT_IN[kind]
+        _, scaling = constraint_residuals(f, EquilibriumPoint(lam, lam_ll, lam_ppqq), S)
+        assert scaling <= 1e-9
+
 
 class TestSubsystem:
     def test_matches_k0q_closed_at_unit_lam_ll(self, exp_family):
@@ -579,6 +618,53 @@ class TestMemberTable:
         g = dataclasses.replace(f, kind="copy")
         assert g.ktilde_deriv(0, 1, 0.25) == f.ktilde_deriv(0, 1, 0.25)
         assert len(deriv.calls) == before + 1
+
+    @pytest.mark.parametrize(
+        "params, p, message",
+        [
+            ({}, 26, "derivative order 13 exceeds n_max=12"),
+            ({"s_max": 3}, 0, "s=4 exceeds family s_max=3"),
+        ],
+    )
+    def test_full_table_raises_the_same_truncation(self, params, p, message):
+        # a series reads members from the table; one out of range is never there
+        pt = EquilibriumPoint(0.3, 1.7, 0.02)
+        errors = []
+        for fill in (False, True):
+            f = make_family("exponential", params)
+            if fill:
+                for s in range(f.s_max + 1):
+                    for n in range(f.n_max + 1):
+                        f.ktilde_deriv(s, n, pt.lam)
+                assert len(f.members_at(pt.lam)) == (f.s_max + 1) * (f.n_max + 1)
+            with pytest.raises(TruncationError) as exc:
+                k_pq(f, p, 0, pt, S=6)
+            errors.append(str(exc.value))
+        assert errors == [message, message]
+
+    def test_series_after_potentials_makes_no_oracle_call(self, counted, exp_family):
+        f, deriv = counted
+        state = MultiplierState.equilibrium(0.3, 1.7, 0.02)
+        eval_h_hat(f, state, 6, 4)
+        eval_phi_hat(f, state, 6, 4)
+        deriv.calls.clear()
+        pt = state.scalar_point()
+        reqs = [CoefficientRequest(p, q, r, 4)
+                for p in range(7) for q in range(7 - p) for r in range((6 - p - q) // 2 + 1)]
+        got = [(h_pqr(f, req, pt), phi_pqr(f, req, pt)) for req in reqs]
+        assert deriv.calls == []
+        assert got == [(h_pqr(exp_family, req, pt), phi_pqr(exp_family, req, pt)) for req in reqs]
+
+    def test_members_at_is_the_table(self, counted):
+        f, deriv = counted
+        table = f.members_at(0.25)
+        assert table == {}
+        value = f.ktilde_deriv(1, 2, 0.25)
+        assert table == {(1, 2): value} and f.members_at(0.25) is table
+        assert f.members_at(-0.5) == {} and table is not f.members_at(-0.5)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                f.members_at(lam)
 
     def test_table_is_not_part_of_the_value(self, counted):
         f, _ = counted

@@ -175,12 +175,12 @@ class TestCompiledGrid:
         # the eight grids of a moment set share one member table
         st = hatted_state(5)
         wanted = {
-            (s, dl)
+            key
             for free, derive in self.SPECS
             for p in range(N + 1)
             for q in range((p + free) % 2, N + 1 - p, 2)
             for r in range((N - p - q) // 2 + 1)
-            for _, s, dl, _, _ in (derive or (lambda x: x))(tensor_series(p, q, r, S)).plan
+            for _, key, _, _ in (derive or (lambda x: x))(tensor_series(p, q, r, S)).plan
         }
         calls = []
         true_deriv = GeneratingFamily.ktilde_deriv
