@@ -105,7 +105,9 @@ class GeneratingFamily:
             raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
         if n > self.n_max:
             raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
-        members = self.members_at(lam)
+        members = self._members.get(lam)
+        if members is None:  # a new point
+            members = self.members_at(lam)
         value = members.get((s, n))
         if value is None:
             try:
