@@ -43,7 +43,7 @@ COEFFS_CONFIGS = {
 }
 
 
-def commands(noneq_config: str, coeffs_configs: list):
+def commands():
     for family in FAMILIES:
         fam = ["--family", family]
         for seed in range(10):
@@ -53,8 +53,8 @@ def commands(noneq_config: str, coeffs_configs: list):
         for name in ("eval", "kinetic", "subsystem", "boost"):
             yield [name, *fam]
         for name in ("eval", "boost"):
-            yield [name, *fam, "--config", noneq_config]
-        for config in coeffs_configs:
+            yield [name, *fam, "--config", "noneq.json"]
+        for config in COEFFS_CONFIGS:
             yield ["coeffs", *fam, "--config", config]
 
 
@@ -82,10 +82,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     differing = 0
     with tempfile.TemporaryDirectory() as workdir:
-        configs = {"noneq.json": NONEQ_CONFIG, **COEFFS_CONFIGS}
-        for name, config in configs.items():
+        for name, config in {"noneq.json": NONEQ_CONFIG, **COEFFS_CONFIGS}.items():
             (Path(workdir) / name).write_text(json.dumps(config))
-        for cmd in commands("noneq.json", list(COEFFS_CONFIGS)):
+        for cmd in commands():
             label = " ".join(cmd)
             diff = first_difference(run(args.parent, cmd, workdir),
                                     run(args.change, cmd, workdir))

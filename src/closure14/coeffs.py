@@ -379,7 +379,7 @@ class CoeffSeries:
         total = 0.0
         for coef, key, ll_exp, m in self.plan:
             member = members.get(key)
-            if member is None:  # not yet looked up, or out of range: ktilde_deriv raises
+            if member is None:  # a miss: ktilde_deriv stores the member or raises
                 member = f.ktilde_deriv(*key, lam)
             factor = coef * member
             try:

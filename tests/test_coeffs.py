@@ -32,9 +32,6 @@ from closure14.coeffs import (
     subsystem_coefficient,
     tensor_series,
 )
-from closure14.numdiff import RESIDUAL_FLOOR
-from closure14.potentials import MultiplierState, eval_h_hat, eval_phi_hat
-from closure14.verify import LAM_LL_RANGE, LAM_PPQQ_RANGE, LAM_RANGE
 from closure14.errors import (
     ClosureError,
     DomainError,
@@ -42,6 +39,9 @@ from closure14.errors import (
     ParityError,
     TruncationError,
 )
+from closure14.numdiff import RESIDUAL_FLOOR
+from closure14.potentials import MultiplierState, eval_h_hat, eval_phi_hat
+from closure14.verify import LAM_LL_RANGE, LAM_PPQQ_RANGE, LAM_RANGE
 
 # Independently derived reference values (exponential family, amplitude=scale=1).
 KT0_AT_0 = 28.933881011162246
@@ -656,7 +656,7 @@ class TestMemberTable:
         assert got == [(h_pqr(exp_family, req, pt), phi_pqr(exp_family, req, pt)) for req in reqs]
 
     def test_members_at_is_the_table(self, counted):
-        f, deriv = counted
+        f, _ = counted
         table = f.members_at(0.25)
         assert table == {}
         value = f.ktilde_deriv(1, 2, 0.25)
