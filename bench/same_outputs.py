@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the command-line outputs of two checkouts, command by command.
 
-    python3 bench/same_outputs.py PARENT_DIR CHANGE_DIR
+    python3 bench/same_outputs.py PARENT_DIR CHANGE_DIR [--ops N]
 
 Each command runs as ``python -m closure14.cli`` with that checkout's
 ``src/`` on ``PYTHONPATH``, for both built-in families: ``verify --seed``
@@ -11,7 +11,14 @@ nonequilibrium state with a nonzero velocity, and ``coeffs`` with each of
 ``COEFFS_CONFIGS``: a 13 x 13 table at S = 6, and two tables that exit 3,
 one past n_max and one past the series order S.  For each command it prints
 ``identical``, or the first line where stdout, stderr or the exit code
-differ.  It exits 1 when any command differs.
+differ.
+
+With ``--ops N`` it also runs the first N ops (seed 0) of the ``potentials``,
+``coeffs`` and ``kinetic`` workloads, each in a subprocess that imports that
+checkout's own ``src/`` and ``perfbench/workloads.py``, and compares the
+SHA-256 of the outputs pickled without a memo, so that two outputs hash
+alike when their values and types are the same, whatever objects they share.
+It exits 1 when any command or workload differs.
 """
 
 from __future__ import annotations
@@ -41,6 +48,26 @@ COEFFS_CONFIGS = {
     "coeffs_p30_q0.json": {"p_max": 30, "q_max": 0},
     "coeffs_p2_q14_S6.json": {"p_max": 2, "q_max": 14, "S": 6},
 }
+WORKLOADS = ("potentials", "coeffs", "kinetic")
+WORKLOAD_SEED = 0
+# argv: workload, seed, ops; prints the hash of the outputs of ops 0..ops-1.  The
+# perfbench/ it imports is the one beside the src/ that closure14 comes from.
+OPS_SCRIPT = """
+import hashlib, io, pathlib, pickle, sys, tempfile
+import closure14
+sys.path.insert(0, str(pathlib.Path(closure14.__file__).resolve().parents[2] / "perfbench"))
+import workloads
+name, seed, ops = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+with tempfile.TemporaryDirectory() as workdir:
+    wl = workloads.WORKLOADS[name](seed, workdir)
+    ctx = workloads.plain_context(name)
+    outputs = [wl.op(wl.inputs(i), ctx) for i in range(ops)]
+buf = io.BytesIO()
+pickler = pickle.Pickler(buf, protocol=4)
+pickler.fast = True  # no memo: the bytes follow the values, not shared objects
+pickler.dump(outputs)
+print(name, ops, "ops", hashlib.sha256(buf.getvalue()).hexdigest())
+"""
 
 
 def commands():
@@ -59,9 +86,9 @@ def commands():
 
 
 def run(checkout: Path, args: list, workdir: str) -> str:
-    """Exit code, stdout and stderr of one command, as one text."""
+    """Exit code, stdout and stderr of one python command, as one text."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
-    res = subprocess.run([sys.executable, "-m", "closure14.cli", *args], cwd=workdir,
+    res = subprocess.run([sys.executable, *args], cwd=workdir,
                          env=env, capture_output=True, text=True)
     return f"exit {res.returncode}\n--- stdout\n{res.stdout}--- stderr\n{res.stderr}"
 
@@ -79,15 +106,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--ops", type=int, default=0, metavar="N",
+                        help="also compare the outputs of the first N ops of each workload")
     args = parser.parse_args(argv)
+    runs = [(" ".join(cmd), ["-m", "closure14.cli", *cmd]) for cmd in commands()]
+    if args.ops > 0:
+        runs += [(f"workload {name}, {args.ops} ops", ["-c", OPS_SCRIPT, name, str(WORKLOAD_SEED), str(args.ops)])
+                 for name in WORKLOADS]
     differing = 0
     with tempfile.TemporaryDirectory() as workdir:
         for name, config in {"noneq.json": NONEQ_CONFIG, **COEFFS_CONFIGS}.items():
             (Path(workdir) / name).write_text(json.dumps(config))
-        for cmd in commands():
-            label = " ".join(cmd)
-            diff = first_difference(run(args.parent, cmd, workdir),
-                                    run(args.change, cmd, workdir))
+        for label, python_args in runs:
+            diff = first_difference(run(args.parent, python_args, workdir),
+                                    run(args.change, python_args, workdir))
             if diff is None:
                 print(f"identical  {label}", flush=True)
                 continue

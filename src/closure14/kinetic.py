@@ -19,6 +19,12 @@ the kernel is taken not to decay.  On [0, R] a composite Gauss-Legendre rule
 (Golub & Welsch 1969), 4 panels of 64 nodes, gives the value; a 4 x 32 rule
 on the same panels, evaluated in the same array call, gives the error
 estimate |full - half|, which must be within 10 ``_REL_TOL`` int |g|.
+
+A quadrature does only the work of its own integral.  The kernel's decay
+check depends on the point alone, so the kernel remembers the last point
+that passed it; the cutoff R is always on the ladder, so the node powers
+(R c_i)^k come from a bounded table per (R, k).  A scalar whose 4 pi
+prefactor overflows raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -48,17 +54,25 @@ class KineticKernel:
     ``deriv(n, x)`` must accept a float or a numpy array x and return F^(n)
     elementwise, as numpy ufuncs do: the quadrature evaluates all its nodes
     in one call.
+
+    ``check_decay`` remembers the last (lam, quartic) that passed, so
+    ``deriv`` must be a pure function.  A check that fails is not stored and
+    raises on every call; ``dataclasses.replace`` starts with no point passed.
     """
 
     deriv: object  # callable (n, x) -> float or array
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    # (lam, quartic) of the last check that passed: a cache, not part of the kernel's value
+    _decay_passed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, x: float) -> float:
         return self.deriv(0, x)
 
     def check_decay(self, lam: float = 0.0, quartic: float = 0.0):
         """Verify F(x(c)) c^3 -> 0 along the evaluation ray."""
+        if self._decay_passed == (lam, quartic):
+            return
         tol = 1e-12
         probes = [20.0, 40.0, 80.0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -71,6 +85,7 @@ class KineticKernel:
                 f"kernel tail F*c^3 = {vals[-1]:.3e} at c={probes[-1]} "
                 f"does not vanish (boundary-term estimate)"
             )
+        object.__setattr__(self, "_decay_passed", (lam, quartic))
 
 
 def kernel_for(kind, params: dict | None = None) -> KineticKernel | None:
@@ -111,28 +126,56 @@ def _panel_rule():
     return np.concatenate(nodes), weights
 
 
+# R is one of the 18 ladder cutoffs _CUTOFF_START * 1.5^k <= _CUTOFF_MAX, so
+# few keys recur; 256 tables of 384 nodes take at most 0.8 MB
+@functools.lru_cache(maxsize=256)
+def _node_powers(R: float, power: int) -> np.ndarray:
+    """(R x_i)**power at the nodes x_i of ``_panel_rule``, read-only.
+
+    Power 1 gives the nodes on [0, R] themselves.
+    """
+    table = (R * _panel_rule()[0]) ** power
+    table.flags.writeable = False
+    return table
+
+
 def _finite(v: float) -> float:
     if not math.isfinite(v):
         raise DomainError("kinetic integrand is not finite: the kernel overflows on the ray")
     return v
 
 
-def _semi_infinite_quad(g) -> float:
-    """Integrate g on [0, inf) with an explicit exponential-tail cutoff.
+def _radial_moment(kernel: KineticKernel, n: int, power: int, point: EquilibriumPoint) -> float:
+    """int_0^inf F^(n)(l + l_ll c^2/3 + l_ppqq c^4) c^power dc, the one kinetic integrand.
 
-    ``g`` takes a float or an array.  A non-finite integrand raises
-    ``DomainError``, and an error estimate above tolerance ``AccuracyError``.
+    The integrand g is cut at the first ladder radius R where |g(R)| R is
+    negligible.  A non-finite integrand raises ``DomainError``, a tail still
+    too large past ``_CUTOFF_MAX`` ``DecayError``, and an error estimate above
+    tolerance ``AccuracyError``.
     """
+    kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
+    lam, lam_ll, quartic = point.lam, point.lam_ll, point.lam_ppqq
+
+    def g(c, c4, c_power):
+        """g at c (a float or the nodes on [0, R]), given c^4 and c^power."""
+        arg = lam + lam_ll * c * c / 3.0
+        if quartic:  # adding 0.0 c^4 would change no bit, only cost a pow per node
+            arg += quartic * c4
+        return kernel.deriv(n, arg) * c_power
+
+    def tail(c: float) -> float:
+        return abs(_finite(g(c, c**4 if quartic else None, c**power)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         R = _CUTOFF_START
-        ref = max(abs(_finite(g(1.0))), abs(_finite(g(R / 2))), 1e-300)
-        while abs(_finite(g(R))) * R > _REL_TOL * ref * 1e-3:
+        ref = max(tail(1.0), tail(R / 2), 1e-300)
+        while tail(R) * R > _REL_TOL * ref * 1e-3:
             R *= 1.5
             if R > _CUTOFF_MAX:
                 raise DecayError("integrand tail does not fall below tolerance before cutoff")
-        nodes, weights = _panel_rule()
-        y = g(R * nodes)
+        weights = _panel_rule()[1]
+        y = g(_node_powers(R, 1), _node_powers(R, 4) if quartic else None,
+              _node_powers(R, power))
         full, half = R * (weights @ y)
         magnitude = R * (weights[0] @ np.abs(y))
     # every node has a nonzero weight in one of the two rules
@@ -146,35 +189,34 @@ def _semi_infinite_quad(g) -> float:
     return float(full)
 
 
-def _radial_moment(kernel: KineticKernel, n: int, power: int, point: EquilibriumPoint) -> float:
-    """int_0^inf F^(n)(l + l_ll c^2/3 + l_ppqq c^4) c^power dc, the one kinetic integrand."""
-    kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
-
-    def g(c):
-        arg = point.lam + point.lam_ll * c * c / 3.0
-        if point.lam_ppqq:  # adding 0.0 c^4 would change no bit, only cost a pow per node
-            arg += point.lam_ppqq * c**4
-        return kernel.deriv(n, arg) * c**power
-
-    return _semi_infinite_quad(g)
-
-
 def kinetic_ktilde(kernel: KineticKernel, s: int, lam: float, deriv_order: int = 0) -> float:
     """Member ktilde_s(lam) (optionally its lam-derivative) by quadrature."""
     point = EquilibriumPoint(lam, 1.0)
-    return _FOUR_PI * _radial_moment(kernel, s + deriv_order, 4 * s + 2, point)
+    value = _FOUR_PI * _radial_moment(kernel, s + deriv_order, 4 * s + 2, point)
+    if not math.isfinite(value):  # the quadrature is finite, its 4 pi multiple need not be
+        raise DomainError(
+            f"kinetic ktilde_{s} derivative {deriv_order} at lambda={lam} is not finite"
+        )
+    return value
 
 
 def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) -> float:
     """Matrix element k_{p,q} as a velocity-space integral."""
     n = p + q
     odd = n % 2
-    return _FOUR_PI / (n + 1 + odd) * _radial_moment(kernel, n, p + 3 * q + 2 + odd, point)
+    value = _FOUR_PI / (n + 1 + odd) * _radial_moment(kernel, n, p + 3 * q + 2 + odd, point)
+    if not math.isfinite(value):
+        raise DomainError(f"kinetic k_{p},{q} at {point} is not finite")
+    return value
 
 
 def kinetic_series_coefficient(kernel: KineticKernel, s: int, lam: float, lam_ll: float) -> float:
     """Series coefficient k_s = 4 pi int F^(s)(l + l_ll c^2/3) c^(4s+2) dc."""
-    return _FOUR_PI * _radial_moment(kernel, s, 4 * s + 2, EquilibriumPoint(lam, lam_ll))
+    point = EquilibriumPoint(lam, lam_ll)
+    value = _FOUR_PI * _radial_moment(kernel, s, 4 * s + 2, point)
+    if not math.isfinite(value):
+        raise DomainError(f"kinetic k_{s} at {point} is not finite")
+    return value
 
 
 def make_kinetic_family(kernel: KineticKernel, s_max: int = 6) -> GeneratingFamily:

@@ -3,10 +3,11 @@
 Symmetrized Kronecker-delta products with exact rational entries, built by
 counting pairings and by averaging over every index permutation, their
 contraction by a sweep over all 3^rank index tuples, the node field of a
-coefficient grid by one unstaged einsum, and the by-parts identity of the
-kinetic radial moments.  They are slow and stay out of the package, whose
-routes are ``symtensor.delta_contract``, the sphere-rule potentials with
-their staged ``potentials._field`` and ``kinetic._radial_moment``.
+coefficient grid by one unstaged einsum, the kinetic radial moment with its
+decay check and node powers redone on every call, and the by-parts identity
+of the kinetic radial moments.  They are slow and stay out of the package,
+whose routes are ``symtensor.delta_contract``, the sphere-rule potentials
+with their staged ``potentials._field`` and ``kinetic._radial_moment``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from closure14.errors import ParityError
-from closure14.kinetic import _radial_moment
+from closure14.errors import AccuracyError, DecayError, DomainError, ParityError
+from closure14.kinetic import _CUTOFF_MAX, _CUTOFF_START, _REL_TOL, _panel_rule, _radial_moment
 from closure14.symtensor import DIM, SymMatrix
 
 
@@ -114,6 +115,49 @@ def field_einsum(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
     (sa, sb, sc), (A, B, C) = shift, powers
     trimmed = (A[: len(A) - sa], B[: len(B) - sb], C[: len(C) - sc])
     return np.einsum("...pqr,pn,qn,rn->...n", grid[..., sa:, sb:, sc:], *trimmed)
+
+
+def radial_moment_per_call(kernel, n: int, power: int, point) -> float:
+    """int_0^inf F^(n)(l + l_ll c^2/3 + l_ppqq c^4) c^power dc, all work redone per call.
+
+    The route of ``kinetic._radial_moment`` without its tables: the three
+    decay probes run on every call, and every node power is one array ``**``
+    of the nodes on [0, R].  The cutoff search, the rules and the float
+    operations are the same, so the two must agree to the bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = [abs(kernel.deriv(0, point.lam + c * c / 3.0 + point.lam_ppqq * c**4)) * c**3
+                 for c in (20.0, 40.0, 80.0)]
+    if not (tails[-1] <= 1e-12 and tails[-1] <= tails[0] + 1e-12):
+        raise DecayError(f"kernel tail F*c^3 = {tails[-1]:.3e} does not vanish")
+
+    def g(c):
+        arg = point.lam + point.lam_ll * c * c / 3.0
+        if point.lam_ppqq:
+            arg += point.lam_ppqq * c**4
+        return kernel.deriv(n, arg) * c**power
+
+    def finite(v):
+        if not math.isfinite(v):
+            raise DomainError("kinetic integrand is not finite")
+        return v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _CUTOFF_START
+        ref = max(abs(finite(g(1.0))), abs(finite(g(R / 2))), 1e-300)
+        while abs(finite(g(R))) * R > _REL_TOL * ref * 1e-3:
+            R *= 1.5
+            if R > _CUTOFF_MAX:
+                raise DecayError("integrand tail does not fall below tolerance before cutoff")
+        nodes, weights = _panel_rule()
+        y = g(R * nodes)
+        full, half = R * (weights @ y)
+        magnitude = R * (weights[0] @ np.abs(y))
+    finite(full)
+    finite(half)
+    if abs(full - half) > 10 * _REL_TOL * magnitude:
+        raise AccuracyError(f"quadrature error {abs(full - half):.3e} exceeds tolerance")
+    return float(full)
 
 
 def f1_by_parts_check(kernel, point) -> float:

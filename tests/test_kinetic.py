@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -20,7 +21,12 @@ from closure14.coeffs import (
 )
 from closure14.errors import AccuracyError, DecayError, DomainError
 from closure14.kinetic import (
+    _CUTOFF_MAX,
+    _CUTOFF_START,
     KineticKernel,
+    _node_powers,
+    _panel_rule,
+    _radial_moment,
     exponential_kernel,
     kinetic_kpq,
     kinetic_ktilde,
@@ -29,7 +35,7 @@ from closure14.kinetic import (
     make_kinetic_family,
     poly_exponential_kernel,
 )
-from oracles import f1_by_parts_check
+from oracles import f1_by_parts_check, radial_moment_per_call
 
 KT0_AT_0 = 28.933881011162246
 KT1_AT_0 = -976.5184841267256
@@ -113,6 +119,42 @@ class TestNonFiniteIntegrand:
                 call(exp_kernel, self.POINT)
 
 
+class TestScalarOverflow:
+    # the quadrature is finite here, but its 4 pi multiple overflows the float
+    # product: these returned +-inf silently
+    POINT = EquilibriumPoint(-708.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: kinetic_kpq(exponential_kernel(), 0, 0, TestScalarOverflow.POINT),
+                         r"kinetic k_0,0 at EquilibriumPoint\(lam=-708.0", id="kinetic_kpq"),
+            pytest.param(lambda: kinetic_ktilde(exponential_kernel(), 0, -708.0),
+                         "kinetic ktilde_0 derivative 0 at lambda=-708.0", id="kinetic_ktilde"),
+            pytest.param(lambda: kinetic_series_coefficient(exponential_kernel(), 0, -708.0, 1.0),
+                         r"kinetic k_0 at EquilibriumPoint\(lam=-708.0",
+                         id="kinetic_series_coefficient"),
+            pytest.param(lambda: kinetic_ktilde(poly_exponential_kernel(), 0, -700.0),
+                         "kinetic ktilde_0 derivative 0 at lambda=-700.0", id="poly_exponential"),
+            pytest.param(lambda: make_kinetic_family(poly_exponential_kernel()).ktilde_deriv(
+                0, 1, -700.0), "kinetic ktilde_0 derivative 1 at lambda=-700.0",
+                id="kinetic_family"),
+        ],
+    )
+    def test_inf_is_a_domain_error(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message + ".* is not finite"):
+                call()
+
+    def test_the_moment_itself_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(_radial_moment(exponential_kernel(), 0, 2, self.POINT))
+            assert math.isfinite(
+                _radial_moment(poly_exponential_kernel(), 0, 2, EquilibriumPoint(-700.0, 1.0)))
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(closure14.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -178,6 +220,113 @@ class TestKernels:
             bad.check_decay()
         with pytest.raises(DecayError):
             kinetic_ktilde(bad, 0, 0.0)
+
+
+class ProbeCounter:
+    """Derivative oracle wrapper that records the scalar F calls made through it."""
+
+    def __init__(self, deriv):
+        self.deriv = deriv
+        self.scalar_args = []
+
+    def __call__(self, n, x):
+        if n == 0 and np.ndim(x) == 0:
+            self.scalar_args.append(x)
+        return self.deriv(n, x)
+
+    def decay_probes(self, point):
+        """Calls made at the three decay probes of ``point``."""
+        probes = {point.lam + c * c / 3.0 + point.lam_ppqq * c**4 for c in (20.0, 40.0, 80.0)}
+        return sum(x in probes for x in self.scalar_args)
+
+
+class TestDecayMemo:
+    # the decay verdict depends on (lam, lam_ppqq) alone; the cutoff search
+    # probes lam + lam_ll c^2/3 at ladder radii, never at c = 20, 40 or 80
+    PQS = [(p, n - p) for n in range(7) for p in range(n + 1)]
+
+    def counting_kernel(self):
+        counter = ProbeCounter(exponential_kernel().deriv)
+        return KineticKernel(counter, name="counting"), counter
+
+    def test_one_check_per_point(self):
+        kernel, counter = self.counting_kernel()
+        points = [EquilibriumPoint(0.3, 1.6, 0.0), EquilibriumPoint(0.3, 1.6, 0.01),
+                  EquilibriumPoint(-0.2, 2.5, 0.01)]
+        for pt in points:
+            for pq in self.PQS:
+                kinetic_kpq(kernel, *pq, pt)
+            assert counter.decay_probes(pt) == 3, pt
+        assert len(self.PQS) == 28
+
+    def test_members_at_the_same_lam_share_the_check(self):
+        # the kinetic family's members lie on the same ray when lam_ppqq = 0
+        kernel, counter = self.counting_kernel()
+        pt = EquilibriumPoint(0.3, 1.6, 0.0)
+        kinetic_kpq(kernel, 1, 1, pt)
+        for s in range(3):
+            kinetic_ktilde(kernel, s, pt.lam, deriv_order=1)
+        assert counter.decay_probes(pt) == 3
+
+    def test_failed_check_is_not_stored(self):
+        counter = ProbeCounter(lambda n, x: np.exp(x / 100.0))
+        growing = KineticKernel(counter, name="growing")
+        for _ in range(2):
+            with pytest.raises(DecayError):
+                kinetic_ktilde(growing, 0, 0.0)
+        assert counter.decay_probes(EquilibriumPoint(0.0, 1.0)) == 6
+
+    def test_replace_checks_again(self):
+        kernel, counter = self.counting_kernel()
+        pt = EquilibriumPoint(0.3, 1.6, 0.0)
+        kinetic_kpq(kernel, 2, 0, pt)
+        copy = dataclasses.replace(kernel)
+        kinetic_kpq(copy, 2, 0, pt)
+        kinetic_kpq(copy, 0, 2, pt)
+        assert counter.decay_probes(pt) == 6
+
+    def test_memo_is_not_part_of_the_value(self, exp_kernel):
+        assert "_decay_passed" not in repr(exp_kernel)
+        with pytest.raises(TypeError):
+            KineticKernel(exp_kernel.deriv, _decay_passed=(0.0, 0.0))
+
+
+def ladder():
+    """The cutoffs the search in ``_radial_moment`` can stop at, by the same products."""
+    R = _CUTOFF_START
+    while R <= _CUTOFF_MAX:
+        yield R
+        R *= 1.5
+
+
+class TestTables:
+    @pytest.mark.parametrize("params", [{}, NON_DEFAULT], ids=["default", "non_default"])
+    @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
+    def test_same_bits_as_per_call_route(self, entry, params):
+        kernel = kernel_for(entry.name, {k: v for k, v in params.items() if k in entry.params})
+        rng = np.random.default_rng(14)
+        moments = [(p + q, p + 3 * q + 2 + (p + q) % 2) for p in range(7) for q in range(7 - p)]
+        moments += [(s + d, 4 * s + 2) for s in range(5) for d in range(3)]
+        for _ in range(6):
+            lam, lam_ll = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 4.0)
+            for lam_ppqq in (0.0, rng.uniform(0.0, 0.05)):
+                pt = EquilibriumPoint(lam, lam_ll, lam_ppqq)
+                for n, power in moments:
+                    got = _radial_moment(kernel, n, power, pt)
+                    assert got.hex() == radial_moment_per_call(kernel, n, power, pt).hex(), (
+                        pt, n, power)
+
+    def test_node_powers_are_read_only_and_exact(self):
+        nodes = _panel_rule()[0]
+        assert len(list(ladder())) == 18
+        for R in ladder():
+            assert _node_powers(R, 1).tobytes() == (R * nodes).tobytes()
+            for power in range(31):
+                table = _node_powers(R, power)
+                assert not table.flags.writeable
+                assert table.tobytes() == ((R * nodes) ** power).tobytes(), (R, power)
+        with pytest.raises(ValueError):
+            _node_powers(_CUTOFF_START, 2)[0] = 0.0
 
 
 class TestQuadratureVsClosedForm:
