@@ -7,9 +7,11 @@ Each command runs as ``python -m closure14.cli`` with that checkout's
 ``src/`` on ``PYTHONPATH``, for both built-in families: ``verify --seed``
 0 to 9, ``coeffs`` as JSON and as CSV, ``eval``, ``kinetic``, ``subsystem``
 and ``boost`` at their defaults, ``eval`` and ``boost`` at a
-nonequilibrium state with a nonzero velocity, and ``coeffs`` with each of
-``COEFFS_CONFIGS``: a 13 x 13 table at S = 6, and two tables that exit 3,
-one past n_max and one past the series order S.  For each command it prints
+nonequilibrium state with a nonzero velocity, ``coeffs`` with each of
+``COEFFS_CONFIGS``: a 13 x 13 table at S = 6, and three that exit 3, one
+past n_max, one past the series order S and one whose family fails the
+ladder gate, and ``kinetic`` at S = 6 with that family's non-default kernel
+parameters from ``KINETIC_CONFIGS``.  For each command it prints
 ``identical``, or the first line where stdout, stderr or the exit code
 differ.
 
@@ -47,6 +49,11 @@ COEFFS_CONFIGS = {
     "coeffs_p12_q12_S6.json": {"p_max": 12, "q_max": 12, "S": 6},
     "coeffs_p30_q0.json": {"p_max": 30, "q_max": 0},
     "coeffs_p2_q14_S6.json": {"p_max": 2, "q_max": 14, "S": 6},
+    "coeffs_amplitude_1e300.json": {"family_params": {"amplitude": 1e300}},
+}
+KINETIC_CONFIGS = {
+    "exponential": {"family_params": {"amplitude": 2.0, "scale": 1.7}, "S": 6},
+    "poly_exponential": {"family_params": {"amplitude": 2.0}, "S": 6},
 }
 WORKLOADS = ("potentials", "coeffs", "kinetic")
 WORKLOAD_SEED = 0
@@ -83,6 +90,7 @@ def commands():
             yield [name, *fam, "--config", "noneq.json"]
         for config in COEFFS_CONFIGS:
             yield ["coeffs", *fam, "--config", config]
+        yield ["kinetic", *fam, "--config", f"kinetic_{family}.json"]
 
 
 def run(checkout: Path, args: list, workdir: str) -> str:
@@ -115,7 +123,9 @@ def main(argv=None) -> int:
                  for name in WORKLOADS]
     differing = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for name, config in {"noneq.json": NONEQ_CONFIG, **COEFFS_CONFIGS}.items():
+        configs = {"noneq.json": NONEQ_CONFIG, **COEFFS_CONFIGS,
+                   **{f"kinetic_{family}.json": c for family, c in KINETIC_CONFIGS.items()}}
+        for name, config in configs.items():
             (Path(workdir) / name).write_text(json.dumps(config))
         for label, python_args in runs:
             diff = first_difference(run(args.parent, python_args, workdir),

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -101,15 +102,17 @@ class GeneratingFamily:
         return self.ktilde_deriv(s, 0, lam)
 
     def ktilde_deriv(self, s: int, n: int, lam: float) -> float:
-        if s > self.s_max:
-            raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
-        if n > self.n_max:
-            raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
         members = self._members.get(lam)
         if members is None:  # a new point
             members = self.members_at(lam)
         value = members.get((s, n))
-        if value is None:
+        if value is None:  # a new member; no key out of range is ever stored
+            check_index("s", s)
+            check_index("derivative order n", n)
+            if s > self.s_max:
+                raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
+            if n > self.n_max:
+                raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
             try:
                 value = members[s, n] = self.deriv(s, n, lam)
             except OverflowError as exc:
@@ -130,6 +133,16 @@ class GeneratingFamily:
         return {"kind": self.kind, "s_max": self.s_max, "params": dict(self.params)}
 
 
+def check_index(name: str, value) -> None:
+    """Raise ``ValueError`` unless value is an integer (``operator.index``) >= 0."""
+    try:
+        valid = operator.index(value) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def ladder_factor(s: int) -> Fraction:
     """Exact prefactor (9/4)(3+4s)(5+4s) of the ladder recursion."""
     return Fraction(9, 4) * (3 + 4 * s) * (5 + 4 * s)
@@ -143,14 +156,23 @@ def ladder_residual(f: GeneratingFamily, s: int, lam: float) -> float:
     """
     if s + 1 > f.s_max:
         raise TruncationError(f"ladder check needs member s+1={s + 1} <= s_max={f.s_max}")
-    lhs = central_diff(lambda x: f.ktilde(s + 1, x), lam)
-    rhs = float(ladder_factor(s)) * f.ktilde(s, lam)
-    return abs(lhs - rhs) / max(abs(rhs), RESIDUAL_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # members that overflow give nan
+        lhs = central_diff(lambda x: f.ktilde(s + 1, x), lam)
+        rhs = float(ladder_factor(s)) * f.ktilde(s, lam)
+        return abs(lhs - rhs) / max(abs(rhs), RESIDUAL_FLOOR)
+
+
+def worst_ladder_residual(f: GeneratingFamily, s: int, grid) -> float:
+    """The largest ``ladder_residual`` over grid, or nan if any residual is nan."""
+    residuals = [ladder_residual(f, s, lam) for lam in grid]
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
 def _ladder_gate(f: GeneratingFamily, grid=_LADDER_GRID):
     for s in range(f.s_max):
-        worst = max(ladder_residual(f, s, lam) for lam in grid)
+        worst = worst_ladder_residual(f, s, grid)
+        if not math.isfinite(worst):
+            raise FamilyConstructionError(f"ladder residual {worst} at s={s} is not finite")
         if worst > LADDER_GATE_TOL:
             raise FamilyConstructionError(
                 f"ladder residual {worst:.3e} at s={s} exceeds {LADDER_GATE_TOL:.0e}"

@@ -20,11 +20,15 @@ the kernel is taken not to decay.  On [0, R] a composite Gauss-Legendre rule
 on the same panels, evaluated in the same array call, gives the error
 estimate |full - half|, which must be within 10 ``_REL_TOL`` int |g|.
 
-A quadrature does only the work of its own integral.  The kernel's decay
-check depends on the point alone, so the kernel remembers the last point
-that passed it; the cutoff R is always on the ladder, so the node powers
-(R c_i)^k come from a bounded table per (R, k).  A scalar whose 4 pi
-prefactor overflows raises ``DomainError``.
+The quadratures of one point share their kernel values.  The argument
+depends on the point alone, so the kernel keeps a one-point value table: the
+scalar probes F^(n)(arg(c)) under (n, c) and the node arrays under (n, R),
+which every moment of order n at that point reuses, whatever its power of c.
+The decay check depends on (l, l_ppqq) alone, so the kernel remembers the
+last pair that passed it.  The cutoff R is always on the ladder, so the node
+powers (R c_i)^k come from a bounded table per (R, k).  A scalar whose 4 pi
+prefactor overflows raises ``DomainError``, and a negative or non-integer
+index ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coeffs
-from .coeffs import GeneratingFamily, _ladder_gate, EquilibriumPoint
+from .coeffs import GeneratingFamily, _ladder_gate, EquilibriumPoint, check_index
 from .errors import AccuracyError, DecayError, DomainError
 
 _FOUR_PI = 4.0 * math.pi
@@ -55,9 +59,13 @@ class KineticKernel:
     elementwise, as numpy ufuncs do: the quadrature evaluates all its nodes
     in one call.
 
-    ``check_decay`` remembers the last (lam, quartic) that passed, so
+    ``check_decay`` remembers the last (lam, quartic) that passed, and
+    ``values_at`` keeps the kernel values of the most recent point, so
     ``deriv`` must be a pure function.  A check that fails is not stored and
-    raises on every call; ``dataclasses.replace`` starts with no point passed.
+    raises on every call, and a ``deriv`` call that raises stores nothing.
+    Values that are not finite are stored; each use checks them again, so a
+    quadrature that raised raises on every call.  ``dataclasses.replace``
+    starts with no point passed and an empty table.
     """
 
     deriv: object  # callable (n, x) -> float or array
@@ -65,6 +73,8 @@ class KineticKernel:
     params: dict = field(default_factory=dict)
     # (lam, quartic) of the last check that passed: a cache, not part of the kernel's value
     _decay_passed: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # {(lam, lam_ll, quartic): (probes, nodes)}: a cache, not part of the kernel's value
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x: float) -> float:
         return self.deriv(0, x)
@@ -86,6 +96,20 @@ class KineticKernel:
                 f"does not vanish (boundary-term estimate)"
             )
         object.__setattr__(self, "_decay_passed", (lam, quartic))
+
+    def values_at(self, point: EquilibriumPoint) -> tuple:
+        """The value tables at point, emptied when the point is new.
+
+        ``probes`` maps (n, c) to F^(n)(arg(c)) at a scalar radius c, and
+        ``nodes`` maps (n, R) to the read-only array of F^(n)(arg) at the
+        nodes on [0, R], with arg(c) = lam + lam_ll c^2/3 + lam_ppqq c^4.
+        """
+        key = (point.lam, point.lam_ll, point.lam_ppqq)
+        tables = self._values.get(key)
+        if tables is None:  # a new point: forget the previous one
+            self._values.clear()
+            tables = self._values[key] = ({}, {})
+        return tables
 
 
 def kernel_for(kind, params: dict | None = None) -> KineticKernel | None:
@@ -139,48 +163,59 @@ def _node_powers(R: float, power: int) -> np.ndarray:
     return table
 
 
-def _finite(v: float) -> float:
-    if not math.isfinite(v):
-        raise DomainError("kinetic integrand is not finite: the kernel overflows on the ray")
-    return v
+_NOT_FINITE = "kinetic integrand is not finite: the kernel overflows on the ray"
 
 
 def _radial_moment(kernel: KineticKernel, n: int, power: int, point: EquilibriumPoint) -> float:
     """int_0^inf F^(n)(l + l_ll c^2/3 + l_ppqq c^4) c^power dc, the one kinetic integrand.
 
     The integrand g is cut at the first ladder radius R where |g(R)| R is
-    negligible.  A non-finite integrand raises ``DomainError``, a tail still
-    too large past ``_CUTOFF_MAX`` ``DecayError``, and an error estimate above
-    tolerance ``AccuracyError``.
+    negligible.  F^(n) comes from the kernel's value table at the point
+    (``KineticKernel.values_at``); only a miss calls ``deriv``.  A non-finite
+    integrand raises ``DomainError``, a tail still too large past
+    ``_CUTOFF_MAX`` ``DecayError``, and an error estimate above tolerance
+    ``AccuracyError``.
     """
     kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
     lam, lam_ll, quartic = point.lam, point.lam_ll, point.lam_ppqq
+    probes, nodes = kernel.values_at(point)
 
-    def g(c, c4, c_power):
-        """g at c (a float or the nodes on [0, R]), given c^4 and c^power."""
-        arg = lam + lam_ll * c * c / 3.0
-        if quartic:  # adding 0.0 c^4 would change no bit, only cost a pow per node
-            arg += quartic * c4
-        return kernel.deriv(n, arg) * c_power
-
-    def tail(c: float) -> float:
-        return abs(_finite(g(c, c**4 if quartic else None, c**power)))
+    def probe(c: float) -> float:
+        """|g(c)| at a scalar radius c."""
+        f = probes.get((n, c))
+        if f is None:
+            arg = lam + lam_ll * c * c / 3.0
+            if quartic:  # adding 0.0 c^4 would change no bit, only cost a pow per node
+                arg += quartic * c**4
+            f = probes[n, c] = kernel.deriv(n, arg)
+        v = f * c**power
+        if not math.isfinite(v):
+            raise DomainError(_NOT_FINITE)
+        return abs(v)
 
     with np.errstate(over="ignore", invalid="ignore"):
         R = _CUTOFF_START
-        ref = max(tail(1.0), tail(R / 2), 1e-300)
-        while tail(R) * R > _REL_TOL * ref * 1e-3:
+        ref = max(probe(1.0), probe(R / 2), 1e-300)
+        while probe(R) * R > _REL_TOL * ref * 1e-3:
             R *= 1.5
             if R > _CUTOFF_MAX:
                 raise DecayError("integrand tail does not fall below tolerance before cutoff")
+        f = nodes.get((n, R))
+        if f is None:
+            c = _node_powers(R, 1)
+            arg = lam + lam_ll * c * c / 3.0
+            if quartic:
+                arg += quartic * _node_powers(R, 4)
+            f = np.asarray(kernel.deriv(n, arg)).view()  # a view, so the kernel's array stays writable
+            f.flags.writeable = False
+            nodes[n, R] = f
+        y = f * _node_powers(R, power)
         weights = _panel_rule()[1]
-        y = g(_node_powers(R, 1), _node_powers(R, 4) if quartic else None,
-              _node_powers(R, power))
         full, half = R * (weights @ y)
         magnitude = R * (weights[0] @ np.abs(y))
     # every node has a nonzero weight in one of the two rules
-    _finite(full)
-    _finite(half)
+    if not (math.isfinite(full) and math.isfinite(half)):
+        raise DomainError(_NOT_FINITE)
     err = abs(full - half)
     if err > 10 * _REL_TOL * magnitude:
         raise AccuracyError(
@@ -191,6 +226,8 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
 
 def kinetic_ktilde(kernel: KineticKernel, s: int, lam: float, deriv_order: int = 0) -> float:
     """Member ktilde_s(lam) (optionally its lam-derivative) by quadrature."""
+    check_index("s", s)
+    check_index("deriv_order", deriv_order)
     point = EquilibriumPoint(lam, 1.0)
     value = _FOUR_PI * _radial_moment(kernel, s + deriv_order, 4 * s + 2, point)
     if not math.isfinite(value):  # the quadrature is finite, its 4 pi multiple need not be
@@ -202,6 +239,8 @@ def kinetic_ktilde(kernel: KineticKernel, s: int, lam: float, deriv_order: int =
 
 def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) -> float:
     """Matrix element k_{p,q} as a velocity-space integral."""
+    check_index("p", p)
+    check_index("q", q)
     n = p + q
     odd = n % 2
     value = _FOUR_PI / (n + 1 + odd) * _radial_moment(kernel, n, p + 3 * q + 2 + odd, point)
@@ -212,6 +251,7 @@ def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) 
 
 def kinetic_series_coefficient(kernel: KineticKernel, s: int, lam: float, lam_ll: float) -> float:
     """Series coefficient k_s = 4 pi int F^(s)(l + l_ll c^2/3) c^(4s+2) dc."""
+    check_index("s", s)
     point = EquilibriumPoint(lam, lam_ll)
     value = _FOUR_PI * _radial_moment(kernel, s, 4 * s + 2, point)
     if not math.isfinite(value):

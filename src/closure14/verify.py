@@ -467,7 +467,7 @@ def check_ladder(f: GeneratingFamily, s_values, lam_grid) -> VerificationReport:
     tol = DEFAULT_TOLERANCES["ladder"]
     report = VerificationReport()
     for s in s_values:
-        worst = max(coeffs.ladder_residual(f, s, lam) for lam in lam_grid)
+        worst = coeffs.worst_ladder_residual(f, s, lam_grid)
         report.add(
             f"ladder.s{s}",
             "derivative recursion between consecutive family members",

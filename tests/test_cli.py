@@ -198,6 +198,20 @@ class TestConfigHandling:
         assert code in (0, 1), err
         assert json.loads(out)
 
+    @pytest.mark.parametrize("command", ["coeffs", "kinetic"])
+    @pytest.mark.parametrize("family", ["exponential", "poly_exponential"])
+    def test_family_failing_the_ladder_exit_code(self, tmp_path, capsys, family, command):
+        # the ladder residuals are nan; they passed the gate and printed
+        # RuntimeWarnings before the command failed later on an overflow
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"family": family, "family_params": {"amplitude": 1e300}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code == 3
+        assert out == ""
+        assert err == "error: ladder residual nan at s=2 is not finite\n"
+
     def test_unknown_family_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--family", "bogus")
         assert code == 2

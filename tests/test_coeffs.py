@@ -26,6 +26,7 @@ from closure14.coeffs import (
     k_series,
     ladder_factor,
     ladder_residual,
+    worst_ladder_residual,
     make_family,
     phi_pqr,
     reduce_to_13,
@@ -102,6 +103,27 @@ class TestFamily:
 
         with pytest.raises(FamilyConstructionError):
             make_family("custom", {"deriv": bad})
+
+    def test_gate_rejects_nan_residuals(self):
+        # max() dropped a nan that was not first, so these families passed
+        exp = make_family("exponential").deriv
+
+        def nan_at_one(s, n, lam):
+            return math.nan if s == 2 and lam > 0.99 else exp(s, n, lam)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FamilyConstructionError, match="at s=1 is not finite"):
+                make_family("custom", {"deriv": nan_at_one})
+            with pytest.raises(FamilyConstructionError, match="nan at s=2 is not finite"):
+                make_family("exponential", {"amplitude": 1e300})
+
+    def test_worst_ladder_residual_keeps_nan(self):
+        fam = GeneratingFamily(
+            kind="custom", deriv=lambda s, n, lam: math.nan if lam > 0.5 else math.exp(-lam)
+        )
+        assert math.isnan(worst_ladder_residual(fam, 0, [0.0, 1.0]))
+        assert worst_ladder_residual(fam, 0, [0.0]) == ladder_residual(fam, 0, 0.0)
 
     def test_direct_instantiation_skips_gate(self):
         fam = GeneratingFamily(kind="custom", deriv=lambda s, n, lam: 1.0, s_max=2)
@@ -610,6 +632,20 @@ class TestMemberTable:
             with pytest.raises(DomainError):
                 f.ktilde_deriv(1, 2, lam)
         assert f.ktilde(0, 0.3) == f.deriv(0, 0, 0.3)
+
+    @pytest.mark.parametrize("s, n, name", [
+        (-1, 0, "s"), (0, -1, "derivative order n"), (1.5, 0, "s"), (0, 0.5, "derivative order n"),
+    ])
+    def test_negative_or_fractional_index_rejected(self, counted, s, n, name):
+        # ktilde_deriv(-1, 0, 0.2) returned 10.53 and stored it
+        f, deriv = counted
+        f.ktilde_deriv(0, 0, 0.2)
+        before = len(deriv.calls)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+                f.ktilde_deriv(s, n, 0.2)
+        assert len(deriv.calls) == before
+        assert set(f.members_at(0.2)) == {(0, 0)}
 
     def test_replace_starts_an_empty_table(self, counted):
         f, deriv = counted

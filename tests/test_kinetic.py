@@ -119,6 +119,27 @@ class TestNonFiniteIntegrand:
                 call(exp_kernel, self.POINT)
 
 
+class TestIndices:
+    # each returned a number, or a TypeError about complex numbers, before
+    @pytest.mark.parametrize("call, name", [
+        (lambda K, pt: kinetic_kpq(K, -1, 0, pt), "p"),
+        (lambda K, pt: kinetic_kpq(K, 0, -2, pt), "q"),
+        (lambda K, pt: kinetic_kpq(K, 1.5, 0, pt), "p"),
+        (lambda K, pt: kinetic_ktilde(K, 0, pt.lam, deriv_order=-1), "deriv_order"),
+        (lambda K, pt: kinetic_ktilde(K, -1, pt.lam), "s"),
+        (lambda K, pt: kinetic_ktilde(K, 0, pt.lam, deriv_order=0.5), "deriv_order"),
+        (lambda K, pt: kinetic_series_coefficient(K, -1, pt.lam, pt.lam_ll), "s"),
+    ])
+    def test_negative_or_fractional_index_rejected(self, exp_kernel, call, name):
+        pt = EquilibriumPoint(0.2, 1.5)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            call(exp_kernel, pt)
+
+    def test_integer_types_accepted(self, exp_kernel):
+        pt = EquilibriumPoint(0.2, 1.5)
+        assert kinetic_kpq(exp_kernel, np.int64(2), 1, pt) == kinetic_kpq(exp_kernel, 2, 1, pt)
+
+
 class TestScalarOverflow:
     # the quadrature is finite here, but its 4 pi multiple overflows the float
     # product: these returned +-inf silently
@@ -223,21 +244,33 @@ class TestKernels:
 
 
 class ProbeCounter:
-    """Derivative oracle wrapper that records the scalar F calls made through it."""
+    """Derivative oracle wrapper that records its array calls and its scalar calls."""
 
     def __init__(self, deriv):
         self.deriv = deriv
-        self.scalar_args = []
+        self.arrays = []  # n of each call on an array
+        self.scalars = []  # (n, x) of each call on a scalar
 
     def __call__(self, n, x):
-        if n == 0 and np.ndim(x) == 0:
-            self.scalar_args.append(x)
+        if np.ndim(x):
+            self.arrays.append(n)
+        else:
+            self.scalars.append((n, x))
         return self.deriv(n, x)
 
     def decay_probes(self, point):
         """Calls made at the three decay probes of ``point``."""
         probes = {point.lam + c * c / 3.0 + point.lam_ppqq * c**4 for c in (20.0, 40.0, 80.0)}
-        return sum(x in probes for x in self.scalar_args)
+        return sum(n == 0 and x in probes for n, x in self.scalars)
+
+
+def counted_kernel(pt):
+    """A counting exponential kernel whose decay check at pt is done and not counted."""
+    counter = ProbeCounter(exponential_kernel().deriv)
+    kernel = KineticKernel(counter, name="counting")
+    kernel.check_decay(pt.lam, pt.lam_ppqq)
+    counter.scalars.clear()
+    return kernel, counter
 
 
 class TestDecayMemo:
@@ -315,6 +348,83 @@ class TestTables:
                     got = _radial_moment(kernel, n, power, pt)
                     assert got.hex() == radial_moment_per_call(kernel, n, power, pt).hex(), (
                         pt, n, power)
+
+    @pytest.mark.parametrize("params", [{}, NON_DEFAULT], ids=["default", "non_default"])
+    @pytest.mark.parametrize("entry", BUILTIN_KERNELS, ids=lambda e: e.name)
+    def test_shared_table_order_same_bits(self, entry, params):
+        # the calls of a kinetic op, interleaved over points that share lam
+        # (and so the ktilde ray) but differ in lam_ll or lam_ppqq, repeated
+        kernel = kernel_for(entry.name, {k: v for k, v in params.items() if k in entry.params})
+        points = [EquilibriumPoint(0.3, 1.6, 0.0), EquilibriumPoint(0.3, 1.0, 0.0),
+                  EquilibriumPoint(0.3, 1.6, 0.02), EquilibriumPoint(-0.4, 2.5, 0.0),
+                  EquilibriumPoint(-0.4, 2.5, 0.01)]
+        for pt in points * 2 + points[::-1]:
+            for p, q in TestDecayMemo.PQS:
+                n, odd = p + q, (p + q) % 2
+                want = 4.0 * math.pi / (n + 1 + odd) * radial_moment_per_call(
+                    kernel, n, p + 3 * q + 2 + odd, pt)
+                assert kinetic_kpq(kernel, p, q, pt).hex() == want.hex(), (pt, p, q)
+            for s, d in [(s, d) for s in range(4) for d in range(2)]:
+                want = 4.0 * math.pi * radial_moment_per_call(
+                    kernel, s + d, 4 * s + 2, EquilibriumPoint(pt.lam, 1.0))
+                assert kinetic_ktilde(kernel, s, pt.lam, d).hex() == want.hex(), (pt, s, d)
+
+    @pytest.mark.parametrize("lam_ppqq", [0.0, 0.02])
+    def test_one_deriv_call_per_value(self, lam_ppqq):
+        pt = EquilibriumPoint(0.3, 1.6, lam_ppqq)
+        kernel, counter = counted_kernel(pt)
+        for _ in range(2):
+            for pq in TestDecayMemo.PQS:
+                kinetic_kpq(kernel, *pq, pt)
+        probes, nodes = kernel.values_at(pt)
+        assert sorted(counter.arrays) == sorted(n for n, _ in nodes)
+        assert len(counter.scalars) == len(set(counter.scalars)) == len(probes)
+        assert len(nodes) < len(TestDecayMemo.PQS)  # moments of one order share their nodes
+
+        def arg(c):
+            return pt.lam + pt.lam_ll * c * c / 3.0 + (lam_ppqq * c**4 if lam_ppqq else 0.0)
+
+        for (n, c), value in probes.items():
+            assert c in {1.0, 4.0, *ladder()}
+            assert value == counter.deriv(n, arg(c))
+        for (n, R), values in nodes.items():
+            assert R in set(ladder())
+            assert values.tobytes() == counter.deriv(n, arg(R * _panel_rule()[0])).tobytes()
+            assert not values.flags.writeable
+        # a new point computes again, and the previous one is forgotten
+        kinetic_kpq(kernel, 2, 1, EquilibriumPoint(0.3, 1.7, lam_ppqq))
+        assert len(counter.arrays) == len(nodes) + 1
+        assert list(kernel._values) == [(0.3, 1.7, lam_ppqq)]
+
+    def test_replace_starts_an_empty_table(self):
+        pt = EquilibriumPoint(0.3, 1.6, 0.0)
+        kernel, counter = counted_kernel(pt)
+        first = kinetic_kpq(kernel, 2, 0, pt)
+        copy = dataclasses.replace(kernel)
+        assert copy._values == {}
+        assert kinetic_kpq(copy, 2, 0, pt) == first
+        assert counter.arrays == [2, 2]
+        assert "_values" not in repr(kernel)
+        with pytest.raises(TypeError):
+            KineticKernel(kernel.deriv, _values={})
+
+    @pytest.mark.parametrize("lam, overflows", [(-800.0, "probes"), (-709.9, "nodes")])
+    def test_overflow_raises_on_every_call(self, lam, overflows):
+        # at -800 the first scalar probe overflows; at -709.9 the probes are
+        # finite and only the nodes near c = 0 overflow
+        pt = EquilibriumPoint(lam, 3.0)
+        kernel, counter = counted_kernel(pt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(DomainError, match="not finite"):
+                    kinetic_kpq(kernel, 0, 0, pt)
+                with pytest.raises(DomainError):
+                    radial_moment_per_call(exponential_kernel(), 0, 2, pt)
+        tables = dict(zip(("probes", "nodes"), kernel.values_at(pt)))
+        assert not all(np.isfinite(v).all() for v in tables[overflows].values())
+        assert len(counter.arrays) == len(tables["nodes"]) == (overflows == "nodes")
+        assert counter.scalars.count((0, lam + 1.0)) == 1  # c = 1, stored once
 
     def test_node_powers_are_read_only_and_exact(self):
         nodes = _panel_rule()[0]

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -116,6 +117,16 @@ class TestFaultInjection:
 
         clean = check_ladder(exp_family, range(3), np.linspace(-1.0, 1.0, 9))
         assert clean.all_passed
+
+    def test_nan_ladder_residual_fails(self, exp_family):
+        # a nan residual at the last grid point was dropped by max()
+        def nan_at_one(s, n, lam):
+            return math.nan if s == 1 and lam > 0.99 else exp_family.deriv(s, n, lam)
+
+        bad = GeneratingFamily(kind="custom", deriv=nan_at_one, s_max=3)
+        rep = check_ladder(bad, range(3), np.linspace(-1.0, 1.0, 9))
+        assert rep.failed_conditions() == ["ladder.s0", "ladder.s1"]
+        assert all(math.isnan(r["residual"]) for r in rep.records if not r["passed"])
 
     def check_skewed_series_detected(self, f, monkeypatch, pqr):
         """Scale the (p, q, r) tensor series by 1.01: compatibility must fail.
