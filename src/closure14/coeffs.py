@@ -107,17 +107,23 @@ class GeneratingFamily:
             members = self.members_at(lam)
         value = members.get((s, n))
         if value is None:  # a new member; no key out of range is ever stored
-            check_index("s", s)
-            check_index("derivative order n", n)
-            if s > self.s_max:
-                raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
-            if n > self.n_max:
-                raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
+            if not (type(s) is int and type(n) is int  # other integer types take the long way
+                    and 0 <= s <= self.s_max and 0 <= n <= self.n_max):
+                self._check_member(s, n)
             try:
                 value = members[s, n] = self.deriv(s, n, lam)
             except OverflowError as exc:
                 raise DomainError(f"ktilde_{s} derivative {n} overflows at lambda={lam}") from exc
         return value
+
+    def _check_member(self, s, n) -> None:
+        """Raise ``ValueError`` or ``TruncationError`` unless (s, n) is a member in range."""
+        check_index("s", s)
+        check_index("derivative order n", n)
+        if s > self.s_max:
+            raise TruncationError(f"s={s} exceeds family s_max={self.s_max}")
+        if n > self.n_max:
+            raise TruncationError(f"derivative order {n} exceeds n_max={self.n_max}")
 
     def members_at(self, lam: float) -> dict:
         """The member table {(s, n): value} at lam, emptied when lam is new."""
