@@ -87,7 +87,8 @@ class GeneratingFamily:
     returns that table for readers that look members up themselves.  A member
     out of range or a call that raises is not stored, so a reader that misses
     calls ``ktilde_deriv`` and gets its error; ``dataclasses.replace`` starts
-    an empty table.  A new lam that is not finite raises ``DomainError``.
+    an empty table.  A new lam that is not finite raises ``DomainError``, and
+    an index s or n that is negative or not an integer ``ValueError``.
     """
 
     kind: str
