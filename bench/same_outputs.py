@@ -10,8 +10,9 @@ and ``boost`` at their defaults, ``eval`` and ``boost`` at a
 nonequilibrium state with a nonzero velocity, ``coeffs`` with each of
 ``COEFFS_CONFIGS``: a 13 x 13 table at S = 6, and three that exit 3, one
 past n_max, one past the series order S and one whose family fails the
-ladder gate, and ``kinetic`` at S = 6 with that family's non-default kernel
-parameters from ``KINETIC_CONFIGS``.  For each command it prints
+ladder gate, ``kinetic`` at S = 6 with that family's non-default kernel
+parameters from ``KINETIC_CONFIGS``, and ``kinetic`` and ``verify`` with
+``{"count": 0}`` and with ``--seed -1``, which exit 2.  For each command it prints
 ``identical``, or the first line where stdout, stderr or the exit code
 differ.
 
@@ -91,6 +92,9 @@ def commands():
         for config in COEFFS_CONFIGS:
             yield ["coeffs", *fam, "--config", config]
         yield ["kinetic", *fam, "--config", f"kinetic_{family}.json"]
+        for name in ("kinetic", "verify"):
+            yield [name, *fam, "--config", "count_0.json"]
+            yield [name, *fam, "--seed", "-1"]
 
 
 def run(checkout: Path, args: list, workdir: str) -> str:
@@ -123,7 +127,7 @@ def main(argv=None) -> int:
                  for name in WORKLOADS]
     differing = 0
     with tempfile.TemporaryDirectory() as workdir:
-        configs = {"noneq.json": NONEQ_CONFIG, **COEFFS_CONFIGS,
+        configs = {"noneq.json": NONEQ_CONFIG, "count_0.json": {"count": 0}, **COEFFS_CONFIGS,
                    **{f"kinetic_{family}.json": c for family, c in KINETIC_CONFIGS.items()}}
         for name, config in configs.items():
             (Path(workdir) / name).write_text(json.dumps(config))

@@ -115,12 +115,12 @@ class RunConfig:
     def validate(self):
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {self.format!r}")
-        for name in ("N", "S", "count", "p_max", "q_max"):
+        for name in ("N", "S", "count", "p_max", "q_max", "seed"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, got {v!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+            least = 1 if name == "count" else 0  # a run checks at least one point
+            if not isinstance(v, int) or v < least:
+                kind = "a positive" if least else "a non-negative"
+                raise ConfigError(f"{name} must be {kind} integer, got {v!r}")
         if not isinstance(self.family_params, dict):
             raise ConfigError(f"family_params must be an object, got {self.family_params!r}")
         for name in ("point", "state", "lam", "velocity", "moments"):

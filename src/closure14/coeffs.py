@@ -643,8 +643,6 @@ class SubsystemTable:
 def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:
     if q % 2:
         raise ParityError(f"subsystem index q must be even, got {q}")
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam}")
     s = q // 2
     value = (-1.5) ** s / (q + 1) * eta_product(2 * q + 3, 3 * q + 1) * f.ktilde(s, lam)
     if not math.isfinite(value):

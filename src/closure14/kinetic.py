@@ -24,8 +24,8 @@ The quadratures of one point share their kernel values.  The argument
 depends on the point alone, so the kernel keeps a one-point value table: the
 scalar probes F^(n)(arg(c)) under (n, c) and the node arrays under (n, R),
 which every moment of order n at that point reuses, whatever its power of c.
-The decay check depends on (l, l_ppqq) alone, so the kernel remembers the
-last pair that passed it.  The cutoff R is always on the ladder, so the node
+A new point passes the decay check before it enters the table, whose rules
+``KineticKernel`` states.  The cutoff R is always on the ladder, so the node
 powers (R c_i)^k come from a bounded table per (R, k).  A scalar whose 4 pi
 prefactor overflows raises ``DomainError``, and a negative or non-integer
 index ``ValueError``.
@@ -59,20 +59,18 @@ class KineticKernel:
     elementwise, as numpy ufuncs do: the quadrature evaluates all its nodes
     in one call.
 
-    ``check_decay`` remembers the last (lam, quartic) that passed, and
-    ``values_at`` keeps the kernel values of the most recent point, so
-    ``deriv`` must be a pure function.  A check that fails is not stored and
-    raises on every call, and a ``deriv`` call that raises stores nothing.
-    Values that are not finite are stored; each use checks them again, so a
-    quadrature that raised raises on every call.  ``dataclasses.replace``
-    starts with no point passed and an empty table.
+    ``values_at`` keeps the kernel values of the most recent point, the one
+    memo of a kernel, so ``deriv`` must be a pure function.  A point enters
+    the table only once its decay check passes: a check that fails stores
+    nothing and raises on every call, and so does a ``deriv`` call that
+    raises.  Values that are not finite are stored; each use checks them
+    again, so a quadrature that raised raises on every call.
+    ``dataclasses.replace`` starts with an empty table.
     """
 
     deriv: object  # callable (n, x) -> float or array
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    # (lam, quartic) of the last check that passed: a cache, not part of the kernel's value
-    _decay_passed: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # {(lam, lam_ll, quartic): (probes, nodes)}: a cache, not part of the kernel's value
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -81,8 +79,6 @@ class KineticKernel:
 
     def check_decay(self, lam: float = 0.0, quartic: float = 0.0):
         """Verify F(x(c)) c^3 -> 0 along the evaluation ray."""
-        if self._decay_passed == (lam, quartic):
-            return
         tol = 1e-12
         probes = [20.0, 40.0, 80.0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -95,10 +91,9 @@ class KineticKernel:
                 f"kernel tail F*c^3 = {vals[-1]:.3e} at c={probes[-1]} "
                 f"does not vanish (boundary-term estimate)"
             )
-        object.__setattr__(self, "_decay_passed", (lam, quartic))
 
     def values_at(self, point: EquilibriumPoint) -> tuple:
-        """The value tables at point, emptied when the point is new.
+        """The value tables at point; a new point passes ``check_decay``, then replaces the old.
 
         ``probes`` maps (n, c) to F^(n)(arg(c)) at a scalar radius c, and
         ``nodes`` maps (n, R) to the read-only array of F^(n)(arg) at the
@@ -106,7 +101,8 @@ class KineticKernel:
         """
         key = (point.lam, point.lam_ll, point.lam_ppqq)
         tables = self._values.get(key)
-        if tables is None:  # a new point: forget the previous one
+        if tables is None:  # a new point: check it, then forget the previous one
+            self.check_decay(point.lam, point.lam_ppqq)
             self._values.clear()
             tables = self._values[key] = ({}, {})
         return tables
@@ -171,12 +167,11 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
 
     The integrand g is cut at the first ladder radius R where |g(R)| R is
     negligible.  F^(n) comes from the kernel's value table at the point
-    (``KineticKernel.values_at``); only a miss calls ``deriv``.  A non-finite
-    integrand raises ``DomainError``, a tail still too large past
-    ``_CUTOFF_MAX`` ``DecayError``, and an error estimate above tolerance
-    ``AccuracyError``.
+    (``KineticKernel.values_at``, which checks the decay of a new point); only
+    a miss calls ``deriv``.  A non-finite integrand raises ``DomainError``, a
+    tail still too large past ``_CUTOFF_MAX`` ``DecayError``, and an error
+    estimate above tolerance ``AccuracyError``.
     """
-    kernel.check_decay(lam=point.lam, quartic=point.lam_ppqq)
     lam, lam_ll, quartic = point.lam, point.lam_ll, point.lam_ppqq
     probes, nodes = kernel.values_at(point)
 

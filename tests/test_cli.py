@@ -212,6 +212,22 @@ class TestConfigHandling:
         assert out == ""
         assert err == "error: ladder residual nan at s=2 is not finite\n"
 
+    @pytest.mark.parametrize("command", ["verify", "kinetic"])
+    def test_zero_count_rejected(self, tmp_path, capsys, command):
+        # kinetic failed on max() of no records, and verify passed checking no point
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"count": 0}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code == 2 and out == ""
+        assert err == "config error: count must be a positive integer, got 0\n"
+
+    @pytest.mark.parametrize("command", ["verify", "kinetic", "eval", "coeffs", "boost"])
+    def test_negative_seed_rejected(self, capsys, command):
+        # numpy's error did not name the seed, and the other commands printed it
+        code, out, err = run_cli(capsys, command, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "config error: seed must be a non-negative integer, got -1\n"
+
     def test_unknown_family_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--family", "bogus")
         assert code == 2

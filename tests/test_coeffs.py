@@ -487,8 +487,8 @@ class TestSubsystem:
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_lam_rejected(self, exp_family, lam):
-        # NaN gave I_q = nan, and +inf a table of zeros
-        with pytest.raises(DomainError):
+        # NaN gave I_q = nan, and +inf a table of zeros; the member table raises
+        with pytest.raises(DomainError, match=f"^lambda must be finite, got {lam}$"):
             subsystem_coefficient(exp_family, 2, lam)
         with pytest.raises(DomainError):
             reduce_to_13(exp_family, 4, lam)

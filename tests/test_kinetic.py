@@ -265,16 +265,16 @@ class ProbeCounter:
 
 
 def counted_kernel(pt):
-    """A counting exponential kernel whose decay check at pt is done and not counted."""
+    """A counting exponential kernel whose table holds pt, its decay check not counted."""
     counter = ProbeCounter(exponential_kernel().deriv)
     kernel = KineticKernel(counter, name="counting")
-    kernel.check_decay(pt.lam, pt.lam_ppqq)
+    kernel.values_at(pt)
     counter.scalars.clear()
     return kernel, counter
 
 
 class TestDecayMemo:
-    # the decay verdict depends on (lam, lam_ppqq) alone; the cutoff search
+    # a point new to the kernel's table is checked once; the cutoff search
     # probes lam + lam_ll c^2/3 at ladder radii, never at c = 20, 40 or 80
     PQS = [(p, n - p) for n in range(7) for p in range(n + 1)]
 
@@ -292,14 +292,16 @@ class TestDecayMemo:
             assert counter.decay_probes(pt) == 3, pt
         assert len(self.PQS) == 28
 
-    def test_members_at_the_same_lam_share_the_check(self):
-        # the kinetic family's members lie on the same ray when lam_ppqq = 0
+    def test_each_new_point_is_checked(self):
+        # the check ignores lam_ll, so the ktilde point (lam, 1, 0) probes the
+        # same arguments as pt; it is a new point of the table all the same
         kernel, counter = self.counting_kernel()
         pt = EquilibriumPoint(0.3, 1.6, 0.0)
         kinetic_kpq(kernel, 1, 1, pt)
+        assert counter.decay_probes(pt) == 3
         for s in range(3):
             kinetic_ktilde(kernel, s, pt.lam, deriv_order=1)
-        assert counter.decay_probes(pt) == 3
+        assert counter.decay_probes(pt) == 6
 
     def test_failed_check_is_not_stored(self):
         counter = ProbeCounter(lambda n, x: np.exp(x / 100.0))
@@ -318,10 +320,12 @@ class TestDecayMemo:
         kinetic_kpq(copy, 0, 2, pt)
         assert counter.decay_probes(pt) == 6
 
-    def test_memo_is_not_part_of_the_value(self, exp_kernel):
-        assert "_decay_passed" not in repr(exp_kernel)
-        with pytest.raises(TypeError):
-            KineticKernel(exp_kernel.deriv, _decay_passed=(0.0, 0.0))
+    def test_failed_check_leaves_the_table_empty(self):
+        growing = KineticKernel(lambda n, x: np.exp(x / 100.0), name="growing")
+        for _ in range(2):
+            with pytest.raises(DecayError):
+                growing.values_at(EquilibriumPoint(0.0, 1.0))
+        assert growing._values == {}
 
 
 def ladder():
