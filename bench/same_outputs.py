@@ -11,8 +11,11 @@ nonequilibrium state with a nonzero velocity, ``coeffs`` with each of
 ``COEFFS_CONFIGS``: a 13 x 13 table at S = 6, and three that exit 3, one
 past n_max, one past the series order S and one whose family fails the
 ladder gate, ``kinetic`` at S = 6 with that family's non-default kernel
-parameters from ``KINETIC_CONFIGS``, and ``kinetic`` and ``verify`` with
-``{"count": 0}`` and with ``--seed -1``, which exit 2.  For each command it prints
+parameters from ``KINETIC_CONFIGS``, ``kinetic`` and ``verify`` with
+``{"count": 0}`` and with ``--seed -1``, which exit 2, and the verify plan
+away from its defaults: ``verify`` with ``VERIFY_CONFIG`` and with
+``--n-trunc 0`` (the skipped velocity-independence records), and
+``kinetic`` with ``{"p_max": 2, "q_max": 1}``.  For each command it prints
 ``identical``, or the first line where stdout, stderr or the exit code
 differ.
 
@@ -56,6 +59,7 @@ KINETIC_CONFIGS = {
     "exponential": {"family_params": {"amplitude": 2.0, "scale": 1.7}, "S": 6},
     "poly_exponential": {"family_params": {"amplitude": 2.0}, "S": 6},
 }
+VERIFY_CONFIG = {"count": 3, "noneq_magnitude": 0.001, "N": 4, "S": 5}
 WORKLOADS = ("potentials", "coeffs", "kinetic")
 WORKLOAD_SEED = 0
 # argv: workload, seed, ops; prints the hash of the outputs of ops 0..ops-1.  The
@@ -95,6 +99,9 @@ def commands():
         for name in ("kinetic", "verify"):
             yield [name, *fam, "--config", "count_0.json"]
             yield [name, *fam, "--seed", "-1"]
+        yield ["verify", *fam, "--config", "verify.json"]
+        yield ["verify", *fam, "--n-trunc", "0"]
+        yield ["kinetic", *fam, "--config", "kinetic_p2_q1.json"]
 
 
 def run(checkout: Path, args: list, workdir: str) -> str:
@@ -127,7 +134,9 @@ def main(argv=None) -> int:
                  for name in WORKLOADS]
     differing = 0
     with tempfile.TemporaryDirectory() as workdir:
-        configs = {"noneq.json": NONEQ_CONFIG, "count_0.json": {"count": 0}, **COEFFS_CONFIGS,
+        configs = {"noneq.json": NONEQ_CONFIG, "count_0.json": {"count": 0},
+                   "verify.json": VERIFY_CONFIG, "kinetic_p2_q1.json": {"p_max": 2, "q_max": 1},
+                   **COEFFS_CONFIGS,
                    **{f"kinetic_{family}.json": c for family, c in KINETIC_CONFIGS.items()}}
         for name, config in configs.items():
             (Path(workdir) / name).write_text(json.dumps(config))

@@ -338,7 +338,7 @@ def cmd_kinetic(cfg: RunConfig) -> int:
     report = verify.check_kinetic_equivalence(
         f,
         kernel,
-        pts.scalar_points(with_ppqq=False)[:3],
+        pts.scalar_points(with_ppqq=False)[: verify.VerifyConfig.kinetic_points],
         pq_total_max=min(cfg.p_max + cfg.q_max, 6),
         S=cfg.S,
     )

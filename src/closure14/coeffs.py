@@ -27,6 +27,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .numdiff import RESIDUAL_FLOOR, central_diff
 DEFAULT_S_MAX = 6
 DEFAULT_N_MAX = 12
 LADDER_GATE_TOL = 1e-6
-_LADDER_GRID = tuple(np.linspace(-1.0, 1.0, 9))
+LADDER_GRID = tuple(np.linspace(-1.0, 1.0, 9))  # the lambda values the ladder is checked at
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,9 @@ def worst_ladder_residual(f: GeneratingFamily, s: int, grid) -> float:
     return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
-def _ladder_gate(f: GeneratingFamily, grid=_LADDER_GRID):
+def _ladder_gate(f: GeneratingFamily):
     for s in range(f.s_max):
-        worst = worst_ladder_residual(f, s, grid)
+        worst = worst_ladder_residual(f, s, LADDER_GRID)
         if not math.isfinite(worst):
             raise FamilyConstructionError(f"ladder residual {worst} at s={s} is not finite")
         if worst > LADDER_GATE_TOL:
@@ -423,16 +424,12 @@ class CoeffSeries:
         return total
 
 
-def default_path(p: int, q: int) -> str:
-    """Column steps first, then row steps (minimizes series orders consumed)."""
-    return "c" * q + "r" * p
-
-
-def k_series(f: GeneratingFamily, p: int, q: int, S: int, path: str | None = None) -> CoeffSeries:
+def k_series(f: GeneratingFamily, p: int, q: int, S: int) -> CoeffSeries:
     """Build k_{p,q} by composing parity-correct single steps from k00.
 
-    Path is a string over {'c' (column, q+1), 'r' (row, p+1)}; the step
-    rule at each move is forced by the current p+q parity:
+    The q column steps (each q -> q+1) come first, then the p row steps
+    (each p -> p+1), which consumes the fewest series orders.  The step rule
+    at each move is forced by the current p+q parity:
 
     * row,    p+q odd:  d/dl                                (beta1)
     * row,    p+q even: 3 (p+q+1)/(p+q+3) d/dl_ll           (gamma1)
@@ -442,45 +439,27 @@ def k_series(f: GeneratingFamily, p: int, q: int, S: int, path: str | None = Non
     The series is purely symbolic (the family enters only at evaluation),
     so results are memoized on the indices.
     """
-    return _k_series_cached(p, q, S, path)
+    return _k_series_cached(p, q, S)
 
 
 @functools.lru_cache(maxsize=None)
-def _k_series_cached(p: int, q: int, S: int, path: str | None) -> CoeffSeries:
-    if path is None:
-        path = default_path(p, q)
-    if path.count("r") != p or path.count("c") != q or len(path) != p + q:
-        raise ValueError(f"path {path!r} does not reach (p={p}, q={q})")
+def _k_series_cached(p: int, q: int, S: int) -> CoeffSeries:
     series = CoeffSeries.k00(S)
-    cp = cq = 0
-    for move in path:
-        n = cp + cq
-        if move == "r":
-            if n % 2:
-                series = series.d_lam()
-            else:
-                series = series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
-            cp += 1
-        elif move == "c":
-            if n % 2:
-                series = series.d_ll().scaled(3)
-            else:
-                series = series.d_ppqq().scaled(Fraction(n + 1, n + 3))
-            cq += 1
+    for n in range(q):  # column steps; n is p+q before the step
+        if n % 2:
+            series = series.d_ll().scaled(3)
         else:
-            raise ValueError(f"bad path move {move!r}")
+            series = series.d_ppqq().scaled(Fraction(n + 1, n + 3))
+    for n in range(q, p + q):  # row steps
+        if n % 2:
+            series = series.d_lam()
+        else:
+            series = series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
     return series
 
 
-def k_pq(
-    f: GeneratingFamily,
-    p: int,
-    q: int,
-    point: EquilibriumPoint,
-    S: int,
-    path: str | None = None,
-) -> float:
-    return k_series(f, p, q, S, path)(f, point)
+def k_pq(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
+    return k_series(f, p, q, S)(f, point)
 
 
 def k00(f: GeneratingFamily, point: EquilibriumPoint, S: int) -> float:
@@ -513,7 +492,7 @@ def tensor_series(p: int, q: int, r: int, S: int) -> CoeffSeries:
     """
     n = p + q
     odd = n % 2
-    series = _k_series_cached(p, q, S, None)
+    series = _k_series_cached(p, q, S)
     for _ in range(r):
         series = series.d_ll()
     return series.scaled(Fraction(3**r * (n + 1 + odd), n + 2 * r + 1 + odd))
@@ -633,11 +612,11 @@ def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
 
 @dataclass(frozen=True)
 class SubsystemTable:
-    """13-moment scalar coefficients I_q at a given lambda; c_q fixed to 0."""
+    """13-moment scalar coefficients I_q at a given lambda; c_q is 0 for every table."""
 
     lam: float
     values: dict  # q -> I_q
-    c_q: float = 0.0
+    c_q: ClassVar[float] = 0.0
 
 
 def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:

@@ -78,7 +78,12 @@ class KineticKernel:
         return self.deriv(0, x)
 
     def check_decay(self, lam: float = 0.0, quartic: float = 0.0):
-        """Verify F(x(c)) c^3 -> 0 along the evaluation ray."""
+        """Verify F(lam + c^2/3 + quartic c^4) c^3 -> 0, on the lambda_ll = 1 ray.
+
+        The probes ignore a point's lambda_ll, so this tests a property of the
+        kernel, not the decay of a given integral; the cutoff search of
+        ``_radial_moment`` guards each integral with its own ``DecayError``.
+        """
         tol = 1e-12
         probes = [20.0, 40.0, 80.0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -219,17 +224,25 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
     return float(full)
 
 
+def _kinetic_scalar(kernel: KineticKernel, n: int, power: int, point: EquilibriumPoint,
+                    divisor: int, name: str, *args) -> float:
+    """(4 pi / divisor) times ``_radial_moment``; ``DomainError`` if the product is not finite.
+
+    The quadrature is finite, its 4 pi multiple need not be.  The error names
+    the scalar by name, a ``str.format`` template filled from args only on a raise.
+    """
+    value = (_FOUR_PI / divisor) * _radial_moment(kernel, n, power, point)
+    if not math.isfinite(value):
+        raise DomainError(f"kinetic {name.format(*args)} is not finite")
+    return value
+
+
 def kinetic_ktilde(kernel: KineticKernel, s: int, lam: float, deriv_order: int = 0) -> float:
     """Member ktilde_s(lam) (optionally its lam-derivative) by quadrature."""
     check_index("s", s)
     check_index("deriv_order", deriv_order)
-    point = EquilibriumPoint(lam, 1.0)
-    value = _FOUR_PI * _radial_moment(kernel, s + deriv_order, 4 * s + 2, point)
-    if not math.isfinite(value):  # the quadrature is finite, its 4 pi multiple need not be
-        raise DomainError(
-            f"kinetic ktilde_{s} derivative {deriv_order} at lambda={lam} is not finite"
-        )
-    return value
+    return _kinetic_scalar(kernel, s + deriv_order, 4 * s + 2, EquilibriumPoint(lam, 1.0), 1,
+                           "ktilde_{} derivative {} at lambda={}", s, deriv_order, lam)
 
 
 def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) -> float:
@@ -238,20 +251,15 @@ def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) 
     check_index("q", q)
     n = p + q
     odd = n % 2
-    value = _FOUR_PI / (n + 1 + odd) * _radial_moment(kernel, n, p + 3 * q + 2 + odd, point)
-    if not math.isfinite(value):
-        raise DomainError(f"kinetic k_{p},{q} at {point} is not finite")
-    return value
+    return _kinetic_scalar(kernel, n, p + 3 * q + 2 + odd, point, n + 1 + odd,
+                           "k_{},{} at {}", p, q, point)
 
 
 def kinetic_series_coefficient(kernel: KineticKernel, s: int, lam: float, lam_ll: float) -> float:
     """Series coefficient k_s = 4 pi int F^(s)(l + l_ll c^2/3) c^(4s+2) dc."""
     check_index("s", s)
     point = EquilibriumPoint(lam, lam_ll)
-    value = _FOUR_PI * _radial_moment(kernel, s, 4 * s + 2, point)
-    if not math.isfinite(value):
-        raise DomainError(f"kinetic k_{s} at {point} is not finite")
-    return value
+    return _kinetic_scalar(kernel, s, 4 * s + 2, point, 1, "k_{} at {}", s, point)
 
 
 def make_kinetic_family(kernel: KineticKernel, s_max: int = 6) -> GeneratingFamily:

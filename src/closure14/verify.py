@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -567,15 +568,17 @@ def check_subsystem(f: GeneratingFamily, lam_values, q_max: int = 6) -> Verifica
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """The test points and truncations of ``run_all``; the check plan is fixed."""
+
     seed: int = 0
     count: int = 10
     N: int = 6
     S: int = 4
     noneq_magnitude: float = 5e-4
-    v_scales: tuple = (0.2, 0.1)
-    pq_max: int = 5
-    kinetic_points: int = 3
-    kinetic_pq_total_max: int = 4
+    v_scales: ClassVar[tuple] = (0.2, 0.1)
+    pq_max: ClassVar[int] = 5
+    kinetic_points: ClassVar[int] = 3
+    kinetic_pq_total_max: ClassVar[int] = 4
 
 
 def run_all(f: GeneratingFamily, config: VerifyConfig = VerifyConfig(),
@@ -602,11 +605,7 @@ def run_all(f: GeneratingFamily, config: VerifyConfig = VerifyConfig(),
     scalar_pts = pts.scalar_points()
     report.extend(check_constraints(f, scalar_pts, config.S))
     report.extend(
-        check_ladder(
-            f,
-            range(min(4, f.s_max - 1) + 1),
-            np.linspace(-1.0, 1.0, 9),
-        )
+        check_ladder(f, range(min(4, f.s_max - 1) + 1), coeffs.LADDER_GRID)
     )
     report.extend(
         check_scalar_identity_chain(

@@ -4,10 +4,12 @@ Symmetrized Kronecker-delta products with exact rational entries, built by
 counting pairings and by averaging over every index permutation, their
 contraction by a sweep over all 3^rank index tuples, the node field of a
 coefficient grid by one unstaged einsum, the kinetic radial moment with its
-decay check and node powers redone on every call, and the by-parts identity
-of the kinetic radial moments.  They are slow and stay out of the package,
-whose routes are ``symtensor.delta_contract``, the sphere-rule potentials
-with their staged ``potentials._field`` and ``kinetic._radial_moment``.
+decay check and node powers redone on every call, the by-parts identity
+of the kinetic radial moments, and k_{p,q} built along any order of single
+steps.  They are slow or general and stay out of the package, whose routes
+are ``symtensor.delta_contract``, the sphere-rule potentials with their
+staged ``potentials._field``, ``kinetic._radial_moment`` and
+``coeffs.k_series`` with its one step order.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from closure14.coeffs import CoeffSeries
 from closure14.errors import AccuracyError, DecayError, DomainError, ParityError
 from closure14.kinetic import _CUTOFF_MAX, _CUTOFF_START, _REL_TOL, _panel_rule, _radial_moment
 from closure14.symtensor import DIM, SymMatrix
@@ -169,3 +172,25 @@ def f1_by_parts_check(kernel, point) -> float:
     ]
     scale = max(abs(t) for t in terms)
     return abs(sum(terms)) / max(scale, 1e-30)
+
+
+def k_series_along(p: int, q: int, S: int, path: str) -> CoeffSeries:
+    """k_{p,q} from k00 along path, a string over 'c' (column, q+1) and 'r' (row, p+1).
+
+    The step at each move is forced by the current p+q parity, as in
+    ``coeffs.k_series``, which walks "c" * q + "r" * p.
+    """
+    if path.count("r") != p or path.count("c") != q or len(path) != p + q:
+        raise ValueError(f"path {path!r} does not reach (p={p}, q={q})")
+    series = CoeffSeries.k00(S)
+    for n, move in enumerate(path):  # n is p+q before the move
+        if move == "r":
+            if n % 2:
+                series = series.d_lam()
+            else:
+                series = series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
+        elif n % 2:
+            series = series.d_ll().scaled(3)
+        else:
+            series = series.d_ppqq().scaled(Fraction(n + 1, n + 3))
+    return series

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -14,7 +15,6 @@ from closure14.coeffs import (
     EquilibriumPoint,
     GeneratingFamily,
     constraint_residuals,
-    default_path,
     eta_descending_literal,
     eta_product,
     h_pqr,
@@ -43,6 +43,7 @@ from closure14.errors import (
 from closure14.numdiff import RESIDUAL_FLOOR
 from closure14.potentials import MultiplierState, eval_h_hat, eval_phi_hat
 from closure14.verify import LAM_LL_RANGE, LAM_PPQQ_RANGE, LAM_RANGE
+from oracles import k_series_along
 
 # Independently derived reference values (exponential family, amplitude=scale=1).
 KT0_AT_0 = 28.933881011162246
@@ -189,18 +190,27 @@ class TestScalarCoefficients:
         assert k_pq(exp_family, 0, 1, POINT, S=4) == pytest.approx(K01_REF, rel=1e-13)
         assert k_pq(exp_family, 0, 2, POINT, S=4) == pytest.approx(K02_REF, rel=1e-13)
 
-    def test_default_path(self):
-        assert default_path(2, 3) == "cccrr"
-        assert default_path(0, 0) == ""
+    @pytest.mark.parametrize("S", range(7))
+    def test_columns_then_rows(self, S):
+        # the production series is the walker's along "c"*q + "r"*p, term by term
+        for p in range(7):
+            for q in range(7):
+                try:
+                    expected = k_series_along(p, q, S, "c" * q + "r" * p).terms
+                except TruncationError:
+                    with pytest.raises(TruncationError):
+                        k_series(None, p, q, S)
+                    continue
+                got = k_series(None, p, q, S).terms
+                assert got == expected, (p, q)
+                assert all(type(t.coef) is type(t.ll_exp) is Fraction for t in got)
 
     def test_path_independence(self, exp_family):
         # different step orders must agree once both retain the same orders
         pt = EquilibriumPoint(0.2, 1.5, 0.0)
-        a = k_pq(exp_family, 2, 2, pt, S=5, path="ccrr")
-        b = k_pq(exp_family, 2, 2, pt, S=5, path="rcrc")
-        c = k_pq(exp_family, 2, 2, pt, S=5, path="rrcc")
-        assert a == pytest.approx(b, rel=1e-12)
-        assert a == pytest.approx(c, rel=1e-12)
+        a = k_pq(exp_family, 2, 2, pt, S=5)
+        for path in sorted(set(map("".join, itertools.permutations("ccrr")))):
+            assert k_series_along(2, 2, 5, path)(exp_family, pt) == pytest.approx(a, rel=1e-12)
 
     def test_series_truncation_exhausted(self, exp_family):
         # each column step of even parity consumes one quartic order
@@ -480,6 +490,7 @@ class TestSubsystem:
         assert sorted(table.values) == [0, 2, 4]
         assert table.c_q == 0.0
         assert table.lam == -0.2
+        assert [f.name for f in dataclasses.fields(table)] == ["lam", "values"]
 
     def test_q_max_beyond_family(self, exp_family):
         with pytest.raises(TruncationError):

@@ -241,6 +241,8 @@ class TestKernels:
             bad.check_decay()
         with pytest.raises(DecayError):
             kinetic_ktilde(bad, 0, 0.0)
+        with pytest.raises(DecayError):
+            make_kinetic_family(bad)
 
 
 class ProbeCounter:

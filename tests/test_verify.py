@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -101,6 +102,16 @@ class TestRunAll:
         a = run_all(exp_family, VerifyConfig(count=3, seed=0))
         b = run_all(exp_family, VerifyConfig(count=3, seed=1))
         assert a.to_json() != b.to_json()
+
+    def test_check_plan_is_fixed(self):
+        # the points and truncations are settable, the plan is read as class constants
+        names = [f.name for f in dataclasses.fields(VerifyConfig)]
+        assert names == ["seed", "count", "N", "S", "noneq_magnitude"]
+        with pytest.raises(TypeError):
+            VerifyConfig(pq_max=3)
+        config = VerifyConfig(seed=3)
+        plan = (config.v_scales, config.pq_max, config.kinetic_points, config.kinetic_pq_total_max)
+        assert plan == ((0.2, 0.1), 5, 3, 4)
 
 
 class TestFaultInjection:
