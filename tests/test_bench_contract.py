@@ -1,7 +1,7 @@
 """The benchmark in ``perfbench/`` still runs against this checkout.
 
 perfbench calls public names of the package, such as ``k_series(None, ...)``,
-the ``VerifyConfig`` fields, ``TestPointSet(N=, S=)`` and
+the ``VerifyConfig`` fields and plan constants, ``TestPointSet(N=, S=)`` and
 ``symtensor.delta_contract``.  An API change that drops one of them fails
 here, not first in a benchmark run.
 """
