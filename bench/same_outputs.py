@@ -15,15 +15,22 @@ parameters from ``KINETIC_CONFIGS``, ``kinetic`` and ``verify`` with
 ``{"count": 0}`` and with ``--seed -1``, which exit 2, and the verify plan
 away from its defaults: ``verify`` with ``VERIFY_CONFIG`` and with
 ``--n-trunc 0`` (the skipped velocity-independence records), and
-``kinetic`` with ``{"p_max": 2, "q_max": 1}``.  For each command it prints
+``kinetic`` with ``{"p_max": 2, "q_max": 1}``; ``kinetic`` and ``verify`` of
+the exponential family with ``SLOW_KERNEL_CONFIG``, a kernel that decays
+slowly, and ``eval``, ``verify`` and ``subsystem`` with the boolean numbers
+of ``BOOLEAN_CONFIGS``, which exit 2.  For each command it prints
 ``identical``, or the first line where stdout, stderr or the exit code
 differ.
 
 With ``--ops N`` it also runs the first N ops (seed 0) of the ``potentials``,
 ``coeffs`` and ``kinetic`` workloads, each in a subprocess that imports that
 checkout's own ``src/`` and ``perfbench/workloads.py``, and compares the
-SHA-256 of the outputs pickled without a memo, so that two outputs hash
-alike when their values and types are the same, whatever objects they share.
+SHA-256 of a canonical form of the outputs: floats by ``float.hex``, arrays
+by dtype, shape and bytes, containers by their items, and dataclasses by
+class name and the values of their compared fields, ``ClassVar`` constants
+included.  So two outputs hash alike when their values are the same,
+whatever objects they share, and a field that becomes a class constant or a
+cache attribute (``compare=False``) that is added changes no hash.
 It exits 1 when any command or workload differs.
 """
 
@@ -60,25 +67,57 @@ KINETIC_CONFIGS = {
     "poly_exponential": {"family_params": {"amplitude": 2.0}, "S": 6},
 }
 VERIFY_CONFIG = {"count": 3, "noneq_magnitude": 0.001, "N": 4, "S": 5}
+# F = exp(-x/100): it decays on each point's own ray, but slowly on the lambda_ll = 1 ray
+SLOW_KERNEL_CONFIG = {"family_params": {"scale": 0.01}}
+# JSON true where a number is due; each exits 2
+BOOLEAN_CONFIGS = {
+    "eval": {"N": True, "seed": True},
+    "verify": {"count": True},
+    "subsystem": {"lam": True},
+}
 WORKLOADS = ("potentials", "coeffs", "kinetic")
 WORKLOAD_SEED = 0
 # argv: workload, seed, ops; prints the hash of the outputs of ops 0..ops-1.  The
 # perfbench/ it imports is the one beside the src/ that closure14 comes from.
 OPS_SCRIPT = """
-import hashlib, io, pathlib, pickle, sys, tempfile
+import dataclasses, fractions, hashlib, pathlib, sys, tempfile
+import numpy as np
 import closure14
 sys.path.insert(0, str(pathlib.Path(closure14.__file__).resolve().parents[2] / "perfbench"))
 import workloads
+
+def canon(x):
+    # the value of x as nested tuples of str, int and bytes, whatever its object layout
+    if isinstance(x, (bool, np.bool_)):
+        return "bool", bool(x)
+    if isinstance(x, (int, np.integer)):
+        return "int", int(x)
+    if isinstance(x, (float, np.floating)):
+        return "float", float(x).hex()
+    if isinstance(x, (str, type(None))):
+        return type(x).__name__, x
+    if isinstance(x, fractions.Fraction):
+        return "Fraction", x.numerator, x.denominator
+    if isinstance(x, np.ndarray):
+        if x.dtype.hasobject:
+            return "array", x.shape, tuple(canon(v) for v in x.flat)
+        return "array", x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return "sequence", tuple(canon(v) for v in x)
+    if isinstance(x, dict):
+        return "dict", tuple(sorted((repr(canon(k)), canon(v)) for k, v in x.items()))
+    if dataclasses.is_dataclass(x):
+        # every compared field, ClassVar constants included; caches are compare=False
+        names = sorted(name for name, f in x.__dataclass_fields__.items() if f.compare)
+        return type(x).__name__, tuple((name, canon(getattr(x, name))) for name in names)
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
 name, seed, ops = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 with tempfile.TemporaryDirectory() as workdir:
     wl = workloads.WORKLOADS[name](seed, workdir)
     ctx = workloads.plain_context(name)
     outputs = [wl.op(wl.inputs(i), ctx) for i in range(ops)]
-buf = io.BytesIO()
-pickler = pickle.Pickler(buf, protocol=4)
-pickler.fast = True  # no memo: the bytes follow the values, not shared objects
-pickler.dump(outputs)
-print(name, ops, "ops", hashlib.sha256(buf.getvalue()).hexdigest())
+print(name, ops, "ops", hashlib.sha256(repr(canon(outputs)).encode()).hexdigest())
 """
 
 
@@ -102,6 +141,11 @@ def commands():
         yield ["verify", *fam, "--config", "verify.json"]
         yield ["verify", *fam, "--n-trunc", "0"]
         yield ["kinetic", *fam, "--config", "kinetic_p2_q1.json"]
+        if family == "exponential":
+            for name in ("kinetic", "verify"):
+                yield [name, *fam, "--config", "slow_kernel.json"]
+        for name in BOOLEAN_CONFIGS:
+            yield [name, *fam, "--config", f"boolean_{name}.json"]
 
 
 def run(checkout: Path, args: list, workdir: str) -> str:
@@ -136,6 +180,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         configs = {"noneq.json": NONEQ_CONFIG, "count_0.json": {"count": 0},
                    "verify.json": VERIFY_CONFIG, "kinetic_p2_q1.json": {"p_max": 2, "q_max": 1},
+                   "slow_kernel.json": SLOW_KERNEL_CONFIG,
+                   **{f"boolean_{name}.json": c for name, c in BOOLEAN_CONFIGS.items()},
                    **COEFFS_CONFIGS,
                    **{f"kinetic_{family}.json": c for family, c in KINETIC_CONFIGS.items()}}
         for name, config in configs.items():

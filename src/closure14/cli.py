@@ -118,11 +118,13 @@ class RunConfig:
         for name in ("N", "S", "count", "p_max", "q_max", "seed"):
             v = getattr(self, name)
             least = 1 if name == "count" else 0  # a run checks at least one point
-            if not isinstance(v, int) or v < least:
+            if isinstance(v, bool) or not isinstance(v, int) or v < least:  # JSON true is 1
                 kind = "a positive" if least else "a non-negative"
                 raise ConfigError(f"{name} must be {kind} integer, got {v!r}")
         if not isinstance(self.family_params, dict):
             raise ConfigError(f"family_params must be an object, got {self.family_params!r}")
+        if isinstance(self.lam, bool) or not isinstance(self.lam, (int, float)):
+            raise ConfigError(f"lam must be a finite number, got {self.lam!r}")
         for name in ("point", "state", "lam", "velocity", "moments"):
             _require_finite(name, getattr(self, name))
         return self

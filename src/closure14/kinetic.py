@@ -15,20 +15,22 @@ l_ppqq = 0.
 
 Each integral is cut at a radius R found by a scalar search: R grows by 1.5x
 from ``_CUTOFF_START`` until |g(R)| R is negligible, and past ``_CUTOFF_MAX``
-the kernel is taken not to decay.  On [0, R] a composite Gauss-Legendre rule
-(Golub & Welsch 1969), 4 panels of 64 nodes, gives the value; a 4 x 32 rule
-on the same panels, evaluated in the same array call, gives the error
-estimate |full - half|, which must be within 10 ``_REL_TOL`` int |g|.
+the kernel is taken not to decay.  So the one precondition on F is that
+F^(n) decays along the point's own ray past the cutoff, which the search
+checks at its ladder radii; an infinite or NaN tail only grows R.  On [0, R]
+a composite Gauss-Legendre rule (Golub & Welsch 1969), 4 panels of 64 nodes,
+gives the value; a 4 x 32 rule on the same panels, evaluated in the same
+array call, gives the error estimate |full - half|, which must be within
+10 ``_REL_TOL`` int |g|.
 
 The quadratures of one point share their kernel values.  The argument
 depends on the point alone, so the kernel keeps a one-point value table: the
 scalar probes F^(n)(arg(c)) under (n, c) and the node arrays under (n, R),
-which every moment of order n at that point reuses, whatever its power of c.
-A new point passes the decay check before it enters the table, whose rules
-``KineticKernel`` states.  The cutoff R is always on the ladder, so the node
-powers (R c_i)^k come from a bounded table per (R, k).  A scalar whose 4 pi
-prefactor overflows raises ``DomainError``, and a negative or non-integer
-index ``ValueError``.
+which every moment of order n at that point reuses, whatever its power of c;
+``KineticKernel`` states the table's rules.  The cutoff R is always on the
+ladder, so the node powers (R c_i)^k come from a bounded table per (R, k).
+A scalar whose 4 pi prefactor overflows raises ``DomainError``, and a
+negative or non-integer index ``ValueError``.
 """
 
 from __future__ import annotations
@@ -60,12 +62,11 @@ class KineticKernel:
     in one call.
 
     ``values_at`` keeps the kernel values of the most recent point, the one
-    memo of a kernel, so ``deriv`` must be a pure function.  A point enters
-    the table only once its decay check passes: a check that fails stores
-    nothing and raises on every call, and so does a ``deriv`` call that
-    raises.  Values that are not finite are stored; each use checks them
-    again, so a quadrature that raised raises on every call.
-    ``dataclasses.replace`` starts with an empty table.
+    memo of a kernel, so ``deriv`` must be a pure function.  A ``deriv`` call
+    that raises stores nothing, so it raises on every call.  Values that are
+    not finite are stored; each use checks them again, so a quadrature that
+    raised raises on every call.  ``dataclasses.replace`` starts with an
+    empty table.
     """
 
     deriv: object  # callable (n, x) -> float or array
@@ -77,28 +78,8 @@ class KineticKernel:
     def __call__(self, x: float) -> float:
         return self.deriv(0, x)
 
-    def check_decay(self, lam: float = 0.0, quartic: float = 0.0):
-        """Verify F(lam + c^2/3 + quartic c^4) c^3 -> 0, on the lambda_ll = 1 ray.
-
-        The probes ignore a point's lambda_ll, so this tests a property of the
-        kernel, not the decay of a given integral; the cutoff search of
-        ``_radial_moment`` guards each integral with its own ``DecayError``.
-        """
-        tol = 1e-12
-        probes = [20.0, 40.0, 80.0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = [
-                abs(self.deriv(0, lam + c * c / 3.0 + quartic * c**4)) * c**3
-                for c in probes
-            ]
-        if not (vals[-1] <= tol and vals[-1] <= vals[0] + tol):
-            raise DecayError(
-                f"kernel tail F*c^3 = {vals[-1]:.3e} at c={probes[-1]} "
-                f"does not vanish (boundary-term estimate)"
-            )
-
     def values_at(self, point: EquilibriumPoint) -> tuple:
-        """The value tables at point; a new point passes ``check_decay``, then replaces the old.
+        """The value tables at point; a new point replaces the old with empty tables.
 
         ``probes`` maps (n, c) to F^(n)(arg(c)) at a scalar radius c, and
         ``nodes`` maps (n, R) to the read-only array of F^(n)(arg) at the
@@ -106,8 +87,7 @@ class KineticKernel:
         """
         key = (point.lam, point.lam_ll, point.lam_ppqq)
         tables = self._values.get(key)
-        if tables is None:  # a new point: check it, then forget the previous one
-            self.check_decay(point.lam, point.lam_ppqq)
+        if tables is None:  # a new point: forget the previous one
             self._values.clear()
             tables = self._values[key] = ({}, {})
         return tables
@@ -171,11 +151,13 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
     """int_0^inf F^(n)(l + l_ll c^2/3 + l_ppqq c^4) c^power dc, the one kinetic integrand.
 
     The integrand g is cut at the first ladder radius R where |g(R)| R is
-    negligible.  F^(n) comes from the kernel's value table at the point
-    (``KineticKernel.values_at``, which checks the decay of a new point); only
-    a miss calls ``deriv``.  A non-finite integrand raises ``DomainError``, a
-    tail still too large past ``_CUTOFF_MAX`` ``DecayError``, and an error
-    estimate above tolerance ``AccuracyError``.
+    negligible, so F^(n) must decay along the point's own ray: this search,
+    at its ladder radii, is the one decay guard of an integral.  F^(n) comes
+    from the kernel's value table at the point (``KineticKernel.values_at``);
+    only a miss calls ``deriv``.  A non-finite g at c = 1, at c = 4 or at a
+    node raises ``DomainError``; a tail still too large, infinite or NaN past
+    ``_CUTOFF_MAX`` ``DecayError``; and an error estimate above tolerance
+    ``AccuracyError``.
     """
     lam, lam_ll, quartic = point.lam, point.lam_ll, point.lam_ppqq
     probes, nodes = kernel.values_at(point)
@@ -188,15 +170,18 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
             if quartic:  # adding 0.0 c^4 would change no bit, only cost a pow per node
                 arg += quartic * c**4
             f = probes[n, c] = kernel.deriv(n, arg)
-        v = f * c**power
-        if not math.isfinite(v):
-            raise DomainError(_NOT_FINITE)
-        return abs(v)
+        try:
+            return abs(f * c**power)
+        except OverflowError:  # c**power past the float range: an infinite tail
+            return math.inf
 
     with np.errstate(over="ignore", invalid="ignore"):
         R = _CUTOFF_START
-        ref = max(probe(1.0), probe(R / 2), 1e-300)
-        while probe(R) * R > _REL_TOL * ref * 1e-3:
+        near = probe(1.0), probe(R / 2)
+        if not (math.isfinite(near[0]) and math.isfinite(near[1])):
+            raise DomainError(_NOT_FINITE)
+        ref = max(*near, 1e-300)
+        while not probe(R) * R <= _REL_TOL * ref * 1e-3:  # an inf or NaN tail grows R
             R *= 1.5
             if R > _CUTOFF_MAX:
                 raise DecayError("integrand tail does not fall below tolerance before cutoff")
@@ -268,8 +253,6 @@ def make_kinetic_family(kernel: KineticKernel, s_max: int = 6) -> GeneratingFami
     The derivative oracle differentiates under the integral via F^(n).
     The family must pass the ladder-residual construction gate.
     """
-    kernel.check_decay()
-
     def deriv(s, n, lam):
         return kinetic_ktilde(kernel, s, lam, deriv_order=n)
 

@@ -228,6 +228,26 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert err == "config error: seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("eval", {"N": True, "seed": True}, "N must be a non-negative integer, got True"),
+        ("eval", {"seed": True}, "seed must be a non-negative integer, got True"),
+        ("verify", {"count": True}, "count must be a positive integer, got True"),
+        ("coeffs", {"S": False}, "S must be a non-negative integer, got False"),
+        ("coeffs", {"p_max": True}, "p_max must be a non-negative integer, got True"),
+        ("kinetic", {"q_max": True}, "q_max must be a non-negative integer, got True"),
+        ("subsystem", {"lam": True}, "lam must be a finite number, got True"),
+        # a string or null lam reached reduce_to_13 and ended in a TypeError traceback
+        ("subsystem", {"lam": "0.5"}, "lam must be a finite number, got '0.5'"),
+        ("subsystem", {"lam": None}, "lam must be a finite number, got None"),
+    ], ids=["N_seed", "seed", "count", "S", "p_max", "q_max", "lam", "lam_string", "lam_null"])
+    def test_boolean_or_non_number_rejected(self, tmp_path, capsys, command, config, message):
+        # JSON true ran as 1 and was printed back as true
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
+        assert code == 2 and out == ""
+        assert err == f"config error: {message}\n"
+
     def test_unknown_family_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--family", "bogus")
         assert code == 2
@@ -371,6 +391,17 @@ class TestKineticCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["kernel"] == "exponential"
+        assert payload["max_relative_deviation"] <= 1e-7
+
+    def test_slow_kernel_accepted(self, tmp_path, capsys):
+        # F = exp(-x/100) decays on each point's own ray; a check on a fixed
+        # ray at c = 80 exited 3 here
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"family_params": {"scale": 0.01}}))
+        code, out, err = run_cli(capsys, "kinetic", "--config", str(cfgfile))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["family"]["params"] == {"scale": 0.01}
         assert payload["max_relative_deviation"] <= 1e-7
 
     def test_no_kernel_for_custom_family(self, capsys, monkeypatch):

@@ -236,13 +236,42 @@ class TestKernels:
         assert k.deriv(1, 2.0) == pytest.approx(-(2.0 - 1.0) * math.exp(-2.0))
 
     def test_growing_kernel_rejected(self):
+        # the tail overflows to inf on the way: the search grows R past _CUTOFF_MAX
         bad = KineticKernel(lambda n, x: np.exp(x / 100.0), name="growing")
-        with pytest.raises(DecayError):
-            bad.check_decay()
-        with pytest.raises(DecayError):
-            kinetic_ktilde(bad, 0, 0.0)
-        with pytest.raises(DecayError):
-            make_kinetic_family(bad)
+        calls = [lambda: kinetic_ktilde(bad, 0, 0.0),
+                 lambda: kinetic_kpq(bad, 1, 2, EquilibriumPoint(0.0, 1.6)),
+                 lambda: kinetic_kpq(bad, 0, 30, EquilibriumPoint(0.0, 1.0)),  # c^92 overflows
+                 lambda: make_kinetic_family(bad)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls * 2:
+                with pytest.raises(DecayError, match="before cutoff"):
+                    call()
+
+    def test_nan_tail_is_a_decay_error(self):
+        # a NaN tail grows R like an infinite one, so the search cannot stop on it
+        holed = KineticKernel(lambda n, x: np.where(x < 30.0, np.exp(-x), np.nan), name="holed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecayError, match="before cutoff"):
+                kinetic_kpq(holed, 0, 0, EquilibriumPoint(0.0, 1.0))
+
+    # F = exp(-x/100): its tail on the lambda_ll = 1 ray is still 2.8e-4 at c = 80
+    SLOW = KineticKernel(lambda n, x: (-0.01) ** n * np.exp(-x / 100.0), name="slow")
+
+    def test_slow_kernel_on_a_steep_ray(self):
+        # at lam_ll = 100 the integrand is exp(-c^2/3) c^2: only the point's
+        # own ray decides whether an integral decays
+        want = 4.0 * math.pi * quadpack(lambda c: math.exp(-c * c / 3.0) * c * c)
+        got = kinetic_kpq(self.SLOW, 0, 0, EquilibriumPoint(0.0, 100.0))
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_slow_kernel_family_builds(self):
+        fam = make_kinetic_family(self.SLOW)
+        for s in range(fam.s_max + 1):
+            want = 4.0 * math.pi * quadpack(
+                lambda e: math.exp(-e * e / 300.0) * e ** (4 * s + 2) * (-0.01) ** s)
+            assert fam.ktilde(s, 0.0) == pytest.approx(want, rel=1e-10), s
 
 
 class ProbeCounter:
@@ -260,74 +289,15 @@ class ProbeCounter:
             self.scalars.append((n, x))
         return self.deriv(n, x)
 
-    def decay_probes(self, point):
-        """Calls made at the three decay probes of ``point``."""
-        probes = {point.lam + c * c / 3.0 + point.lam_ppqq * c**4 for c in (20.0, 40.0, 80.0)}
-        return sum(n == 0 and x in probes for n, x in self.scalars)
 
-
-def counted_kernel(pt):
-    """A counting exponential kernel whose table holds pt, its decay check not counted."""
+def counted_kernel():
+    """An exponential kernel that counts its ``deriv`` calls, and its counter."""
     counter = ProbeCounter(exponential_kernel().deriv)
-    kernel = KineticKernel(counter, name="counting")
-    kernel.values_at(pt)
-    counter.scalars.clear()
-    return kernel, counter
+    return KineticKernel(counter, name="counting"), counter
 
 
-class TestDecayMemo:
-    # a point new to the kernel's table is checked once; the cutoff search
-    # probes lam + lam_ll c^2/3 at ladder radii, never at c = 20, 40 or 80
-    PQS = [(p, n - p) for n in range(7) for p in range(n + 1)]
-
-    def counting_kernel(self):
-        counter = ProbeCounter(exponential_kernel().deriv)
-        return KineticKernel(counter, name="counting"), counter
-
-    def test_one_check_per_point(self):
-        kernel, counter = self.counting_kernel()
-        points = [EquilibriumPoint(0.3, 1.6, 0.0), EquilibriumPoint(0.3, 1.6, 0.01),
-                  EquilibriumPoint(-0.2, 2.5, 0.01)]
-        for pt in points:
-            for pq in self.PQS:
-                kinetic_kpq(kernel, *pq, pt)
-            assert counter.decay_probes(pt) == 3, pt
-        assert len(self.PQS) == 28
-
-    def test_each_new_point_is_checked(self):
-        # the check ignores lam_ll, so the ktilde point (lam, 1, 0) probes the
-        # same arguments as pt; it is a new point of the table all the same
-        kernel, counter = self.counting_kernel()
-        pt = EquilibriumPoint(0.3, 1.6, 0.0)
-        kinetic_kpq(kernel, 1, 1, pt)
-        assert counter.decay_probes(pt) == 3
-        for s in range(3):
-            kinetic_ktilde(kernel, s, pt.lam, deriv_order=1)
-        assert counter.decay_probes(pt) == 6
-
-    def test_failed_check_is_not_stored(self):
-        counter = ProbeCounter(lambda n, x: np.exp(x / 100.0))
-        growing = KineticKernel(counter, name="growing")
-        for _ in range(2):
-            with pytest.raises(DecayError):
-                kinetic_ktilde(growing, 0, 0.0)
-        assert counter.decay_probes(EquilibriumPoint(0.0, 1.0)) == 6
-
-    def test_replace_checks_again(self):
-        kernel, counter = self.counting_kernel()
-        pt = EquilibriumPoint(0.3, 1.6, 0.0)
-        kinetic_kpq(kernel, 2, 0, pt)
-        copy = dataclasses.replace(kernel)
-        kinetic_kpq(copy, 2, 0, pt)
-        kinetic_kpq(copy, 0, 2, pt)
-        assert counter.decay_probes(pt) == 6
-
-    def test_failed_check_leaves_the_table_empty(self):
-        growing = KineticKernel(lambda n, x: np.exp(x / 100.0), name="growing")
-        for _ in range(2):
-            with pytest.raises(DecayError):
-                growing.values_at(EquilibriumPoint(0.0, 1.0))
-        assert growing._values == {}
+# the k_pq of the kinetic comparison, p + q <= 6
+PQS = [(p, n - p) for n in range(7) for p in range(n + 1)]
 
 
 def ladder():
@@ -365,7 +335,7 @@ class TestTables:
                   EquilibriumPoint(0.3, 1.6, 0.02), EquilibriumPoint(-0.4, 2.5, 0.0),
                   EquilibriumPoint(-0.4, 2.5, 0.01)]
         for pt in points * 2 + points[::-1]:
-            for p, q in TestDecayMemo.PQS:
+            for p, q in PQS:
                 n, odd = p + q, (p + q) % 2
                 want = 4.0 * math.pi / (n + 1 + odd) * radial_moment_per_call(
                     kernel, n, p + 3 * q + 2 + odd, pt)
@@ -378,14 +348,14 @@ class TestTables:
     @pytest.mark.parametrize("lam_ppqq", [0.0, 0.02])
     def test_one_deriv_call_per_value(self, lam_ppqq):
         pt = EquilibriumPoint(0.3, 1.6, lam_ppqq)
-        kernel, counter = counted_kernel(pt)
+        kernel, counter = counted_kernel()
         for _ in range(2):
-            for pq in TestDecayMemo.PQS:
+            for pq in PQS:
                 kinetic_kpq(kernel, *pq, pt)
         probes, nodes = kernel.values_at(pt)
         assert sorted(counter.arrays) == sorted(n for n, _ in nodes)
         assert len(counter.scalars) == len(set(counter.scalars)) == len(probes)
-        assert len(nodes) < len(TestDecayMemo.PQS)  # moments of one order share their nodes
+        assert len(nodes) < len(PQS)  # moments of one order share their nodes
 
         def arg(c):
             return pt.lam + pt.lam_ll * c * c / 3.0 + (lam_ppqq * c**4 if lam_ppqq else 0.0)
@@ -404,7 +374,7 @@ class TestTables:
 
     def test_replace_starts_an_empty_table(self):
         pt = EquilibriumPoint(0.3, 1.6, 0.0)
-        kernel, counter = counted_kernel(pt)
+        kernel, counter = counted_kernel()
         first = kinetic_kpq(kernel, 2, 0, pt)
         copy = dataclasses.replace(kernel)
         assert copy._values == {}
@@ -419,7 +389,7 @@ class TestTables:
         # at -800 the first scalar probe overflows; at -709.9 the probes are
         # finite and only the nodes near c = 0 overflow
         pt = EquilibriumPoint(lam, 3.0)
-        kernel, counter = counted_kernel(pt)
+        kernel, counter = counted_kernel()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):
