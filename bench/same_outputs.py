@@ -18,9 +18,14 @@ away from its defaults: ``verify`` with ``VERIFY_CONFIG`` and with
 ``kinetic`` with ``{"p_max": 2, "q_max": 1}``; ``kinetic`` and ``verify`` of
 the exponential family with ``SLOW_KERNEL_CONFIG``, a kernel that decays
 slowly, and ``eval``, ``verify`` and ``subsystem`` with the boolean numbers
-of ``BOOLEAN_CONFIGS``, which exit 2.  For each command it prints
-``identical``, or the first line where stdout, stderr or the exit code
-differ.
+of ``BOOLEAN_CONFIGS``, which exit 2.  It also runs each of the malformed
+configs of ``BAD_CONFIGS`` on the commands that read the value (a boolean,
+string or null where a number is due, a list of the wrong length, an
+unknown field inside an object, an ``out`` that is not a string), and
+``coeffs`` with an ``--out`` it cannot open, ``UNWRITABLE_OUTS``; each
+exits 2.  Last come ``--help`` and ``<command> --help``, once each.  For
+each command it prints ``identical``, or the first line where stdout,
+stderr or the exit code differ.
 
 With ``--ops N`` it also runs the first N ops (seed 0) of the ``potentials``,
 ``coeffs`` and ``kinetic`` workloads, each in a subprocess that imports that
@@ -75,6 +80,33 @@ BOOLEAN_CONFIGS = {
     "verify": {"count": True},
     "subsystem": {"lam": True},
 }
+EQ_STATE = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "lam_ill": [0, 0, 0], "lam_iill": 0}
+ZERO_MOMENTS = {"m": 0, "m_i": [0] * 3, "m_ij": [[0] * 3] * 3, "m_ill": [0] * 3, "m_iill": 0,
+                "f_k": [0] * 3, "f_ki": [[0] * 3] * 3, "f_kij": [[[0] * 3] * 3] * 3,
+                "f_kill": [[0] * 3] * 3, "f_kiill": [0] * 3}
+# name: (commands that read the bad value, config); each exits 2
+BAD_CONFIGS = {
+    "noneq_string": (("verify",), {"noneq_magnitude": "x"}),
+    "noneq_null": (("verify",), {"noneq_magnitude": None}),
+    "point_bool": (("coeffs", "eval"), {"point": {"lam": True}}),
+    "point_string": (("coeffs", "eval"), {"point": {"lam_ll": "2"}}),
+    "point_unknown": (("coeffs", "eval"), {"point": {"lam_pp": 1}}),
+    "state_string": (("eval", "boost"), {"state": {**EQ_STATE, "lam": "0"}}),
+    "state_bool": (("eval", "boost"), {"state": {**EQ_STATE, "lam_i": [True, 0, 0]}}),
+    "state_short_list": (("eval", "boost"), {"state": {**EQ_STATE, "lam_i": [0, 0]}}),
+    "state_unknown": (("eval", "boost"), {"state": {**EQ_STATE, "lam_jj": 0}}),
+    "velocity_bool": (("boost",), {"velocity": [True, 0, 0]}),
+    "velocity_string": (("boost",), {"velocity": ["0.1", 0, 0]}),
+    "moments_bool": (("boost",), {"moments": {**ZERO_MOMENTS, "m": True}}),
+    "moments_string": (("boost",), {"moments": {**ZERO_MOMENTS, "f_k": [0, "0.5", 0]}}),
+    "moments_unknown": (("boost",), {"moments": {**ZERO_MOMENTS, "f_kk": 0}}),
+    "family_unknown": (("coeffs", "verify"), {"family": {"kynd": "poly_exponential"}}),
+    "out_int": (("coeffs",), {"out": 7}),
+    "out_bool": (("coeffs",), {"out": True}),
+}
+UNWRITABLE_OUTS = ("missing/table.json", ".")  # no such directory; a directory
+COMMANDS = ("coeffs", "eval", "boost", "verify", "kinetic", "subsystem")
 WORKLOADS = ("potentials", "coeffs", "kinetic")
 WORKLOAD_SEED = 0
 # argv: workload, seed, ops; prints the hash of the outputs of ops 0..ops-1.  The
@@ -146,6 +178,14 @@ def commands():
                 yield [name, *fam, "--config", "slow_kernel.json"]
         for name in BOOLEAN_CONFIGS:
             yield [name, *fam, "--config", f"boolean_{name}.json"]
+        for bad, (names, _) in BAD_CONFIGS.items():
+            for name in names:
+                yield [name, *fam, "--config", f"bad_{bad}.json"]
+        for out in UNWRITABLE_OUTS:
+            yield ["coeffs", *fam, "--out", out]
+    yield ["--help"]
+    for name in COMMANDS:
+        yield [name, "--help"]
 
 
 def run(checkout: Path, args: list, workdir: str) -> str:
@@ -182,6 +222,7 @@ def main(argv=None) -> int:
                    "verify.json": VERIFY_CONFIG, "kinetic_p2_q1.json": {"p_max": 2, "q_max": 1},
                    "slow_kernel.json": SLOW_KERNEL_CONFIG,
                    **{f"boolean_{name}.json": c for name, c in BOOLEAN_CONFIGS.items()},
+                   **{f"bad_{bad}.json": c for bad, (_, c) in BAD_CONFIGS.items()},
                    **COEFFS_CONFIGS,
                    **{f"kinetic_{family}.json": c for family, c in KINETIC_CONFIGS.items()}}
         for name, config in configs.items():

@@ -1,6 +1,9 @@
 """Command-line frontend.
 
 Commands: coeffs, eval, boost, verify, kinetic, subsystem.
+Every number in a config is a finite JSON number (true, false, strings and
+null exit 2), and point, state, moments and the family object take only
+their listed fields.
 All structured output is JSON (numbers with 17 significant digits) or
 CSV for flat tables; every output embeds the family spec, truncations
 and seed so results are reproducible from the file alone.
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import coeffs, kinetic, potentials, verify
 from .coeffs import EquilibriumPoint, make_family
-from .errors import ClosureError, ConfigError, DomainError
-from .potentials import BoostVelocity, MomentSet, MultiplierState
+from .errors import ClosureError, ConfigError
+from .potentials import HATTED, BoostVelocity, MomentSet, MultiplierState
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,28 +66,58 @@ def dumps17(obj) -> str:
     return _FLOAT_TOKEN.sub(lambda match: table[int(match[1])], text)
 
 
-def _require_finite(name: str, value):
-    """Reject NaN, infinite numbers and null list items anywhere inside a config value.
+def _number(name: str, value) -> float:
+    """A finite JSON number; true and false, strings and null are not numbers."""
+    # the comparison is exact for an int too large for a float, and false for NaN
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
-    Other entries that are not numbers are left to the parsing that uses them.
+
+def _numbers(name: str, value, shape: tuple):
+    """A number for shape (), else nested JSON lists of numbers of that shape."""
+    if not shape:
+        return _number(name, value)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        items = "numbers" if len(shape) == 1 else "lists"
+        raise ConfigError(f"{name} must be a list of {shape[0]} {items}, got {value!r}")
+    return [_numbers(f"{name}[{k}]", item, shape[1:]) for k, item in enumerate(value)]
+
+
+def _field(name: str, value, kind):
+    """A config value of kind: a shape of numbers (see _numbers), str or dict."""
+    if isinstance(kind, tuple):
+        return _numbers(name, value, kind)
+    if not isinstance(value, kind):
+        article = "a string" if kind is str else "an object"
+        raise ConfigError(f"{name} must be {article}, got {value!r}")
+    return value
+
+
+def _object(name: str, value, kinds: dict, defaults: dict) -> dict:
+    """A JSON object with only the fields of kinds, each read by _field.
+
+    A field with no entry in defaults is required.
     """
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(f"{name}.{key}", item)
-    elif isinstance(value, (list, tuple)):
-        for k, item in enumerate(value):
-            if item is None:  # numpy would read it as NaN
-                raise ConfigError(f"{name} must be finite, got null at {name}[{k}]")
-            _require_finite(f"{name}[{k}]", item)
-    elif value is not None and not isinstance(value, bool):
-        try:
-            finite = math.isfinite(float(value))
-        except OverflowError:
-            finite = False
-        except (TypeError, ValueError):
-            return
-        if not finite:
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    _field(name, value, dict)
+    unknown = set(value) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    record = {**defaults, **{k: _field(f"{name}.{k}", v, kinds[k]) for k, v in value.items()}}
+    missing = [k for k in kinds if k not in record]
+    if missing:
+        raise ConfigError(f"missing {name} fields: {missing}")
+    return record
+
+
+# the kinds of the fields of each config object, for _object
+_POINT = {"lam": (), "lam_ll": (), "lam_ppqq": ()}
+_STATE = {"frame": str, "lam": (), "lam_i": (3,), "lam_ij": (3, 3), "lam_ill": (3,),
+          "lam_iill": ()}
+_MOMENTS = {"frame": str, "m": (), "m_i": (3,), "m_ij": (3, 3), "m_ill": (3,), "m_iill": (),
+            "f_k": (3,), "f_ki": (3, 3), "f_kij": (3, 3, 3), "f_kill": (3, 3), "f_kiill": (3,)}
+_FAMILY = {"kind": str, "params": dict}
 
 
 @dataclass
@@ -104,7 +136,7 @@ class RunConfig:
     noneq_magnitude: float = 5e-4
     format: str = "json"
     out: str | None = None
-    point: dict = field(default_factory=lambda: {"lam": 0.0, "lam_ll": 1.0, "lam_ppqq": 0.0})
+    point: dict = field(default_factory=dict)
     state: dict | None = None
     velocity: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
     moments: dict | None = None
@@ -113,6 +145,7 @@ class RunConfig:
     lam: float = 0.0
 
     def validate(self):
+        """Read each value once, in place, or raise ConfigError."""
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {self.format!r}")
         for name in ("N", "S", "count", "p_max", "q_max", "seed"):
@@ -121,30 +154,25 @@ class RunConfig:
             if isinstance(v, bool) or not isinstance(v, int) or v < least:  # JSON true is 1
                 kind = "a positive" if least else "a non-negative"
                 raise ConfigError(f"{name} must be {kind} integer, got {v!r}")
-        if not isinstance(self.family_params, dict):
-            raise ConfigError(f"family_params must be an object, got {self.family_params!r}")
-        if isinstance(self.lam, bool) or not isinstance(self.lam, (int, float)):
-            raise ConfigError(f"lam must be a finite number, got {self.lam!r}")
-        for name in ("point", "state", "lam", "velocity", "moments"):
-            _require_finite(name, getattr(self, name))
+        _field("family_params", self.family_params, dict)
+        self.lam = _number("lam", self.lam)
+        self.noneq_magnitude = _number("noneq_magnitude", self.noneq_magnitude)
+        self.velocity = _numbers("velocity", self.velocity, (3,))
+        self.point = _object("point", self.point, _POINT,
+                             {"lam": 0.0, "lam_ll": 1.0, "lam_ppqq": 0.0})
+        if self.state is not None:
+            self.state = _object("state", self.state, _STATE, {"frame": HATTED})
+        if self.moments is not None:
+            self.moments = _object("moments", self.moments, _MOMENTS, {"frame": "rest"})
+        if self.out is not None:
+            _field("out", self.out, str)
         return self
 
-    def equilibrium_point(self) -> EquilibriumPoint:
-        try:
-            values = [float(self.point.get(key, default))
-                      for key, default in (("lam", 0.0), ("lam_ll", 1.0), ("lam_ppqq", 0.0))]
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid point record: {exc}") from exc
-        return EquilibriumPoint(*values)  # outside the try: a DomainError exits 3
-
     def multiplier_state(self) -> MultiplierState:
-        if self.state is None:
-            pt = self.equilibrium_point()
-            return MultiplierState.equilibrium(pt.lam, pt.lam_ll, pt.lam_ppqq)
-        try:
-            return MultiplierState.from_dict({"frame": "hatted", **self.state})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid state record: {exc}") from exc
+        if self.state is not None:
+            return MultiplierState.from_dict(self.state)
+        pt = EquilibriumPoint(**self.point)
+        return MultiplierState.equilibrium(pt.lam, pt.lam_ll, pt.lam_ppqq)
 
     def build_family(self):
         return make_family(self.family, self.family_params)
@@ -177,70 +205,44 @@ def load_config(args) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if isinstance(data.get("family"), dict):
-            fam = data.pop("family")
-            data["family"] = fam.get("kind", cfg.family)
-            data.setdefault("family_params", fam.get("params", {}))
+            fam = _object("family", data.pop("family"), _FAMILY,
+                          {"kind": cfg.family, "params": {}})
+            data["family"] = fam["kind"]
+            data.setdefault("family_params", fam["params"])
         for key, value in data.items():
             setattr(cfg, key, value)
-    # flags win over config file
-    if args.family is not None:
-        cfg.family = args.family
-    if args.n_trunc is not None:
-        cfg.N = args.n_trunc
-    if args.s_trunc is not None:
-        cfg.S = args.s_trunc
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.format = args.format
+    for flag, key in (("family", "family"), ("n_trunc", "N"), ("s_trunc", "S"),
+                      ("seed", "seed"), ("out", "out"), ("format", "format")):
+        if getattr(args, flag) is not None:  # flags win over config file
+            setattr(cfg, key, getattr(args, flag))
     return cfg.validate()
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
+def _emit(out: str | None, text: str):
+    if not text.endswith("\n"):
+        text += "\n"
+    if not out:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-_MOMENT_BLOCKS = [f.name for f in fields(MomentSet) if f.name != "frame"]
-_MOMENT_SHAPES = {"m": (), "m_i": (3,), "m_ij": (3, 3), "m_ill": (3,), "m_iill": (),
-                  "f_k": (3,), "f_ki": (3, 3), "f_kij": (3, 3, 3), "f_kill": (3, 3),
-                  "f_kiill": (3,)}
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 def _moments_dict(m: MomentSet) -> dict:
-    return {"frame": m.frame, **{k: np.asarray(getattr(m, k)).tolist() for k in _MOMENT_BLOCKS}}
-
-
-def _moments_from_dict(d: dict) -> MomentSet:
-    blocks = {}
-    for k in _MOMENT_BLOCKS:
-        try:
-            block = np.array(d[k], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid moments record: {exc}") from exc
-        if block.shape != _MOMENT_SHAPES[k] or not np.isfinite(block).all():
-            raise ConfigError(
-                f"moments.{k} must be finite with shape {_MOMENT_SHAPES[k]}, got {d[k]!r}"
-            )
-        blocks[k] = float(block) if block.ndim == 0 else block
-    return MomentSet(frame=d.get("frame", "rest"), **blocks)
+    return {k: np.asarray(getattr(m, k)).tolist() for k in _MOMENTS}  # frame stays a str
 
 
 # --- commands ----------------------------------------------------------------
+# Each returns its payload and whether it passed.  main adds the command name
+# and cfg.describe() to a dict payload; a text payload is written as it is.
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
+def cmd_coeffs(cfg: RunConfig) -> tuple[dict | str, bool]:
     f = cfg.build_family()
-    pt = cfg.equilibrium_point()
+    pt = EquilibriumPoint(**cfg.point)
     rows = [  # keys in CSV_HEADER order
         {"p": p, "q": q, "S": cfg.S, "lambda": pt.lam, "lambda_ll": pt.lam_ll,
          "lambda_ppqq": pt.lam_ppqq, "value": coeffs.k_pq(f, p, q, pt, cfg.S)}
@@ -249,64 +251,47 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     ]
     if cfg.format == "csv":
         lines = [",".join(fmt17(v) for v in row.values()) for row in rows]
-        _emit(cfg, "\n".join([CSV_HEADER, *lines]))
-    else:
-        _emit(cfg, dumps17({"command": "coeffs", **cfg.describe(), "rows": rows}))
-    return EXIT_OK
+        return "\n".join([CSV_HEADER, *lines]), True
+    return {"rows": rows}, True
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig) -> tuple[dict | str, bool]:
     f = cfg.build_family()
     state = cfg.multiplier_state()
     h = potentials.eval_h_hat(f, state, cfg.N, cfg.S)
     phi = potentials.eval_phi_hat(f, state, cfg.N, cfg.S)
     moments = potentials.moments_from_potentials(f, state, cfg.N, cfg.S)
-    _emit(
-        cfg,
-        dumps17(
-            {
-                "command": "eval",
-                **cfg.describe(),
-                "state": state.to_dict(),
-                "h": h,
-                "phi": phi.tolist(),
-                "moments": _moments_dict(moments),
-            }
-        ),
-    )
-    return EXIT_OK
+    return {
+        "state": state.to_dict(),
+        "h": h,
+        "phi": phi.tolist(),
+        "moments": _moments_dict(moments),
+    }, True
 
 
-def cmd_boost(cfg: RunConfig) -> int:
-    v = BoostVelocity(np.array(cfg.velocity, dtype=float))
+def cmd_boost(cfg: RunConfig) -> tuple[dict | str, bool]:
+    v = BoostVelocity(cfg.velocity)
     f = cfg.build_family()  # also checks the family the output describes
     if cfg.moments is not None:
-        rest = _moments_from_dict(cfg.moments)
+        rest = MomentSet(**{k: np.array(x) if isinstance(x, list) else x
+                            for k, x in cfg.moments.items()})
     else:
         rest = potentials.moments_from_potentials(
             f, cfg.multiplier_state(), cfg.N, cfg.S
         )
     lab = potentials.lab_moments_from_rest(rest, v)
-    _emit(
-        cfg,
-        dumps17(
-            {
-                "command": "boost",
-                **cfg.describe(),
-                "velocity": list(map(float, cfg.velocity)),
-                "rest": _moments_dict(rest),
-                "lab": _moments_dict(lab),
-            }
-        ),
-    )
-    return EXIT_OK
+    return {
+        "velocity": cfg.velocity,
+        "rest": _moments_dict(rest),
+        "lab": _moments_dict(lab),
+    }, True
 
 
 def _kernel_for(cfg: RunConfig):
     return kinetic.kernel_for(cfg.family, cfg.family_params)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[dict | str, bool]:
     f = cfg.build_family()
     report = verify.run_all(
         f,
@@ -319,17 +304,15 @@ def cmd_verify(cfg: RunConfig) -> int:
         ),
         kernel=_kernel_for(cfg),
     )
-    _emit(cfg, report.to_json())
     if not report.all_passed:
         print(
             "failed conditions: " + ", ".join(report.failed_conditions()),
             file=sys.stderr,
         )
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return report.to_json(), report.all_passed
 
 
-def cmd_kinetic(cfg: RunConfig) -> int:
+def cmd_kinetic(cfg: RunConfig) -> tuple[dict | str, bool]:
     f = cfg.build_family()
     kernel = _kernel_for(cfg)
     if kernel is None:
@@ -345,48 +328,32 @@ def cmd_kinetic(cfg: RunConfig) -> int:
         S=cfg.S,
     )
     max_dev = max(r["residual"] for r in report.records)
-    _emit(
-        cfg,
-        dumps17(
-            {
-                "command": "kinetic",
-                **cfg.describe(),
-                "kernel": kernel.name,
-                "max_relative_deviation": max_dev,
-                "records": report.records,
-            }
-        ),
-    )
-    return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+    return {
+        "kernel": kernel.name,
+        "max_relative_deviation": max_dev,
+        "records": report.records,
+    }, report.all_passed
 
 
-def cmd_subsystem(cfg: RunConfig) -> int:
+def cmd_subsystem(cfg: RunConfig) -> tuple[dict | str, bool]:
     f = cfg.build_family()
     q_max = cfg.q_max - cfg.q_max % 2
     table = coeffs.reduce_to_13(f, q_max, cfg.lam)
-    _emit(
-        cfg,
-        dumps17(
-            {
-                "command": "subsystem",
-                **cfg.describe(),
-                "lam": table.lam,
-                "I_q": {f"I_{q}": v for q, v in sorted(table.values.items())},
-                "c_q": table.c_q,
-                "note": "c_q vanishes identically for the 13-moment reduction",
-            }
-        ),
-    )
-    return EXIT_OK
+    return {
+        "lam": table.lam,
+        "I_q": {f"I_{q}": v for q, v in sorted(table.values.items())},
+        "c_q": table.c_q,
+        "note": "c_q vanishes identically for the 13-moment reduction",
+    }, True
 
 
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "eval": cmd_eval,
-    "boost": cmd_boost,
-    "verify": cmd_verify,
-    "kinetic": cmd_kinetic,
-    "subsystem": cmd_subsystem,
+_COMMANDS = {  # name: (command, help text)
+    "coeffs": (cmd_coeffs, "write a coefficient table"),
+    "eval": (cmd_eval, "evaluate potentials and moments at a state"),
+    "boost": (cmd_boost, "boost a rest-frame moment set to the lab frame"),
+    "verify": (cmd_verify, "run the full verification suite"),
+    "kinetic": (cmd_kinetic, "compare coefficients against the quadrature oracle"),
+    "subsystem": (cmd_subsystem, "reduce to the 13-moment subsystem"),
 }
 
 
@@ -397,14 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "boosts, verification, kinetic comparison, subsystem reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("coeffs", "write a coefficient table"),
-        ("eval", "evaluate potentials and moments at a state"),
-        ("boost", "boost a rest-frame moment set to the lab frame"),
-        ("verify", "run the full verification suite"),
-        ("kinetic", "compare coefficients against the quadrature oracle"),
-        ("subsystem", "reduce to the 13-moment subsystem"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--family", help="generating family kind")
@@ -425,7 +385,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         cfg = load_config(args)
-        return _COMMANDS[args.command](cfg)
+        payload, passed = _COMMANDS[args.command][0](cfg)
+        if isinstance(payload, dict):
+            payload = dumps17({"command": args.command, **cfg.describe(), **payload})
+        _emit(cfg.out, payload)
+        return EXIT_OK if passed else EXIT_VERIFY_FAILED
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,8 @@ from closure14.cli import CSV_HEADER, dumps17, fmt17, main
 from closure14.coeffs import make_family
 
 K10_REF = -43.40082151674337
+EQ_STATE = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "lam_ill": [0, 0, 0], "lam_iill": 0}
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +101,7 @@ class TestCoeffsCommand:
             ({"lam": -700}, 3),
             ({"lam": -600, "lam_ll": 1e-20}, 3),
             ({"lam": -690, "lam_ll": 0.05}, 3),
+            ({"lam_ll": 10**400}, 2),  # an integer too large for a float
         ],
     )
     def test_overflow_and_non_finite_exit_codes(self, tmp_path, capsys, point, expected):
@@ -113,7 +116,19 @@ class TestCoeffsCommand:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"point": point}))
         code, out, err = run_cli(capsys, "coeffs", "--config", str(cfgfile))
-        assert code == 2 and out == "" and "invalid point record" in err
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err == f"config error: point must be an object, got {point!r}\n"
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/table.json", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ], ids=["no_directory", "directory"])
+    def test_unwritable_out_rejected(self, tmp_path, capsys, target, reason):
+        # open() raised its OSError as a traceback, with the verification-failure exit 1
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, "coeffs", "--out", path)
+        assert code == 2 and out == ""
+        assert err == f"config error: cannot write output file: {reason}: {path!r}\n"
 
     @pytest.mark.parametrize(
         "command, config",
@@ -239,9 +254,37 @@ class TestConfigHandling:
         # a string or null lam reached reduce_to_13 and ended in a TypeError traceback
         ("subsystem", {"lam": "0.5"}, "lam must be a finite number, got '0.5'"),
         ("subsystem", {"lam": None}, "lam must be a finite number, got None"),
-    ], ids=["N_seed", "seed", "count", "S", "p_max", "q_max", "lam", "lam_string", "lam_null"])
+        # a string or null noneq_magnitude ended in a TypeError traceback, with exit 1
+        ("verify", {"noneq_magnitude": "x"}, "noneq_magnitude must be a finite number, got 'x'"),
+        ("verify", {"noneq_magnitude": None}, "noneq_magnitude must be a finite number, got None"),
+        ("coeffs", {"point": {"lam": True}}, "point.lam must be a finite number, got True"),
+        ("coeffs", {"point": {"lam_ll": "2"}}, "point.lam_ll must be a finite number, got '2'"),
+        ("eval", {"state": {**EQ_STATE, "lam": "0"}},
+         "state.lam must be a finite number, got '0'"),
+        ("eval", {"state": {**EQ_STATE, "lam_i": [True, 0, 0]}},
+         "state.lam_i[0] must be a finite number, got True"),
+        ("boost", {"velocity": [True, 0, 0]}, "velocity[0] must be a finite number, got True"),
+        ("boost", {"velocity": ["0.1", 0, 0]}, "velocity[0] must be a finite number, got '0.1'"),
+        # numpy's matmul named a core dimension
+        ("eval", {"state": {**EQ_STATE, "lam_i": [0, 0]}},
+         "state.lam_i must be a list of 3 numbers, got [0, 0]"),
+        # unknown fields inside an object were ignored: "kynd" ran the exponential family
+        ("coeffs", {"family": {"kynd": "poly_exponential"}}, "unknown family fields: ['kynd']"),
+        ("coeffs", {"point": {"lam_pp": 1}}, "unknown point fields: ['lam_pp']"),
+        ("eval", {"state": {**EQ_STATE, "lam_jj": 0}}, "unknown state fields: ['lam_jj']"),
+        ("boost", {"state": {"lam": 0, "lam_ij": EQ_STATE["lam_ij"]}},
+         "missing state fields: ['lam_i', 'lam_ill', 'lam_iill']"),
+        # open() took an integer as a file descriptor: 7 failed on a bad descriptor,
+        # and true wrote to standard output and closed it
+        ("coeffs", {"out": 7}, "out must be a string, got 7"),
+        ("coeffs", {"out": True}, "out must be a string, got True"),
+    ], ids=["N_seed", "seed", "count", "S", "p_max", "q_max", "lam", "lam_string", "lam_null",
+            "noneq_string", "noneq_null", "point_bool", "point_string", "state_string",
+            "state_bool", "velocity_bool", "velocity_string", "state_short_list",
+            "family_unknown", "point_unknown", "state_unknown", "state_missing", "out_int",
+            "out_bool"])
     def test_boolean_or_non_number_rejected(self, tmp_path, capsys, command, config, message):
-        # JSON true ran as 1 and was printed back as true
+        # JSON true ran as 1 and was printed back as true; a numeric string ran as its number
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
@@ -307,10 +350,8 @@ class TestEvalAndBoost:
     )
     def test_overflowing_state_exit_code(self, tmp_path, capsys, command, state):
         # finite multipliers whose potentials overflow: one error line, no NaN output
-        full = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                "lam_ill": [0, 0, 0], "lam_iill": 0, **state}
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"state": full}))
+        cfgfile.write_text(json.dumps({"state": {**EQ_STATE, **state}}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
@@ -329,29 +370,35 @@ class TestEvalAndBoost:
     )
     def test_null_in_state_is_a_config_error(self, tmp_path, capsys, command, state, path):
         # numpy read null as NaN, which exited 3 as a domain error
-        full = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                "lam_ill": [0, 0, 0], "lam_iill": 0, **state}
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"state": full}))
+        cfgfile.write_text(json.dumps({"state": {**EQ_STATE, **state}}))
         code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and f"got null at {path}" in err
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err == f"config error: {path} must be a finite number, got None\n"
 
     @pytest.mark.parametrize(
-        "block,value",
-        [("f_k", [1.0]), ("f_kiill", [2.0]), ("f_ki", [[1, 2, 3]]), ("m_i", [0.5]),
-         ("m_ill", [None, 0, 0])],
-        ids=["f_k", "f_kiill", "f_ki", "m_i", "m_ill_null"],
+        "block, value, message",
+        [("f_k", [1.0], "moments.f_k must be a list of 3 numbers, got [1.0]"),
+         ("f_kiill", [2.0], "moments.f_kiill must be a list of 3 numbers, got [2.0]"),
+         ("f_ki", [[1, 2, 3]], "moments.f_ki must be a list of 3 lists, got [[1, 2, 3]]"),
+         ("m_i", [0.5], "moments.m_i must be a list of 3 numbers, got [0.5]"),
+         ("m_ill", [None, 0, 0], "moments.m_ill[0] must be a finite number, got None"),
+         ("m", True, "moments.m must be a finite number, got True"),
+         ("m_iill", "0.5", "moments.m_iill must be a finite number, got '0.5'"),
+         ("f_kk", 0, "unknown moments fields: ['f_kk']")],
+        ids=["f_k", "f_kiill", "f_ki", "m_i", "m_ill_null", "m_bool", "m_iill_string",
+             "unknown"],
     )
-    def test_boost_rejects_malformed_moment_block(self, tmp_path, capsys, block, value):
-        # numpy would broadcast the first three to lab moments, and null to NaN
+    def test_boost_rejects_malformed_moment_block(self, tmp_path, capsys, block, value, message):
+        # numpy would broadcast the first three to lab moments, null to NaN and a
+        # boolean or string to a number, and an unknown block was ignored
         code, out, _ = run_cli(capsys, "eval", "--n-trunc", "4")
         moments = {**json.loads(out)["moments"], block: value}
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"moments": moments, "velocity": [0.1, 0.0, 0.0]}))
         code, out, err = run_cli(capsys, "boost", "--config", str(cfgfile))
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and f"moments.{block} must be finite" in err
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err == f"config error: {message}\n"
 
     def test_boost_rejects_non_finite_moments(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
