@@ -21,7 +21,9 @@ slowly, and ``eval``, ``verify`` and ``subsystem`` with the boolean numbers
 of ``BOOLEAN_CONFIGS``, which exit 2.  It also runs each of the malformed
 configs of ``BAD_CONFIGS`` on the commands that read the value (a boolean,
 string or null where a number is due, a list of the wrong length, an
-unknown field inside an object, an ``out`` that is not a string), and
+unknown field inside an object, an ``out`` that is not a string, a
+``lam_ij``, ``m_ij`` or ``f_kij`` that is not symmetric, and the CSV format
+on every command but ``coeffs``), and
 ``coeffs`` with an ``--out`` it cannot open, ``UNWRITABLE_OUTS``; each
 exits 2.  Last come ``--help`` and ``<command> --help``, once each.  For
 each command it prints ``identical``, or the first line where stdout,
@@ -85,6 +87,7 @@ EQ_STATE = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0
 ZERO_MOMENTS = {"m": 0, "m_i": [0] * 3, "m_ij": [[0] * 3] * 3, "m_ill": [0] * 3, "m_iill": 0,
                 "f_k": [0] * 3, "f_ki": [[0] * 3] * 3, "f_kij": [[[0] * 3] * 3] * 3,
                 "f_kill": [[0] * 3] * 3, "f_kiill": [0] * 3}
+ASYMMETRIC = [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]
 # name: (commands that read the bad value, config); each exits 2
 BAD_CONFIGS = {
     "noneq_string": (("verify",), {"noneq_magnitude": "x"}),
@@ -104,6 +107,11 @@ BAD_CONFIGS = {
     "family_unknown": (("coeffs", "verify"), {"family": {"kynd": "poly_exponential"}}),
     "out_int": (("coeffs",), {"out": 7}),
     "out_bool": (("coeffs",), {"out": True}),
+    "state_asymmetric": (("eval", "boost"), {"state": {**EQ_STATE, "lam_ij": ASYMMETRIC}}),
+    "moments_m_ij_asymmetric": (("boost",), {"moments": {**ZERO_MOMENTS, "m_ij": ASYMMETRIC}}),
+    "moments_f_kij_asymmetric": (("boost",), {"moments": {
+        **ZERO_MOMENTS, "f_kij": [[[0] * 3] * 3, ASYMMETRIC, [[0] * 3] * 3]}}),
+    "format_csv": (("eval", "boost", "verify", "kinetic", "subsystem"), {"format": "csv"}),
 }
 UNWRITABLE_OUTS = ("missing/table.json", ".")  # no such directory; a directory
 COMMANDS = ("coeffs", "eval", "boost", "verify", "kinetic", "subsystem")

@@ -2,10 +2,10 @@
 
 Commands: coeffs, eval, boost, verify, kinetic, subsystem.
 Every number in a config is a finite JSON number (true, false, strings and
-null exit 2), and point, state, moments and the family object take only
-their listed fields.
-All structured output is JSON (numbers with 17 significant digits) or
-CSV for flat tables; every output embeds the family spec, truncations
+null exit 2), point, state, moments and the family object take only
+their listed fields, and a symmetric tensor must be given symmetric.
+All structured output is JSON (numbers with 17 significant digits); only
+coeffs also writes CSV.  Every output embeds the family spec, truncations
 and seed so results are reproducible from the file alone.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
@@ -95,6 +95,12 @@ def _field(name: str, value, kind):
     return value
 
 
+def _symmetric(name: str, value):
+    """Raise ConfigError unless value is exactly symmetric in its last two indices."""
+    if not np.array_equal(value, np.swapaxes(value, -1, -2)):
+        raise ConfigError(f"{name} must be symmetric, got {value!r}")
+
+
 def _object(name: str, value, kinds: dict, defaults: dict) -> dict:
     """A JSON object with only the fields of kinds, each read by _field.
 
@@ -162,8 +168,11 @@ class RunConfig:
                              {"lam": 0.0, "lam_ll": 1.0, "lam_ppqq": 0.0})
         if self.state is not None:
             self.state = _object("state", self.state, _STATE, {"frame": HATTED})
+            _symmetric("state.lam_ij", self.state["lam_ij"])
         if self.moments is not None:
             self.moments = _object("moments", self.moments, _MOMENTS, {"frame": "rest"})
+            _symmetric("moments.m_ij", self.moments["m_ij"])
+            _symmetric("moments.f_kij", self.moments["f_kij"])
         if self.out is not None:
             _field("out", self.out, str)
         return self
@@ -319,11 +328,11 @@ def cmd_kinetic(cfg: RunConfig) -> tuple[dict | str, bool]:
         raise ConfigError(
             f"family {cfg.family!r} has no built-in kernel for the kinetic comparison"
         )
-    pts = verify.TestPointSet(seed=cfg.seed, count=cfg.count)
+    config = verify.VerifyConfig(seed=cfg.seed, count=cfg.count)
     report = verify.check_kinetic_equivalence(
         f,
         kernel,
-        pts.scalar_points(with_ppqq=False)[: verify.VerifyConfig.kinetic_points],
+        config.scalar_points(with_ppqq=False)[: config.kinetic_points],
         pq_total_max=min(cfg.p_max + cfg.q_max, 6),
         S=cfg.S,
     )
@@ -385,6 +394,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         cfg = load_config(args)
+        if cfg.format != "json" and args.command != "coeffs":
+            raise ConfigError(f"format must be 'json' for {args.command}, got {cfg.format!r}")
         payload, passed = _COMMANDS[args.command][0](cfg)
         if isinstance(payload, dict):
             payload = dumps17({"command": args.command, **cfg.describe(), **payload})

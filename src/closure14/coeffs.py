@@ -425,37 +425,8 @@ class CoeffSeries:
 
 
 def k_series(f: GeneratingFamily, p: int, q: int, S: int) -> CoeffSeries:
-    """Build k_{p,q} by composing parity-correct single steps from k00.
-
-    The q column steps (each q -> q+1) come first, then the p row steps
-    (each p -> p+1), which consumes the fewest series orders.  The step rule
-    at each move is forced by the current p+q parity:
-
-    * row,    p+q odd:  d/dl                                (beta1)
-    * row,    p+q even: 3 (p+q+1)/(p+q+3) d/dl_ll           (gamma1)
-    * column, p+q odd:  3 d/dl_ll                           (eps1)
-    * column, p+q even: (p+q+1)/(p+q+3) d/dl_ppqq           (eps2)
-
-    The series is purely symbolic (the family enters only at evaluation),
-    so results are memoized on the indices.
-    """
-    return _k_series_cached(p, q, S)
-
-
-@functools.lru_cache(maxsize=None)
-def _k_series_cached(p: int, q: int, S: int) -> CoeffSeries:
-    series = CoeffSeries.k00(S)
-    for n in range(q):  # column steps; n is p+q before the step
-        if n % 2:
-            series = series.d_ll().scaled(3)
-        else:
-            series = series.d_ppqq().scaled(Fraction(n + 1, n + 3))
-    for n in range(q, p + q):  # row steps
-        if n % 2:
-            series = series.d_lam()
-        else:
-            series = series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
-    return series
+    """The series of k_{p,q}: ``tensor_series(p, q, 0, S)``."""
+    return tensor_series(p, q, 0, S)
 
 
 def k_pq(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
@@ -488,14 +459,39 @@ def k_s_value(f: GeneratingFamily, s: int, point: EquilibriumPoint) -> float:
 def tensor_series(p: int, q: int, r: int, S: int) -> CoeffSeries:
     """Series of the (p, q, r) term of h_hat (p+q even) or phi_hat (p+q odd).
 
-    r lambda_ll-derivatives of k_{p,q} times 3^r (n+1+odd)/(n+2r+1+odd), n = p+q.
+    At r = 0 this is k_{p,q}, built by composing parity-correct single steps
+    from k00.  The q column steps (each q -> q+1) come first, then the p row
+    steps (each p -> p+1), which consumes the fewest series orders.  The step
+    rule at each move is forced by the current p+q parity:
+
+    * row,    p+q odd:  d/dl                                (beta1)
+    * row,    p+q even: 3 (p+q+1)/(p+q+3) d/dl_ll           (gamma1)
+    * column, p+q odd:  3 d/dl_ll                           (eps1)
+    * column, p+q even: (p+q+1)/(p+q+3) d/dl_ppqq           (eps2)
+
+    Each r > 0 is one step 3 (m-1)/(m+1) d/dl_ll from r-1, m = n+2r+odd, so the
+    series is d^r k_{p,q}/dl_ll^r times 3^r (n+1+odd)/(n+2r+1+odd), n = p+q.
+    The series is purely symbolic (the family enters only at evaluation), so
+    results are memoized on the indices.  An index that is negative or not an
+    integer raises ``ValueError``.
     """
-    n = p + q
-    odd = n % 2
-    series = _k_series_cached(p, q, S)
-    for _ in range(r):
-        series = series.d_ll()
-    return series.scaled(Fraction(3**r * (n + 1 + odd), n + 2 * r + 1 + odd))
+    for name, index in (("p", p), ("q", q), ("r", r), ("S", S)):
+        check_index(name, index)
+    if r > 0:
+        m = p + q + 2 * r + (p + q) % 2
+        return tensor_series(p, q, r - 1, S).d_ll().scaled(Fraction(3 * (m - 1), m + 1))
+    series = CoeffSeries.k00(S)
+    for n in range(q):  # column steps; n is p+q before the step
+        if n % 2:
+            series = series.d_ll().scaled(3)
+        else:
+            series = series.d_ppqq().scaled(Fraction(n + 1, n + 3))
+    for n in range(q, p + q):  # row steps
+        if n % 2:
+            series = series.d_lam()
+        else:
+            series = series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
+    return series
 
 
 def h_pqr(f: GeneratingFamily, req: CoefficientRequest, point: EquilibriumPoint) -> float:
@@ -598,13 +594,20 @@ def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
     lhs_c = 9.0 * lhs_series(f, point)
     rhs_c = rhs_series(f, point)
     c_resid = abs(lhs_c - rhs_c) / max(abs(lhs_c), abs(rhs_c), RESIDUAL_FLOOR)
+    return c_resid, scaling_residual(f, base, 3.0, point)
 
-    t0 = 3.0 * base(f, point)
-    t1 = 2.0 * point.lam_ll * base.d_ll()(f, point)
-    t2 = 4.0 * point.lam_ppqq * base.d_ppqq()(f, point)
+
+def scaling_residual(f: GeneratingFamily, series: CoeffSeries, weight, point: EquilibriumPoint):
+    """Relative residual of 0 = weight k + 2 l_ll dk/dl_ll + 4 l_ppqq dk/dl_ppqq, k the series.
+
+    Each k_{p,q} obeys it with weight p+3q+3.  A series with no lambda_ppqq
+    order left raises ``TruncationError``.
+    """
+    t0 = weight * series(f, point)
+    t1 = 2.0 * point.lam_ll * series.d_ll()(f, point)
+    t2 = 4.0 * point.lam_ppqq * series.d_ppqq()(f, point)
     scale = max(abs(t0), abs(t1), abs(t2), RESIDUAL_FLOOR)
-    f1_resid = abs(t0 + t1 + t2) / scale
-    return c_resid, f1_resid
+    return abs(t0 + t1 + t2) / scale
 
 
 # --- 13-moment subsystem ----------------------------------------------------

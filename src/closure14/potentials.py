@@ -112,8 +112,6 @@ class BoostVelocity:
 class PotentialPair:
     h: float
     phi: np.ndarray
-    N: int
-    S: int
 
 
 @dataclass(frozen=True)
@@ -423,7 +421,7 @@ def lab_potentials(
     hatted = hat_multipliers(lab, v)
     node_pass = _node_pass(hatted, N)
     h, phi_hat = _potentials(f, N, S, (False, True), node_pass)
-    return PotentialPair(h=h, phi=phi_hat + h * v.v, N=N, S=S)
+    return PotentialPair(h=h, phi=phi_hat + h * v.v)
 
 
 def _require_finite(ms: MomentSet) -> MomentSet:

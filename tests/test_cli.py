@@ -17,6 +17,12 @@ from closure14.coeffs import make_family
 K10_REF = -43.40082151674337
 EQ_STATE = {"lam": 0, "lam_i": [0, 0, 0], "lam_ij": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
             "lam_ill": [0, 0, 0], "lam_iill": 0}
+NONEQ_STATE = {"lam": 0.2, "lam_i": [1e-2, -2e-2, 5e-3],
+               "lam_ij": [[0.34, 0.01, -0.02], [0.01, 0.33, 0.015], [-0.02, 0.015, 0.32]],
+               "lam_ill": [4e-3, -3e-3, 6e-3], "lam_iill": 5e-3}
+ASYMMETRIC = [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]  # a_01 != a_10
+ASYMMETRIC_TEXT = "[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]"
+JSON_ONLY = ["eval", "boost", "verify", "kinetic", "subsystem"]  # every command but coeffs
 
 
 def run_cli(capsys, *argv):
@@ -278,11 +284,17 @@ class TestConfigHandling:
         # and true wrote to standard output and closed it
         ("coeffs", {"out": 7}, "out must be a string, got 7"),
         ("coeffs", {"out": True}, "out must be a string, got True"),
+        # SymMatrix averaged lam_ij with its transpose and ran on that state
+        ("eval", {"state": {**EQ_STATE, "lam_ij": ASYMMETRIC}},
+         f"state.lam_ij must be symmetric, got {ASYMMETRIC_TEXT}"),
+        # only coeffs writes CSV; the others printed JSON and exited 0
+        *[(command, {"format": "csv"}, f"format must be 'json' for {command}, got 'csv'")
+          for command in JSON_ONLY],
     ], ids=["N_seed", "seed", "count", "S", "p_max", "q_max", "lam", "lam_string", "lam_null",
             "noneq_string", "noneq_null", "point_bool", "point_string", "state_string",
             "state_bool", "velocity_bool", "velocity_string", "state_short_list",
             "family_unknown", "point_unknown", "state_unknown", "state_missing", "out_int",
-            "out_bool"])
+            "out_bool", "state_asymmetric", *[f"csv_{command}" for command in JSON_ONLY]])
     def test_boolean_or_non_number_rejected(self, tmp_path, capsys, command, config, message):
         # JSON true ran as 1 and was printed back as true; a numeric string ran as its number
         cfgfile = tmp_path / "cfg.json"
@@ -290,6 +302,13 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, command, "--config", str(cfgfile))
         assert code == 2 and out == ""
         assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", JSON_ONLY)
+    def test_csv_flag_rejected(self, capsys, command):
+        # --format csv printed the JSON output and exited 0
+        code, out, err = run_cli(capsys, command, "--format", "csv")
+        assert code == 2 and out == ""
+        assert err == f"config error: format must be 'json' for {command}, got 'csv'\n"
 
     def test_unknown_family_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--family", "bogus")
@@ -338,6 +357,22 @@ class TestEvalAndBoost:
             moments["m_i"][0] + moments["m"] * 0.1, rel=1e-12
         )
 
+    @pytest.mark.parametrize("family", ["exponential", "poly_exponential"])
+    def test_nonequilibrium_moments_boost_back(self, tmp_path, capsys, family):
+        # eval prints its moments exactly symmetric away from equilibrium too,
+        # so boost takes them back through its symmetry check
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"family": family, "state": NONEQ_STATE}))
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfgfile))
+        assert code == 0 and err == ""
+        moments = json.loads(out)["moments"]
+        cfgfile.write_text(json.dumps({"family": family, "moments": moments,
+                                       "velocity": [0.1, -0.2, 0.05]}))
+        code, out, err = run_cli(capsys, "boost", "--config", str(cfgfile))
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["rest"] == moments and payload["lab"]["frame"] == "lab"
+
     @pytest.mark.parametrize("command", ["eval", "boost"])
     @pytest.mark.parametrize(
         "state",
@@ -385,13 +420,19 @@ class TestEvalAndBoost:
          ("m_ill", [None, 0, 0], "moments.m_ill[0] must be a finite number, got None"),
          ("m", True, "moments.m must be a finite number, got True"),
          ("m_iill", "0.5", "moments.m_iill must be a finite number, got '0.5'"),
-         ("f_kk", 0, "unknown moments fields: ['f_kk']")],
+         ("f_kk", 0, "unknown moments fields: ['f_kk']"),
+         ("m_ij", ASYMMETRIC, f"moments.m_ij must be symmetric, got {ASYMMETRIC_TEXT}"),
+         ("f_kij", [[[0, 0, 0]] * 3, [[0, 0, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 0]] * 3],
+          "moments.f_kij must be symmetric, got [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], "
+          "[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "
+          "[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]")],
         ids=["f_k", "f_kiill", "f_ki", "m_i", "m_ill_null", "m_bool", "m_iill_string",
-             "unknown"],
+             "unknown", "m_ij_asymmetric", "f_kij_asymmetric"],
     )
     def test_boost_rejects_malformed_moment_block(self, tmp_path, capsys, block, value, message):
         # numpy would broadcast the first three to lab moments, null to NaN and a
-        # boolean or string to a number, and an unknown block was ignored
+        # boolean or string to a number, and an unknown block was ignored; a
+        # non-symmetric m_ij or f_kij was boosted as given
         code, out, _ = run_cli(capsys, "eval", "--n-trunc", "4")
         moments = {**json.loads(out)["moments"], block: value}
         cfgfile = tmp_path / "cfg.json"

@@ -361,6 +361,7 @@ class TestTensorCoefficients:
                         with pytest.raises(TruncationError):
                             tensor_series(p, q, r, S)
                         continue
+                    assert base is tensor_series(p, q, 0, S)  # one series object per k_{p,q}
                     for _ in range(r):
                         base = base.d_ll()
                     n = p + q + 2 * r
@@ -371,6 +372,19 @@ class TestTensorCoefficients:
                     assert tensor_series(p, q, r, S).terms == base.scaled(factor).terms
                     checked += 1
         assert checked >= 90
+
+    @pytest.mark.parametrize("p, q, r, S, name", [
+        (-1, 0, 0, 4, "p"), (0, -2, 0, 4, "q"), (0, 0, -1, 4, "r"), (0, 0, 0, -1, "S"),
+        (1.5, 0, 0, 4, "p"), (0, 0, 0.5, 4, "r"),
+    ], ids=["p_negative", "q_negative", "r_negative", "S_negative", "p_fractional",
+            "r_fractional"])
+    def test_negative_or_fractional_series_index_rejected(self, exp_family, p, q, r, S, name):
+        # k_pq(f, -1, 0, ...) returned k00, and a negative S an empty series
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            tensor_series(p, q, r, S)
+        if r == 0:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+                k_pq(exp_family, p, q, POINT, S)
 
     def test_h_prefactor_ratio(self, exp_family):
         # h_{p,q,r} / (d^r k_{p,q} / d lam_ll^r) = 3^r (p+q+1)/(p+q+2r+1)

@@ -107,6 +107,7 @@ class TestRunAll:
         # the points and truncations are settable, the plan is read as class constants
         names = [f.name for f in dataclasses.fields(VerifyConfig)]
         assert names == ["seed", "count", "N", "S", "noneq_magnitude"]
+        assert TestPointSet is VerifyConfig  # the config is the point set
         with pytest.raises(TypeError):
             VerifyConfig(pq_max=3)
         config = VerifyConfig(seed=3)
