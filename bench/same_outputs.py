@@ -15,19 +15,23 @@ parameters from ``KINETIC_CONFIGS``, ``kinetic`` and ``verify`` with
 ``{"count": 0}`` and with ``--seed -1``, which exit 2, and the verify plan
 away from its defaults: ``verify`` with ``VERIFY_CONFIG`` and with
 ``--n-trunc 0`` (the skipped velocity-independence records), and
-``kinetic`` with ``{"p_max": 2, "q_max": 1}``; ``kinetic`` and ``verify`` of
+``kinetic`` with ``{"p_max": 2, "q_max": 1}``, and the series too short for
+the plan, which exits 3: ``verify`` at ``SHORT_SERIES_VERIFY`` and
+``kinetic`` at ``SHORT_SERIES_KINETIC``; ``kinetic`` and ``verify`` of
 the exponential family with ``SLOW_KERNEL_CONFIG``, a kernel that decays
 slowly, and ``eval``, ``verify`` and ``subsystem`` with the boolean numbers
 of ``BOOLEAN_CONFIGS``, which exit 2.  It also runs each of the malformed
 configs of ``BAD_CONFIGS`` on the commands that read the value (a boolean,
 string or null where a number is due, a list of the wrong length, an
 unknown field inside an object, an ``out`` that is not a string, a
-``lam_ij``, ``m_ij`` or ``f_kij`` that is not symmetric, and the CSV format
-on every command but ``coeffs``), and
-``coeffs`` with an ``--out`` it cannot open, ``UNWRITABLE_OUTS``; each
-exits 2.  Last come ``--help`` and ``<command> --help``, once each.  For
-each command it prints ``identical``, or the first line where stdout,
-stderr or the exit code differ.
+``lam_ij``, ``m_ij`` or ``f_kij`` that is not symmetric, the CSV format
+on every command but ``coeffs``, a format that is neither JSON nor CSV, and
+a config file that holds a JSON list), ``coeffs`` with a config file that
+does not exist, and ``coeffs`` with an ``--out`` it cannot open,
+``UNWRITABLE_OUTS``; each exits 2.  Last come ``--help`` and
+``<command> --help``, once each.  For each command it prints
+``identical``, or the first line where stdout, stderr or the exit code
+differ.
 
 With ``--ops N`` it also runs the first N ops (seed 0) of the ``potentials``,
 ``coeffs`` and ``kinetic`` workloads, each in a subprocess that imports that
@@ -112,7 +116,13 @@ BAD_CONFIGS = {
     "moments_f_kij_asymmetric": (("boost",), {"moments": {
         **ZERO_MOMENTS, "f_kij": [[[0] * 3] * 3, ASYMMETRIC, [[0] * 3] * 3]}}),
     "format_csv": (("eval", "boost", "verify", "kinetic", "subsystem"), {"format": "csv"}),
+    "format_xml": (("coeffs",), {"format": "xml"}),
+    "config_list": (("coeffs",), [{"S": 3}]),
 }
+MISSING_CONFIG = "missing.json"  # never written
+# (N, S) and S too short for the verify plan and the kinetic elements; each exits 3
+SHORT_SERIES_VERIFY = ((4, 3), (2, 2))
+SHORT_SERIES_KINETIC = (1, 2)
 UNWRITABLE_OUTS = ("missing/table.json", ".")  # no such directory; a directory
 COMMANDS = ("coeffs", "eval", "boost", "verify", "kinetic", "subsystem")
 WORKLOADS = ("potentials", "coeffs", "kinetic")
@@ -181,6 +191,10 @@ def commands():
         yield ["verify", *fam, "--config", "verify.json"]
         yield ["verify", *fam, "--n-trunc", "0"]
         yield ["kinetic", *fam, "--config", "kinetic_p2_q1.json"]
+        for n_trunc, s_trunc in SHORT_SERIES_VERIFY:
+            yield ["verify", *fam, "--n-trunc", str(n_trunc), "--s-trunc", str(s_trunc)]
+        for s_trunc in SHORT_SERIES_KINETIC:
+            yield ["kinetic", *fam, "--s-trunc", str(s_trunc)]
         if family == "exponential":
             for name in ("kinetic", "verify"):
                 yield [name, *fam, "--config", "slow_kernel.json"]
@@ -189,6 +203,7 @@ def commands():
         for bad, (names, _) in BAD_CONFIGS.items():
             for name in names:
                 yield [name, *fam, "--config", f"bad_{bad}.json"]
+        yield ["coeffs", *fam, "--config", MISSING_CONFIG]
         for out in UNWRITABLE_OUTS:
             yield ["coeffs", *fam, "--out", out]
     yield ["--help"]

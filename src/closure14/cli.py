@@ -137,9 +137,9 @@ class RunConfig:
     family_params: dict = field(default_factory=dict)
     N: int = 6
     S: int = 4
-    seed: int = 0
-    count: int = 10
-    noneq_magnitude: float = 5e-4
+    seed: int = verify.VerifyConfig.seed
+    count: int = verify.VerifyConfig.count
+    noneq_magnitude: float = verify.VerifyConfig.noneq_magnitude
     format: str = "json"
     out: str | None = None
     point: dict = field(default_factory=dict)
@@ -381,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s-trunc", type=int, help="series truncation S")
         p.add_argument("--seed", type=int, help="seed for test-point generation")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
+        # the JSON-only commands parse --format too, so main rejects csv in one line
+        p.add_argument("--format", choices=("json", "csv"),
+                       help="output format" if name == "coeffs" else argparse.SUPPRESS)
     return parser
 
 

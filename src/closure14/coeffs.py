@@ -523,6 +523,12 @@ def eta_descending_literal(a: int, b: int) -> int:
     return math.prod(range(a, b - 1, -2))
 
 
+def k0q_eta_bounds(q: int) -> tuple[int, int]:
+    """The (lo, hi) of the eta product in the closed form of k_{0,q}."""
+    odd = q % 2
+    return 2 * q + 3 + 2 * odd, 3 * q + 1 + odd
+
+
 def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
     """Closed form for k_{0,q} at lambda_ppqq = 0 (corrected eta convention)."""
     point = EquilibriumPoint(lam, lam_ll)  # checks the domain
@@ -532,7 +538,7 @@ def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
         3.0**half
         / (q + 1 + odd)
         * (-0.5) ** half
-        * eta_product(2 * q + 3 + 2 * odd, 3 * q + 1 + odd)
+        * eta_product(*k0q_eta_bounds(q))
         * _ll_power(lam_ll, -(3 + 3 * q + odd) / 2)
         * f.ktilde(half + odd, lam)
     )

@@ -247,7 +247,9 @@ def kinetic_series_coefficient(kernel: KineticKernel, s: int, lam: float, lam_ll
     return _kinetic_scalar(kernel, s, 4 * s + 2, point, 1, "k_{} at {}", s, point)
 
 
-def make_kinetic_family(kernel: KineticKernel, s_max: int = 6) -> GeneratingFamily:
+def make_kinetic_family(
+    kernel: KineticKernel, s_max: int = coeffs.DEFAULT_S_MAX
+) -> GeneratingFamily:
     """Generating family whose members are quadratures of the kernel.
 
     The derivative oracle differentiates under the integral via F^(n).

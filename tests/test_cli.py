@@ -166,6 +166,13 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "coeffs", "--config", str(cfgfile))
         assert code == 2
 
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, "coeffs", "--config", path)
+        assert code == 2 and out == ""
+        assert err == (f"config error: cannot read config file: "
+                       f"[Errno 2] No such file or directory: {path!r}\n")
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"S": 2, "seed": 7}))
@@ -290,11 +297,14 @@ class TestConfigHandling:
         # only coeffs writes CSV; the others printed JSON and exited 0
         *[(command, {"format": "csv"}, f"format must be 'json' for {command}, got 'csv'")
           for command in JSON_ONLY],
+        ("coeffs", {"format": "xml"}, "format must be 'json' or 'csv', got 'xml'"),
+        ("coeffs", [{"S": 3}], "config file must hold a JSON object"),
     ], ids=["N_seed", "seed", "count", "S", "p_max", "q_max", "lam", "lam_string", "lam_null",
             "noneq_string", "noneq_null", "point_bool", "point_string", "state_string",
             "state_bool", "velocity_bool", "velocity_string", "state_short_list",
             "family_unknown", "point_unknown", "state_unknown", "state_missing", "out_int",
-            "out_bool", "state_asymmetric", *[f"csv_{command}" for command in JSON_ONLY]])
+            "out_bool", "state_asymmetric", *[f"csv_{command}" for command in JSON_ONLY],
+            "format_xml", "config_list"])
     def test_boolean_or_non_number_rejected(self, tmp_path, capsys, command, config, message):
         # JSON true ran as 1 and was printed back as true; a numeric string ran as its number
         cfgfile = tmp_path / "cfg.json"
@@ -309,6 +319,12 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, command, "--format", "csv")
         assert code == 2 and out == ""
         assert err == f"config error: format must be 'json' for {command}, got 'csv'\n"
+
+    @pytest.mark.parametrize("command", ["coeffs", *JSON_ONLY])
+    def test_format_listed_only_for_coeffs(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and "--out" in out
+        assert ("--format" in out) == (command == "coeffs")
 
     def test_unknown_family_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--family", "bogus")
@@ -471,6 +487,20 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify")
         assert code == 1
         assert "ladder.s0" in err
+
+
+    @pytest.mark.parametrize("family", ["exponential", "poly_exponential"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n-trunc", "4", "--s-trunc", "3"),
+        ("verify", "--n-trunc", "2", "--s-trunc", "2"),
+        ("kinetic", "--s-trunc", "2"),
+    ], ids=["verify_N4_S3", "verify_N2_S2", "kinetic_S2"])
+    def test_short_series_exit_code(self, capsys, argv, family):
+        # the cells the series could not reach were left out of the records,
+        # and the run exited 0 or 1 on what was left
+        code, out, err = run_cli(capsys, *argv, "--family", family)
+        assert code == 3 and out == ""
+        assert err == "error: series order exhausted: increase S for this lambda_ppqq derivative\n"
 
 
 class TestKineticCommand:

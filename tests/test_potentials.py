@@ -279,6 +279,15 @@ class TestNonFiniteMultipliers:
         # moments with a RuntimeWarning
         self.assert_domain_errors(self.potential_calls(fam, self.spoiled(field, 1e200)))
 
+    def test_lam_ll_power_overflow_rejected_without_warnings(self, fam):
+        # lambda_ll ** e overflows for the negative exponents of the high orders
+        st = MultiplierState.equilibrium(0.0, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate in (eval_h_hat, eval_phi_hat, moments_from_potentials):
+                with pytest.raises(DomainError, match=r"^coefficient overflows at "):
+                    evaluate(fam, st, N, S)
+
 
 class TestBoostLaw:
     def test_scalar_multiplier_transforms(self):

@@ -11,7 +11,7 @@ from closure14 import potentials as potentials_mod
 from closure14.coeffs import GeneratingFamily, make_family
 from closure14.kinetic import exponential_kernel
 from closure14.numdiff import central_diff
-from closure14.errors import DomainError
+from closure14.errors import DomainError, TruncationError
 from closure14.potentials import (
     LAB,
     BoostVelocity,
@@ -102,6 +102,12 @@ class TestRunAll:
         a = run_all(exp_family, VerifyConfig(count=3, seed=0))
         b = run_all(exp_family, VerifyConfig(count=3, seed=1))
         assert a.to_json() != b.to_json()
+
+    def test_short_series_raises(self, exp_family):
+        # the k_{0,5} scaling identity needs four lambda_ppqq orders; the cells
+        # past S were left out of a report that looked complete
+        with pytest.raises(TruncationError, match="series order exhausted"):
+            run_all(exp_family, VerifyConfig(N=4, S=3))
 
     def test_check_plan_is_fixed(self):
         # the points and truncations are settable, the plan is read as class constants
