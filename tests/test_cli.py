@@ -488,7 +488,6 @@ class TestVerifyCommand:
         assert code == 1
         assert "ladder.s0" in err
 
-
     @pytest.mark.parametrize("family", ["exponential", "poly_exponential"])
     @pytest.mark.parametrize("argv", [
         ("verify", "--n-trunc", "4", "--s-trunc", "3"),
