@@ -14,8 +14,9 @@ ladder gate, ``kinetic`` at S = 6 with that family's non-default kernel
 parameters from ``KINETIC_CONFIGS``, ``kinetic`` and ``verify`` with
 ``{"count": 0}`` and with ``--seed -1``, which exit 2, and the verify plan
 away from its defaults: ``verify`` with ``VERIFY_CONFIG`` and with
-``--n-trunc 0`` (the skipped velocity-independence records), and
-``kinetic`` with ``{"p_max": 2, "q_max": 1}``, and the series too short for
+``--n-trunc 0`` (the whole plan at the lowest order), ``verify`` past the
+default family with ``--n-trunc 12 --s-trunc 8`` and ``HIGH_ORDER_CONFIG``,
+and ``kinetic`` with ``{"p_max": 2, "q_max": 1}``, and the series too short for
 the plan, which exits 3: ``verify`` at ``SHORT_SERIES_VERIFY`` and
 ``kinetic`` at ``SHORT_SERIES_KINETIC``; ``kinetic`` and ``verify`` of
 the exponential family with ``SLOW_KERNEL_CONFIG``, a kernel that decays
@@ -78,6 +79,8 @@ KINETIC_CONFIGS = {
     "poly_exponential": {"family_params": {"amplitude": 2.0}, "S": 6},
 }
 VERIFY_CONFIG = {"count": 3, "noneq_magnitude": 0.001, "N": 4, "S": 5}
+# members up to s = 10, so that verify can run at N = 12, S = 8
+HIGH_ORDER_CONFIG = {"family_params": {"s_max": 10}}
 # F = exp(-x/100): it decays on each point's own ray, but slowly on the lambda_ll = 1 ray
 SLOW_KERNEL_CONFIG = {"family_params": {"scale": 0.01}}
 # JSON true where a number is due; each exits 2
@@ -190,6 +193,7 @@ def commands():
             yield [name, *fam, "--seed", "-1"]
         yield ["verify", *fam, "--config", "verify.json"]
         yield ["verify", *fam, "--n-trunc", "0"]
+        yield ["verify", *fam, "--n-trunc", "12", "--s-trunc", "8", "--config", "high_order.json"]
         yield ["kinetic", *fam, "--config", "kinetic_p2_q1.json"]
         for n_trunc, s_trunc in SHORT_SERIES_VERIFY:
             yield ["verify", *fam, "--n-trunc", str(n_trunc), "--s-trunc", str(s_trunc)]
@@ -243,7 +247,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         configs = {"noneq.json": NONEQ_CONFIG, "count_0.json": {"count": 0},
                    "verify.json": VERIFY_CONFIG, "kinetic_p2_q1.json": {"p_max": 2, "q_max": 1},
-                   "slow_kernel.json": SLOW_KERNEL_CONFIG,
+                   "slow_kernel.json": SLOW_KERNEL_CONFIG, "high_order.json": HIGH_ORDER_CONFIG,
                    **{f"boolean_{name}.json": c for name, c in BOOLEAN_CONFIGS.items()},
                    **{f"bad_{bad}.json": c for bad, (_, c) in BAD_CONFIGS.items()},
                    **COEFFS_CONFIGS,

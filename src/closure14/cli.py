@@ -4,9 +4,11 @@ Commands: coeffs, eval, boost, verify, kinetic, subsystem.
 Every number in a config is a finite JSON number (true, false, strings and
 null exit 2), point, state, moments and the family object take only
 their listed fields, and a symmetric tensor must be given symmetric.
-All structured output is JSON (numbers with 17 significant digits); only
-coeffs also writes CSV.  Every output embeds the family spec, truncations
-and seed so results are reproducible from the file alone.
+All structured output is JSON; only coeffs also writes CSV.  Numbers carry
+17 significant digits, except in the verify report, which prints each
+float in the shortest form that reads back exactly.  Every output embeds
+the family spec, truncations and seed so results are reproducible from the
+file alone.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 configuration or usage error, 3 domain or numerical error.

@@ -632,7 +632,7 @@ def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:
     if q % 2:
         raise ParityError(f"subsystem index q must be even, got {q}")
     s = q // 2
-    value = (-1.5) ** s / (q + 1) * eta_product(2 * q + 3, 3 * q + 1) * f.ktilde(s, lam)
+    value = (-1.5) ** s / (q + 1) * eta_product(*k0q_eta_bounds(q)) * f.ktilde(s, lam)
     if not math.isfinite(value):
         raise DomainError(f"I_{q} at lambda={lam} is not finite")
     return value

@@ -1,8 +1,8 @@
 """Finite-difference helpers with a uniform accuracy model.
 
 All derivative checks use 4th-order central stencils with step
-h = max(1, |x|) * eps**(1/5), and relative residuals use the floor
-max(|reference|, 1e-30) to avoid 0/0 at structural zeros.
+h = max(1, |x|) * eps**(1/5), and relative residuals are scaled by the
+larger side, floored at 1e-30 to avoid 0/0 at structural zeros.
 """
 
 from __future__ import annotations
@@ -27,14 +27,6 @@ def central_diff(fn, x: float, h: float | None = None):
     fp2 = np.asarray(fn(x + 2 * h), dtype=float)
     out = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
     return float(out) if out.ndim == 0 else out
-
-
-def rel_residual(value, reference) -> float:
-    """Relative deviation |value - reference| / max(|reference|, floor)."""
-    v = np.asarray(value, dtype=float)
-    r = np.asarray(reference, dtype=float)
-    denom = max(float(np.max(np.abs(r))) if r.size else 0.0, RESIDUAL_FLOOR)
-    return float(np.max(np.abs(v - r))) / denom
 
 
 def rel_residual_sym(a, b) -> float:

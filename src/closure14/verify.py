@@ -21,7 +21,8 @@ import numpy as np
 
 from . import coeffs, kinetic, potentials
 from .coeffs import EquilibriumPoint, GeneratingFamily
-from .numdiff import RESIDUAL_FLOOR, central_diff, rel_residual, rel_residual_sym
+from .errors import TruncationError
+from .numdiff import RESIDUAL_FLOOR, central_diff, rel_residual_sym
 from .potentials import (
     BoostVelocity,
     MultiplierState,
@@ -141,9 +142,9 @@ class VerificationReport:
             "condition": condition,
             "anchor": anchor,
             "point": point,
-            "residual": None if residual is None else float(residual),
+            "residual": float(residual),
             "tolerance": tolerance,
-            "passed": bool(status == "skipped" or (residual is not None and residual <= tolerance)),
+            "passed": bool(residual <= tolerance),
             "status": status,
         }
         rec.update(extra)
@@ -214,13 +215,13 @@ def check_compatibility(f: GeneratingFamily, points, N: int, S: int) -> Verifica
              rel_residual_sym(ms.m_ill, np.einsum("kii->k", ms.f_kij))),
             ("4.antisym_kj_dphi_dlam_ij",
              "phi' matrix gradient is symmetric under flux-index exchange",
-             rel_residual(np.transpose(ms.f_kij, (2, 1, 0)), ms.f_kij)),
+             rel_residual_sym(np.transpose(ms.f_kij, (2, 1, 0)), ms.f_kij)),
             ("5.dh_dlam_kkll_vs_traced_dphi_dlam_ill",
              "gradient of h' in the scalar multiplier equals traced phi' gradient",
              rel_residual_sym(ms.m_iill, float(np.trace(ms.f_kill)))),
             ("6.antisym_ki_dphi_dlam_ill",
              "phi' gradient in lam_ill is symmetric",
-             rel_residual(ms.f_kill.T, ms.f_kill)),
+             rel_residual_sym(ms.f_kill.T, ms.f_kill)),
         )
         for name, anchor, residual in relations:
             report.add(f"compatibility.{name}", anchor, _point_dict(state), residual, tol)
@@ -243,18 +244,6 @@ def check_velocity_independence(
     """
     report = VerificationReport()
     floor_tol = DEFAULT_TOLERANCES["velocity_independence_floor"]
-    if N < 1:
-        for state in lab_points:
-            report.add(
-                "velocity_independence.order",
-                "boost-derivative convergence order",
-                _point_dict(state),
-                None,
-                float(N),
-                status="skipped",
-                note="insufficient truncation order",
-            )
-        return report
     direction = np.array([0.6, -0.64, 0.48])
     direction /= np.linalg.norm(direction)
     order_tol = N - 0.5
@@ -524,8 +513,8 @@ def check_subsystem(f: GeneratingFamily, lam_values, q_max: int = 6) -> Verifica
                 -1.5
                 * (q + 1)
                 / (q + 3)
-                * coeffs.eta_product(2 * q + 7, 3 * q + 7)
-                / coeffs.eta_product(2 * q + 3, 3 * q + 1)
+                * coeffs.eta_product(*coeffs.k0q_eta_bounds(q + 2))
+                / coeffs.eta_product(*coeffs.k0q_eta_bounds(q))
                 * float(coeffs.ladder_factor(s))
             )
             rhs = ratio * coeffs.subsystem_coefficient(f, q, lam)
@@ -545,6 +534,14 @@ def check_subsystem(f: GeneratingFamily, lam_values, q_max: int = 6) -> Verifica
 def run_all(f: GeneratingFamily, config: VerifyConfig = VerifyConfig(),
             kernel: kinetic.KineticKernel | None = None) -> VerificationReport:
     """Run every check into one deterministic report; a short series raises TruncationError."""
+    # the k_{p,q} cells up to q = pq_max and the potentials up to order N each
+    # need ceil(n/2) + 1 series orders, and each order reads one family member
+    least_S = (max(config.pq_max, config.N) + 1) // 2 + 1
+    if config.S < least_S or f.s_max < config.S:
+        raise TruncationError(
+            f"verify at N={config.N} needs S >= {least_S} and family s_max >= S, "
+            f"got S={config.S} and s_max={f.s_max}"
+        )
     t0 = time.perf_counter()
     report = VerificationReport(
         metadata={

@@ -489,17 +489,20 @@ class TestVerifyCommand:
         assert "ladder.s0" in err
 
     @pytest.mark.parametrize("family", ["exponential", "poly_exponential"])
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--n-trunc", "4", "--s-trunc", "3"),
-        ("verify", "--n-trunc", "2", "--s-trunc", "2"),
-        ("kinetic", "--s-trunc", "2"),
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--n-trunc", "4", "--s-trunc", "3"),
+         "verify at N=4 needs S >= 4 and family s_max >= S, got S=3 and s_max=6"),
+        (("verify", "--n-trunc", "2", "--s-trunc", "2"),
+         "verify at N=2 needs S >= 4 and family s_max >= S, got S=2 and s_max=6"),
+        (("kinetic", "--s-trunc", "2"),
+         "series order exhausted: increase S for this lambda_ppqq derivative"),
     ], ids=["verify_N4_S3", "verify_N2_S2", "kinetic_S2"])
-    def test_short_series_exit_code(self, capsys, argv, family):
+    def test_short_series_exit_code(self, capsys, argv, message, family):
         # the cells the series could not reach were left out of the records,
         # and the run exited 0 or 1 on what was left
         code, out, err = run_cli(capsys, *argv, "--family", family)
         assert code == 3 and out == ""
-        assert err == "error: series order exhausted: increase S for this lambda_ppqq derivative\n"
+        assert err == f"error: {message}\n"
 
 
 class TestKineticCommand:

@@ -9,7 +9,7 @@ import pytest
 from closure14 import coeffs as coeffs_mod
 from closure14 import potentials as potentials_mod
 from closure14.coeffs import GeneratingFamily, make_family
-from closure14.kinetic import exponential_kernel
+from closure14.kinetic import exponential_kernel, kernel_for
 from closure14.numdiff import central_diff
 from closure14.errors import DomainError, TruncationError
 from closure14.potentials import (
@@ -68,10 +68,9 @@ class TestReport:
         rep = VerificationReport()
         rep.add("a", "anchor", {"x": 1}, 1e-9, 1e-6)
         rep.add("b", "anchor", {"x": 2}, 1e-3, 1e-6)
-        rep.add("c", "anchor", {"x": 3}, None, 1e-6, status="skipped")
         assert not rep.all_passed
         assert rep.failed_conditions() == ["b"]
-        assert rep.summary() == {"total": 3, "passed": 2, "failed": 1}
+        assert rep.summary() == {"total": 2, "passed": 1, "failed": 1}
 
     def test_json_round_trip(self):
         rep = VerificationReport(metadata={"seed": 0})
@@ -104,10 +103,22 @@ class TestRunAll:
         assert a.to_json() != b.to_json()
 
     def test_short_series_raises(self, exp_family):
-        # the k_{0,5} scaling identity needs four lambda_ppqq orders; the cells
-        # past S were left out of a report that looked complete
-        with pytest.raises(TruncationError, match="series order exhausted"):
-            run_all(exp_family, VerifyConfig(N=4, S=3))
+        # the k_{0,5} scaling identity needs four lambda_ppqq orders, and S = 7
+        # asks for a member past s_max = 6; the first short series raised deep
+        # in a check, naming neither N nor the S the plan needs
+        for N, S in ((4, 3), (6, 7)):
+            msg = f"verify at N={N} needs S >= 4 and family s_max >= S, got S={S} and s_max=6"
+            with pytest.raises(TruncationError, match=f"^{msg}$"):
+                run_all(exp_family, VerifyConfig(N=N, S=S))
+
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    @pytest.mark.parametrize("N,S", [(0, 4), (1, 4), (8, 5), (10, 6)])
+    def test_every_order_runs_the_whole_plan(self, kind, N, S):
+        # N = 0 wrote three skipped records in place of the velocity-independence plan
+        rep = run_all(make_family(kind), VerifyConfig(N=N, S=S), kernel=kernel_for(kind))
+        assert rep.summary()["total"] == 555
+        if N >= 8:
+            assert rep.all_passed, rep.failed_conditions()
 
     def test_check_plan_is_fixed(self):
         # the points and truncations are settable, the plan is read as class constants
@@ -178,12 +189,18 @@ class TestFaultInjection:
 
 
 class TestVelocityIndependence:
-    def test_skip_when_untruncatable(self, exp_family):
+    def test_zero_order_floor_reported(self, exp_family):
+        # at N = 0 phi_hat has no terms, so dphi'/dv at v = 0 is h I and the
+        # floor reads sqrt(3); the run wrote one skipped record per state
         states = TestPointSet(count=2).equilibrium_lab_states()
         rep = check_velocity_independence(exp_family, states, (0.2, 0.1), N=0, S=4)
-        assert rep.all_passed
-        assert all(r["status"] == "skipped" for r in rep.records)
-        assert all(r["note"] == "insufficient truncation order" for r in rep.records)
+        assert len(rep.records) == 6
+        floors = [r for r in rep.records
+                  if r["condition"] == "velocity_independence.zero_boost_floor"]
+        assert len(floors) == 2
+        for r in floors:
+            assert r["residual"] == pytest.approx(math.sqrt(3.0), abs=1e-12)
+            assert not r["passed"]
 
     def test_measured_order_reported(self, exp_family):
         states = TestPointSet(count=1).equilibrium_lab_states()
