@@ -72,25 +72,27 @@ class KineticKernel:
     deriv: object  # callable (n, x) -> float or array
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    # {(lam, lam_ll, quartic): (probes, nodes)}: a cache, not part of the kernel's value
+    # {(lam, lam_ll, quartic): (args, probes, nodes)}: a cache, not part of the kernel's value
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x: float) -> float:
         return self.deriv(0, x)
 
     def values_at(self, point: EquilibriumPoint) -> tuple:
-        """The value tables at point; a new point replaces the old with empty tables.
+        """The value table at point; a new point replaces the old with an empty table.
 
-        ``probes`` maps (n, c) to F^(n)(arg(c)) at a scalar radius c, and
-        ``nodes`` maps (n, R) to the read-only array of F^(n)(arg) at the
-        nodes on [0, R], with arg(c) = lam + lam_ll c^2/3 + lam_ppqq c^4.
+        With arg(c) = lam + lam_ll c^2/3 + lam_ppqq c^4, ``args`` maps R to
+        the read-only array of arg at the nodes on [0, R], which every order
+        shares; ``probes`` maps n to a dict {c: F^(n)(arg(c))} of Python
+        floats at scalar radii c; and ``nodes`` maps (n, R) to the read-only
+        array of F^(n)(arg) at the nodes on [0, R].
         """
         key = (point.lam, point.lam_ll, point.lam_ppqq)
-        tables = self._values.get(key)
-        if tables is None:  # a new point: forget the previous one
+        table = self._values.get(key)
+        if table is None:  # a new point: forget the previous one
             self._values.clear()
-            tables = self._values[key] = ({}, {})
-        return tables
+            table = self._values[key] = ({}, {}, {})
+        return table
 
 
 def kernel_for(kind, params: dict | None = None) -> KineticKernel | None:
@@ -160,16 +162,19 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
     ``AccuracyError``.
     """
     lam, lam_ll, quartic = point.lam, point.lam_ll, point.lam_ppqq
-    probes, nodes = kernel.values_at(point)
+    args, probes, nodes = kernel.values_at(point)
+    values = probes.get(n)
+    if values is None:
+        values = probes[n] = {}
 
     def probe(c: float) -> float:
-        """|g(c)| at a scalar radius c."""
-        f = probes.get((n, c))
+        """|g(c)| at a scalar radius c, in Python floats."""
+        f = values.get(c)
         if f is None:
             arg = lam + lam_ll * c * c / 3.0
             if quartic:  # adding 0.0 c^4 would change no bit, only cost a pow per node
                 arg += quartic * c**4
-            f = probes[n, c] = kernel.deriv(n, arg)
+            f = values[c] = float(kernel.deriv(n, arg))
         try:
             return abs(f * c**power)
         except OverflowError:  # c**power past the float range: an infinite tail
@@ -187,17 +192,23 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
                 raise DecayError("integrand tail does not fall below tolerance before cutoff")
         f = nodes.get((n, R))
         if f is None:
-            c = _node_powers(R, 1)
-            arg = lam + lam_ll * c * c / 3.0
-            if quartic:
-                arg += quartic * _node_powers(R, 4)
+            arg = args.get(R)
+            if arg is None:
+                c = _node_powers(R, 1)
+                arg = lam + lam_ll * c * c / 3.0
+                if quartic:
+                    arg += quartic * _node_powers(R, 4)
+                arg.flags.writeable = False
+                args[R] = arg
             f = np.asarray(kernel.deriv(n, arg)).view()  # a view, so the kernel's array stays writable
             f.flags.writeable = False
             nodes[n, R] = f
         y = f * _node_powers(R, power)
         weights = _panel_rule()[1]
-        full, half = R * (weights @ y)
-        magnitude = R * (weights[0] @ np.abs(y))
+        # ndarray.dot makes the same BLAS calls as @, with less dispatch
+        full, half = weights.dot(y).tolist()
+        full, half = R * full, R * half
+        magnitude = R * float(weights[0].dot(abs(y)))
     # every node has a nonzero weight in one of the two rules
     if not (math.isfinite(full) and math.isfinite(half)):
         raise DomainError(_NOT_FINITE)
@@ -206,7 +217,7 @@ def _radial_moment(kernel: KineticKernel, n: int, power: int, point: Equilibrium
         raise AccuracyError(
             f"quadrature error {err:.3e} exceeds tolerance for value {full:.6e}"
         )
-    return float(full)
+    return full
 
 
 def _kinetic_scalar(kernel: KineticKernel, n: int, power: int, point: EquilibriumPoint,
@@ -224,16 +235,19 @@ def _kinetic_scalar(kernel: KineticKernel, n: int, power: int, point: Equilibriu
 
 def kinetic_ktilde(kernel: KineticKernel, s: int, lam: float, deriv_order: int = 0) -> float:
     """Member ktilde_s(lam) (optionally its lam-derivative) by quadrature."""
-    check_index("s", s)
-    check_index("deriv_order", deriv_order)
+    if not (type(s) is int and type(deriv_order) is int  # other integer types take the long way
+            and s >= 0 and deriv_order >= 0):
+        check_index("s", s)
+        check_index("deriv_order", deriv_order)
     return _kinetic_scalar(kernel, s + deriv_order, 4 * s + 2, EquilibriumPoint(lam, 1.0), 1,
                            "ktilde_{} derivative {} at lambda={}", s, deriv_order, lam)
 
 
 def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) -> float:
     """Matrix element k_{p,q} as a velocity-space integral."""
-    check_index("p", p)
-    check_index("q", q)
+    if not (type(p) is int and type(q) is int and p >= 0 and q >= 0):  # as in kinetic_ktilde
+        check_index("p", p)
+        check_index("q", q)
     n = p + q
     odd = n % 2
     return _kinetic_scalar(kernel, n, p + 3 * q + 2 + odd, point, n + 1 + odd,
@@ -242,7 +256,8 @@ def kinetic_kpq(kernel: KineticKernel, p: int, q: int, point: EquilibriumPoint) 
 
 def kinetic_series_coefficient(kernel: KineticKernel, s: int, lam: float, lam_ll: float) -> float:
     """Series coefficient k_s = 4 pi int F^(s)(l + l_ll c^2/3) c^(4s+2) dc."""
-    check_index("s", s)
+    if not (type(s) is int and s >= 0):  # as in kinetic_ktilde
+        check_index("s", s)
     point = EquilibriumPoint(lam, lam_ll)
     return _kinetic_scalar(kernel, s, 4 * s + 2, point, 1, "k_{} at {}", s, point)
 

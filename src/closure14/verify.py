@@ -454,7 +454,18 @@ def check_kinetic_equivalence(
     pq_total_max: int = 6,
     S: int = 4,
 ) -> VerificationReport:
-    """Coefficient engine against the velocity-space quadrature oracle."""
+    """Coefficient engine against the velocity-space quadrature oracle.
+
+    A short series raises one ``TruncationError`` before any work.
+    """
+    # k_{0,q} takes ceil(q/2) lambda_ppqq steps, and the k_s records read
+    # members up to S_SERIES_MAX
+    least_S = (pq_total_max + 1) // 2
+    if S < least_S or f.s_max < max(S, S_SERIES_MAX):
+        raise TruncationError(
+            f"kinetic at p+q<={pq_total_max} needs S >= {least_S} and family "
+            f"s_max >= max(S, {S_SERIES_MAX}), got S={S} and s_max={f.s_max}"
+        )
     tol = DEFAULT_TOLERANCES["kinetic"]
     report = VerificationReport()
     for point in points:

@@ -495,7 +495,7 @@ class TestVerifyCommand:
         (("verify", "--n-trunc", "2", "--s-trunc", "2"),
          "verify at N=2 needs S >= 4 and family s_max >= S, got S=2 and s_max=6"),
         (("kinetic", "--s-trunc", "2"),
-         "series order exhausted: increase S for this lambda_ppqq derivative"),
+         "kinetic at p+q<=6 needs S >= 3 and family s_max >= max(S, 4), got S=2 and s_max=6"),
     ], ids=["verify_N4_S3", "verify_N2_S2", "kinetic_S2"])
     def test_short_series_exit_code(self, capsys, argv, message, family):
         # the cells the series could not reach were left out of the records,

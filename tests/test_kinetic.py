@@ -352,17 +352,20 @@ class TestTables:
         for _ in range(2):
             for pq in PQS:
                 kinetic_kpq(kernel, *pq, pt)
-        probes, nodes = kernel.values_at(pt)
+        _, probes, nodes = kernel.values_at(pt)
         assert sorted(counter.arrays) == sorted(n for n, _ in nodes)
-        assert len(counter.scalars) == len(set(counter.scalars)) == len(probes)
+        n_probes = sum(map(len, probes.values()))
+        assert len(counter.scalars) == len(set(counter.scalars)) == n_probes
         assert len(nodes) < len(PQS)  # moments of one order share their nodes
 
         def arg(c):
             return pt.lam + pt.lam_ll * c * c / 3.0 + (lam_ppqq * c**4 if lam_ppqq else 0.0)
 
-        for (n, c), value in probes.items():
-            assert c in {1.0, 4.0, *ladder()}
-            assert value == counter.deriv(n, arg(c))
+        for n, values in probes.items():
+            for c, value in values.items():
+                assert c in {1.0, 4.0, *ladder()}
+                assert type(value) is float
+                assert value == counter.deriv(n, arg(c))
         for (n, R), values in nodes.items():
             assert R in set(ladder())
             assert values.tobytes() == counter.deriv(n, arg(R * _panel_rule()[0])).tobytes()
@@ -371,6 +374,26 @@ class TestTables:
         kinetic_kpq(kernel, 2, 1, EquilibriumPoint(0.3, 1.7, lam_ppqq))
         assert len(counter.arrays) == len(nodes) + 1
         assert list(kernel._values) == [(0.3, 1.7, lam_ppqq)]
+
+    @pytest.mark.parametrize("lam_ppqq", [0.0, 0.02])
+    def test_one_argument_array_per_cutoff(self, lam_ppqq):
+        # every order at the point reads the node arguments of its cutoff R
+        pt = EquilibriumPoint(0.3, 1.6, lam_ppqq)
+        kernel = exponential_kernel()
+        for pq in PQS:
+            kinetic_kpq(kernel, *pq, pt)
+        args, _, nodes = kernel.values_at(pt)
+        assert sorted(args) == sorted({R for _, R in nodes})
+        assert len(args) < len(nodes)  # orders share a cutoff
+        for R, values in args.items():
+            c = R * _panel_rule()[0]
+            want = pt.lam + pt.lam_ll * c * c / 3.0
+            if lam_ppqq:
+                want += lam_ppqq * c**4
+            assert values.tobytes() == want.tobytes()
+            assert not values.flags.writeable
+        for (n, R), values in nodes.items():
+            assert values.tobytes() == kernel.deriv(n, args[R]).tobytes(), (n, R)
 
     def test_replace_starts_an_empty_table(self):
         pt = EquilibriumPoint(0.3, 1.6, 0.0)
@@ -397,9 +420,10 @@ class TestTables:
                     kinetic_kpq(kernel, 0, 0, pt)
                 with pytest.raises(DomainError):
                     radial_moment_per_call(exponential_kernel(), 0, 2, pt)
-        tables = dict(zip(("probes", "nodes"), kernel.values_at(pt)))
-        assert not all(np.isfinite(v).all() for v in tables[overflows].values())
-        assert len(counter.arrays) == len(tables["nodes"]) == (overflows == "nodes")
+        _, probes, nodes = kernel.values_at(pt)
+        values = {"probes": list(probes[0].values()), "nodes": list(nodes.values())}
+        assert not all(np.isfinite(v).all() for v in values[overflows])
+        assert len(counter.arrays) == len(nodes) == (overflows == "nodes")
         assert counter.scalars.count((0, lam + 1.0)) == 1  # c = 1, stored once
 
     def test_node_powers_are_read_only_and_exact(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from closure14 import coeffs as coeffs_mod
 from closure14 import potentials as potentials_mod
 from closure14.coeffs import GeneratingFamily, make_family
-from closure14.kinetic import exponential_kernel, kernel_for
+from closure14.kinetic import KineticKernel, exponential_kernel, kernel_for
 from closure14.numdiff import central_diff
 from closure14.errors import DomainError, TruncationError
 from closure14.potentials import (
@@ -25,6 +26,7 @@ from closure14.verify import (
     VerificationReport,
     VerifyConfig,
     check_compatibility,
+    check_kinetic_equivalence,
     check_ladder,
     check_velocity_independence,
     run_all,
@@ -130,6 +132,30 @@ class TestRunAll:
         config = VerifyConfig(seed=3)
         plan = (config.v_scales, config.pq_max, config.kinetic_points, config.kinetic_pq_total_max)
         assert plan == ((0.2, 0.1), 5, 3, 4)
+
+
+class TestKineticEquivalence:
+    @pytest.mark.parametrize("S, s_max", [(2, 6), (1, 6), (5, 4), (3, 3)])
+    def test_short_series_raises_up_front(self, S, s_max):
+        # a short series raised "series order exhausted" deep in d_ppqq, after
+        # the quadratures of the cells before it; s_max = 3 is below the k_s
+        # records' S_SERIES_MAX = 4
+        def deriv(n, x):
+            raise AssertionError("quadrature before the truncation check")
+
+        f = make_family("exponential", {"s_max": s_max})
+        points = VerifyConfig().scalar_points(with_ppqq=False)[:2]
+        msg = (f"kinetic at p+q<=6 needs S >= 3 and family s_max >= max(S, 4), "
+               f"got S={S} and s_max={s_max}")
+        with pytest.raises(TruncationError, match=f"^{re.escape(msg)}$"):
+            check_kinetic_equivalence(f, KineticKernel(deriv), points, pq_total_max=6, S=S)
+
+    @pytest.mark.parametrize("pq_total_max, S", [(6, 3), (5, 3), (4, 2), (0, 0)])
+    def test_least_series_runs(self, exp_family, pq_total_max, S):
+        points = VerifyConfig().scalar_points(with_ppqq=False)[:2]
+        rep = check_kinetic_equivalence(exp_family, exponential_kernel(), points,
+                                        pq_total_max=pq_total_max, S=S)
+        assert rep.summary()["total"] == 2 * ((pq_total_max + 1) * (pq_total_max + 2) // 2 + 5)
 
 
 class TestFaultInjection:
