@@ -24,13 +24,17 @@ array call, gives the error estimate |full - half|, which must be within
 10 ``_REL_TOL`` int |g|.
 
 The quadratures of one point share their kernel values.  The argument
-depends on the point alone, so the kernel keeps a one-point value table: the
-scalar probes F^(n)(arg(c)) under (n, c) and the node arrays under (n, R),
-which every moment of order n at that point reuses, whatever its power of c;
-``KineticKernel`` states the table's rules.  The cutoff R is always on the
-ladder, so the node powers (R c_i)^k come from a bounded table per (R, k).
-A scalar whose 4 pi prefactor overflows raises ``DomainError``, and a
-negative or non-integer index ``ValueError``.
+depends on the point alone, so the kernel keeps a one-point value table laid
+out by what each value depends on: the node arguments under the cutoff R,
+which every order reads; per order n, the scalar probes F^(n)(arg(c)) as
+Python floats under c; and the node arrays F^(n)(arg) under (n, R), which
+every moment of order n at that point reuses, whatever its power of c.
+``KineticKernel`` states the table's rules.  The cutoff search runs on
+Python floats and the rule sums are read back as floats, with the float
+operations of the per-call route in the same order.  The cutoff R is always
+on the ladder, so the node powers (R c_i)^k come from a bounded table per
+(R, k).  A scalar whose 4 pi prefactor overflows raises ``DomainError``, and
+a negative or non-integer index ``ValueError``.
 """
 
 from __future__ import annotations
@@ -61,12 +65,14 @@ class KineticKernel:
     elementwise, as numpy ufuncs do: the quadrature evaluates all its nodes
     in one call.
 
-    ``values_at`` keeps the kernel values of the most recent point, the one
-    memo of a kernel, so ``deriv`` must be a pure function.  A ``deriv`` call
-    that raises stores nothing, so it raises on every call.  Values that are
-    not finite are stored; each use checks them again, so a quadrature that
-    raised raises on every call.  ``dataclasses.replace`` starts with an
-    empty table.
+    ``values_at`` keeps the node arguments and kernel values of the most
+    recent point, the one memo of a kernel, so ``deriv`` must be a pure
+    function; it is handed the read-only argument array of its cutoff R,
+    which every order shares, and its scalar values are stored as Python
+    floats.  A ``deriv`` call that raises stores nothing, so it raises on
+    every call.  Values that are not finite are stored; each use checks them
+    again, so a quadrature that raised raises on every call.
+    ``dataclasses.replace`` starts with an empty table.
     """
 
     deriv: object  # callable (n, x) -> float or array

@@ -125,6 +125,8 @@ class TestIndices:
         (lambda K, pt: kinetic_kpq(K, -1, 0, pt), "p"),
         (lambda K, pt: kinetic_kpq(K, 0, -2, pt), "q"),
         (lambda K, pt: kinetic_kpq(K, 1.5, 0, pt), "p"),
+        (lambda K, pt: kinetic_kpq(K, 0, np.int64(-1), pt), "q"),
+        (lambda K, pt: kinetic_kpq(K, True, -1, pt), "q"),
         (lambda K, pt: kinetic_ktilde(K, 0, pt.lam, deriv_order=-1), "deriv_order"),
         (lambda K, pt: kinetic_ktilde(K, -1, pt.lam), "s"),
         (lambda K, pt: kinetic_ktilde(K, 0, pt.lam, deriv_order=0.5), "deriv_order"),
@@ -138,6 +140,10 @@ class TestIndices:
     def test_integer_types_accepted(self, exp_kernel):
         pt = EquilibriumPoint(0.2, 1.5)
         assert kinetic_kpq(exp_kernel, np.int64(2), 1, pt) == kinetic_kpq(exp_kernel, 2, 1, pt)
+        assert kinetic_ktilde(exp_kernel, np.int64(1), 0.2, True) == kinetic_ktilde(
+            exp_kernel, 1, 0.2, 1)
+        assert kinetic_series_coefficient(exp_kernel, np.int8(2), 0.2, 1.5) == (
+            kinetic_series_coefficient(exp_kernel, 2, 0.2, 1.5))
 
 
 class TestScalarOverflow:
