@@ -125,8 +125,6 @@ class TestIndices:
         (lambda K, pt: kinetic_kpq(K, -1, 0, pt), "p"),
         (lambda K, pt: kinetic_kpq(K, 0, -2, pt), "q"),
         (lambda K, pt: kinetic_kpq(K, 1.5, 0, pt), "p"),
-        (lambda K, pt: kinetic_kpq(K, 0, np.int64(-1), pt), "q"),
-        (lambda K, pt: kinetic_kpq(K, True, -1, pt), "q"),
         (lambda K, pt: kinetic_ktilde(K, 0, pt.lam, deriv_order=-1), "deriv_order"),
         (lambda K, pt: kinetic_ktilde(K, -1, pt.lam), "s"),
         (lambda K, pt: kinetic_ktilde(K, 0, pt.lam, deriv_order=0.5), "deriv_order"),
@@ -136,6 +134,15 @@ class TestIndices:
         pt = EquilibriumPoint(0.2, 1.5)
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
             call(exp_kernel, pt)
+
+    @pytest.mark.parametrize("p, q", [
+        pytest.param(0, np.int64(-1), id="numpy_negative_q"),
+        pytest.param(True, -1, id="bool_p_negative_q"),
+    ])
+    def test_negative_q_of_any_integer_type_rejected(self, exp_kernel, p, q):
+        pt = EquilibriumPoint(0.2, 1.5)
+        with pytest.raises(ValueError, match="^q must be an integer >= 0"):
+            kinetic_kpq(exp_kernel, p, q, pt)
 
     def test_integer_types_accepted(self, exp_kernel):
         pt = EquilibriumPoint(0.2, 1.5)
