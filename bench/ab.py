@@ -1,34 +1,52 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of named layer probes in two checkouts.
+"""A/B timing of two checkouts: the benchmark end to end, traced layers and layer probes.
 
-    python3 bench/ab.py PARENT_DIR CHANGE_DIR --probe NAME [NAME ...] \\
-        [--rounds 7] --out BENCH_<n>_layers.json
+    python3 bench/ab.py PARENT_DIR CHANGE_DIR [--workload W ...] [--probe P ...] \\
+        [--pairs 10] [--first-seed N] --out BENCH_<n>.json
 
-The gated benchmark times whole ops, and its traced layer medians move by
-tens of percent between runs of unchanged code, so a claim about one layer
-needs a direct comparison.  For each probe and thread setting this script
-starts one long-lived worker process per checkout, with that checkout's
-``src/`` first on the import path and the thread setting in the worker's
-own environment.  A worker builds its cases once, warms them, and picks how
-many calls make one repeat.  Then, in each round, each worker in turn times
-``REPEATS`` repeats of every case and reports the median time per call; the
-side that runs first alternates from round to round.
+Every timing is a pair: one fresh process per side prints one JSON object of
+numbers, and the side that runs first alternates from pair to pair.  A fresh
+process per run averages out the bias one process can carry for its whole
+life (its memory layout, the BLAS library's thread placement).
 
-Probes (``PROBES``):
+- ``--workload W``: the ``command`` of the change's ``BENCHMARK.json`` for its
+  ``run_seconds``, ``--pairs`` pairs with ``--trace 0``, pair i at seed N + i.
+  Then ``TRACED_RUNS`` pairs with ``--trace 1`` at the seeds after those
+  record the ``coeffs.*``, ``potentials.*``, ``kinetic.*`` and ``verify.*``
+  layer metrics; one traced run is too noisy to resolve a layer.
+- ``--probe P``: for each thread setting of ``PROBES[P]``, ``--pairs`` pairs of
+  ``bench/ab.py --worker CHECKOUT P THREADS``.  The worker imports that
+  checkout's ``src/`` with the thread setting in its own environment only,
+  builds its cases, warms them, picks how many calls take about
+  ``REPEAT_SECONDS``, and prints each case's median over ``REPEATS`` repeats,
+  in microseconds per call.
+
+Probes:
 
 - ``orders``: a warm ``moments_from_potentials`` at (N, S) = (6, 4), (12, 7)
   and (18, 10), with the BLAS library's default threads and with one.
 - ``kinetic_kpq``: ``kinetic_kpq(3, 3)`` at a point whose values are all in
   the kernel's table, and at a new point on every call.
-- ``kinetic_op``: one op of the benchmark's ``kinetic`` workload, from the
-  checkout's ``perfbench/workloads.py``.
+- ``op``: one op of each workload that the checkout's ``BENCHMARK.json``
+  names, from its own ``perfbench/workloads.py``.
 - ``kinetic_equivalence``: ``check_kinetic_equivalence`` over the kinetic
   points of ``TestPointSet`` seeds 0-9.
 
-The output holds the environment, the commits, every round's times, and per
-probe, thread setting and case the per-side median over the rounds, the
-parent/change ratio of those medians, the median of the per-round ratios,
-and the number of rounds the change was faster.
+``summarize`` judges every metric by one rule.  Per metric it gives each
+side's median and quartiles, the ratio of the medians, the pairs the change
+won (ties count for neither side), whether the gain exceeds the parent's
+quartile spread, and ``claims_gain``: at least ``MIN_PAIRS`` pairs, wins in
+at least nine tenths of them, and a gain beyond that spread.  Which way is
+better comes from ``BENCHMARK.json`` (``end_to_end`` and ``per_layer``);
+for probe times lower is better.
+
+Noise floor: an A/A run of one commit against a copy of itself (``orders``
+and ``kinetic_kpq``, 15 pairs, 2-core x86-64) read ratios of the medians of
+0.96-1.04 and wins of 3/15-12/15 (see CHANGES.md).  So a probe difference
+under about 5 % is not resolved, and no A/A case came near the rule.
+
+The output is rewritten after every pair, so an interrupted run keeps the
+pairs it made.
 """
 
 from __future__ import annotations
@@ -41,12 +59,16 @@ import statistics
 import subprocess
 import sys
 import time
+from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
+TRACED_RUNS = 3
+LAYER_PREFIXES = ("coeffs.", "potentials.", "kinetic.", "verify.")
 REPEATS = 5
 REPEAT_SECONDS = 0.1  # the calls of one repeat take about this long
-THREADS = {  # environment of a worker, on top of this one's
+THREADS = {  # environment of a probe worker, on top of this one's
     "default_threads": {},
     "one_blas_thread": {name: "1" for name in
                         ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")},
@@ -54,7 +76,7 @@ THREADS = {  # environment of a worker, on top of this one's
 PROBES = {  # name: thread settings it runs under
     "orders": ("default_threads", "one_blas_thread"),
     "kinetic_kpq": ("one_blas_thread",),
-    "kinetic_op": ("one_blas_thread",),
+    "op": ("one_blas_thread",),
     "kinetic_equivalence": ("one_blas_thread",),
 }
 # (N, S, family s_max): S = N // 2 + 1 is the smallest truncation at which
@@ -67,13 +89,22 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--probe", nargs="+", required=True, choices=PROBES)
-    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--workload", nargs="+", default=[])
+    parser.add_argument("--probe", nargs="+", default=[], choices=PROBES)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--first-seed", type=int)
     parser.add_argument("--out", type=Path, required=True)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if not args.workload and not args.probe:
+        parser.error("give at least one of --workload and --probe")
+    if args.workload and args.first_seed is None:
+        parser.error("--workload needs --first-seed")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
 
 
-# --- cases, built inside a worker --------------------------------------------
+# --- probe cases, built inside a worker --------------------------------------
 # each returns {case: run}, where run(calls) makes that many calls
 
 
@@ -125,18 +156,22 @@ def kinetic_kpq_cases(checkout: Path) -> dict:
     return {"kinetic_kpq_3_3.from_table": from_table, "kinetic_kpq_3_3.new_point": at_new_point}
 
 
-def kinetic_op_cases(checkout: Path) -> dict:
+def op_cases(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
-    workload = workloads.WORKLOADS["kinetic"](seed=0, workdir=str(checkout))
-    ctx = workloads.plain_context("kinetic")
-    inputs = [workload.inputs(i) for i in range(64)]
+    def case(name):
+        workload = workloads.WORKLOADS[name](seed=0, workdir=str(checkout))
+        ctx = workloads.plain_context(name)
+        inputs = [workload.inputs(i) for i in range(64)]
 
-    def run(calls):
-        for i in range(calls):
-            workload.op(inputs[i % len(inputs)], ctx)
-    return {"kinetic_op": run}
+        def run(calls):
+            for i in range(calls):
+                workload.op(inputs[i % len(inputs)], ctx)
+        return run
+
+    bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {f"{w['name']}_op": case(w["name"]) for w in bench["workloads"]}
 
 
 def kinetic_equivalence_cases(checkout: Path) -> dict:
@@ -159,146 +194,187 @@ def kinetic_equivalence_cases(checkout: Path) -> dict:
 CASES = {
     "orders": orders_cases,
     "kinetic_kpq": kinetic_kpq_cases,
-    "kinetic_op": kinetic_op_cases,
+    "op": op_cases,
     "kinetic_equivalence": kinetic_equivalence_cases,
 }
 
 
-def worker(checkout: Path, probe: str) -> None:
-    """Build the probe's cases, then answer each line "go" with one JSON line of times."""
+def worker(checkout: Path, probe: str, threads: str) -> None:
+    """One side of one probe pair: print each case's median time per call, in µs."""
+    os.environ.update(THREADS[threads])  # before numpy loads the BLAS library
     src = checkout / "src"
     sys.path.insert(0, str(src))
     import closure14
 
     if not Path(closure14.__file__).resolve().is_relative_to(src.resolve()):
         sys.exit(f"ab: closure14 imported from {closure14.__file__}, not {src}")
-    cases = CASES[probe](checkout)
-    calls = {}
-    for name, run in cases.items():
-        t0 = time.perf_counter()
+    out = {}
+    for name, run in CASES[probe](checkout).items():
         run(1)  # warms caches and compiled plans
+        t0 = time.perf_counter()
         run(1)
-        first = (time.perf_counter() - t0) / 2
-        calls[name] = max(1, int(REPEAT_SECONDS / max(first, 1e-7)))
-    print(json.dumps({"calls": calls}), flush=True)
-    for line in sys.stdin:
-        if line.strip() != "go":
-            break
-        out = {}
-        for name, run in cases.items():
-            times = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                run(calls[name])
-                times.append((time.perf_counter() - t0) / calls[name])
-            out[name] = statistics.median(times) * 1e6
-        print(json.dumps(out), flush=True)
+        calls = max(1, int(REPEAT_SECONDS / max(time.perf_counter() - t0, 1e-7)))
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            run(calls)
+            times.append((time.perf_counter() - t0) / calls)
+        out[name] = statistics.median(times) * 1e6
+    print(json.dumps(out))
 
 
 # --- driver ------------------------------------------------------------------
 
 
-class Worker:
-    """A long-lived worker process for one checkout, probe and thread setting."""
-
-    def __init__(self, checkout: Path, probe: str, env: dict):
-        self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker", str(checkout), probe],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            env={**os.environ, **env}, cwd=checkout)
-        self.calls = self._read()["calls"]
-
-    def _read(self) -> dict:
-        line = self.proc.stdout.readline()
-        if not line:
-            self.proc.wait()
-            sys.exit(f"ab: worker {self.proc.args} exited with {self.proc.returncode}")
-        return json.loads(line)
-
-    def time(self) -> dict:
-        self.proc.stdin.write("go\n")
-        self.proc.stdin.flush()
-        return self._read()
-
-    def close(self) -> None:
-        self.proc.stdin.close()
-        self.proc.wait()
+def stdout_lines(cmd: list, checkout: Path) -> list:
+    """Run ``cmd`` in a fresh process in ``checkout``; exit if it fails."""
+    res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if res.returncode != 0 or not res.stdout.strip():
+        sys.exit(f"ab: {' '.join(cmd)} in {checkout} failed:\n{res.stderr[-2000:]}")
+    return res.stdout.splitlines()
 
 
-def git_commit(checkout: Path) -> str:
-    res = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
-    return res.stdout.strip() if res.returncode == 0 else "unknown (not a git checkout)"
+def bench_run(bench: dict, checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One run of the benchmark command; a traced run keeps only the layer metrics."""
+    cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
+    t0 = time.perf_counter()
+    result = json.loads(stdout_lines(cmd, checkout)[-1])
+    wall_s = time.perf_counter() - t0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    if trace:
+        return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
+                **{k: v for k, v in metrics.items() if k.startswith(LAYER_PREFIXES)}}
+    return {"seed": seed, "wall_s": round(wall_s, 2), "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"], "metrics": metrics}
 
 
-def summarize(rounds: list) -> dict:
-    """Per case: per-side median over the rounds, parent/change ratios, rounds the change won.
+def probe_run(checkout: Path, probe: str, threads: str) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout), probe, threads]
+    return json.loads(stdout_lines(cmd, checkout)[-1])
 
-    ``round_speedup`` is the median over the rounds of each round's
-    parent/change ratio: a burst of load on the host slows both sides of a
-    round, so it moves this less than the ratio of the medians.
+
+def pair_loop(heads: list, run):
+    """Run one pair per head, the first side alternating; yield the pairs so far after each."""
+    pairs = []
+    for i, head in enumerate(heads):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {**head, "first": order[0]}
+        for side in order:
+            pair[side] = run(side, head)
+        pairs.append(pair)
+        yield pairs
+
+
+def quartiles(values: list) -> dict:
+    q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                  if len(values) > 1 else (values[0],) * 3)
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def summarize(specs: list, runs: dict) -> dict:
+    """Judge each metric of ``specs`` by one rule.
+
+    A spec names a metric and whether ``higher`` or ``lower`` is better; its
+    other keys, such as ``bound``, are copied.  ``runs[side][i]`` maps each
+    metric to its value in pair i.
     """
     out = {}
-    for case in rounds[0]["parent"]:
-        per_side = {side: [r[side][case] for r in rounds] for side in SIDES}
-        median = {side: statistics.median(v) for side, v in per_side.items()}
-        out[case] = {
-            "median_us": median,
-            "speedup": median["parent"] / median["change"],
-            "round_speedup": statistics.median(
-                p / c for p, c in zip(per_side["parent"], per_side["change"])),
-            "change_faster": sum(c < p for p, c in zip(per_side["parent"], per_side["change"])),
+    for spec in specs:
+        name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
+        values = {side: [run[name] for run in runs[side]] for side in SIDES}
+        stats = {side: quartiles(v) for side, v in values.items()}
+        pairs = len(values["parent"])
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+        beats_spread = gain > stats["parent"]["q3"] - stats["parent"]["q1"]
+        base = stats["parent"]["median"]
+        out[name] = {
+            **{k: v for k, v in spec.items() if k != "name"},
+            **stats,
+            "change_wins": wins,
+            "pairs": pairs,
+            "median_ratio": stats["change"]["median"] / base if base else None,
+            "gain_beats_parent_quartile_spread": beats_spread,
+            "claims_gain": pairs >= MIN_PAIRS and 10 * wins >= 9 * pairs and beats_spread,
         }
     return out
 
 
-def main(argv=None) -> int:
-    import numpy as np
+def per_side(pairs: list, key=None) -> dict:
+    return {side: [p[side][key] if key else p[side] for p in pairs] for side in SIDES}
 
+
+def environment(dirs: dict) -> dict:
+    def commit(path):
+        res = subprocess.run(["git", "-C", str(path), "rev-parse", "HEAD"],
+                             capture_output=True, text=True)
+        return res.stdout.strip() if res.returncode == 0 else "unknown (not a git checkout)"
+
+    return {"python": platform.python_version(),
+            **{name: metadata.version(name) for name in ("numpy", "scipy")},
+            "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0)),
+            "commits": {side: commit(path) for side, path in dirs.items()}}
+
+
+def show(label: str, summary: dict) -> None:
+    for name, s in summary.items():
+        ratio = "" if s["median_ratio"] is None else f" ({s['median_ratio']:.3f}x)"
+        print(f"{label} {name}: {s['parent']['median']:.4g} -> {s['change']['median']:.4g}"
+              f"{ratio}, change better in {s['change_wins']}/{s['pairs']}"
+              f"{', claims a gain' if s['claims_gain'] else ''}")
+
+
+def main(argv=None) -> int:
     args = parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    report = {
-        "command": "python3 bench/ab.py PARENT CHANGE --probe " + " ".join(args.probe),
-        "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))},
-        "commits": {side: git_commit(path) for side, path in dirs.items()},
-        "repeats": REPEATS,
-        "rounds": args.rounds,
-        "threads": THREADS,
-        "unit": "us per call, median of the repeats of a round",
-        "probes": {},
-    }
+    bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    report = {"env": environment(dirs), "command": bench["command"],
+              "run_seconds": bench["run_seconds"], "first_seed": args.first_seed,
+              "repeats": REPEATS, "threads": THREADS, "probe_unit": "us per call",
+              "workloads": {}, "probes": {}}
+
+    def save(label, pairs):
+        print(f"{label}: pair {len(pairs)} done", flush=True)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+
+    for workload in args.workload:
+        entry = report["workloads"][workload] = {}
+        heads = [{"seed": args.first_seed + i} for i in range(args.pairs)]
+        for pairs in pair_loop(heads, lambda side, head: bench_run(
+                bench, dirs[side], workload, head["seed"], trace=0)):
+            entry.update(pairs=pairs,
+                         summary=summarize(bench["end_to_end"], per_side(pairs, "metrics")))
+            save(workload, pairs)
+        heads = [{"seed": args.first_seed + args.pairs + i} for i in range(TRACED_RUNS)]
+        for pairs in pair_loop(heads, lambda side, head: bench_run(
+                bench, dirs[side], workload, head["seed"], trace=1)):
+            runs = per_side(pairs)
+            specs = [m for m in bench["per_layer"] if m["name"] in runs["parent"][0]]
+            summary = summarize(specs, runs)
+            entry["traced"] = {side: {"runs": runs[side], "median": {
+                name: s[side]["median"] for name, s in summary.items()}} for side in SIDES}
+            entry["traced"]["summary"] = summary
+            save(f"{workload} traced", pairs)
     for probe in args.probe:
         for threads in PROBES[probe]:
-            workers = {side: Worker(path, probe, THREADS[threads]) for side, path in dirs.items()}
-            rounds = []
-            for i in range(args.rounds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                entry = {"first": order[0]}
-                for side in order:
-                    entry[side] = workers[side].time()
-                rounds.append(entry)
-                print(f"{probe} {threads} round {i}: {entry}", flush=True)
-            for w in workers.values():
-                w.close()
-            report["probes"].setdefault(probe, {})[threads] = {
-                "calls_per_repeat": {side: w.calls for side, w in workers.items()},
-                "rounds": rounds,
-                "summary": summarize(rounds),
-            }
-            args.out.write_text(json.dumps(report, indent=1) + "\n")
+            entry = report["probes"].setdefault(probe, {})[threads] = {}
+            for pairs in pair_loop([{}] * args.pairs,
+                                   lambda side, _: probe_run(dirs[side], probe, threads)):
+                specs = [{"name": case, "better": "lower"} for case in pairs[0]["parent"]]
+                entry.update(pairs=pairs, summary=summarize(specs, per_side(pairs)))
+                save(f"{probe} {threads}", pairs)
+    for workload, entry in report["workloads"].items():
+        show(workload, entry["summary"])
+        show(f"{workload} traced", entry["traced"]["summary"])
     for probe, by_threads in report["probes"].items():
-        for threads, result in by_threads.items():
-            for case, s in result["summary"].items():
-                print(f"{probe} {threads} {case}: {s['median_us']['parent']:.2f} -> "
-                      f"{s['median_us']['change']:.2f} us, {s['speedup']:.3f}x "
-                      f"(per round {s['round_speedup']:.3f}x), "
-                      f"faster in {s['change_faster']}/{args.rounds}")
+        for threads, entry in by_threads.items():
+            show(f"{probe} {threads}", entry["summary"])
     return 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--worker"]:  # one side of a probe, started by Worker
-        worker(Path(sys.argv[2]), sys.argv[3])
+    if sys.argv[1:2] == ["--worker"]:  # one side of a probe pair, started by probe_run
+        worker(Path(sys.argv[2]), sys.argv[3], sys.argv[4])
         sys.exit(0)
     sys.exit(main())
