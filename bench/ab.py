@@ -5,9 +5,9 @@
         [--pairs 10] [--first-seed N] --out BENCH_<n>.json
 
 Every timing is a pair: one fresh process per side prints one JSON object of
-numbers, and the side that runs first alternates from pair to pair.  A fresh
-process per run averages out the bias one process can carry for its whole
-life (its memory layout, the BLAS library's thread placement).
+numbers, and the side that runs first alternates from pair to pair.  A bias
+that one process carries for its whole life (its memory layout, the BLAS
+library's thread placement) so falls on one pair only.
 
 - ``--workload W``: the ``command`` of the change's ``BENCHMARK.json`` for its
   ``run_seconds``, ``--pairs`` pairs with ``--trace 0``, pair i at seed N + i.
@@ -40,10 +40,13 @@ at least nine tenths of them, and a gain beyond that spread.  Which way is
 better comes from ``BENCHMARK.json`` (``end_to_end`` and ``per_layer``);
 for probe times lower is better.
 
-Noise floor: an A/A run of one commit against a copy of itself (``orders``
-and ``kinetic_kpq``, 15 pairs, 2-core x86-64) read ratios of the medians of
-0.96-1.04 and wins of 3/15-12/15 (see CHANGES.md).  So a probe difference
-under about 5 % is not resolved, and no A/A case came near the rule.
+Noise floor of the probes, measured A/A (one commit against a copy of
+itself, 2-core x86-64): with ``orders`` and ``kinetic_kpq`` at 15 pairs the
+ratios of the medians read 0.978-1.025, wins 4/15-8/15 and single-pair
+ratios 0.46-1.57; in ``BENCH_24.json`` (10 pairs) ``orders`` at N = 18 with
+one BLAS thread read 1.096 with wins 2/10.  So wins as uneven as 2/10 and
+probe ratios up to about 10 % occur on identical code.  No A/A case set
+``claims_gain``: the rule, not the ratio, keeps noise from becoming a claim.
 
 The output is rewritten after every pair, so an interrupted run keeps the
 pairs it made.
@@ -365,6 +368,9 @@ def main(argv=None) -> int:
                 entry.update(pairs=pairs, summary=summarize(specs, per_side(pairs)))
                 save(f"{probe} {threads}", pairs)
     for workload, entry in report["workloads"].items():
+        failed = {side: f"{sum(r['failed'] for r in runs)}/{sum(r['attempted'] for r in runs)}"
+                  for side, runs in per_side(entry["pairs"]).items()}
+        print(f"{workload} failed ops: {failed}")  # a gain does not count if more ops fail
         show(workload, entry["summary"])
         show(f"{workload} traced", entry["traced"]["summary"])
     for probe, by_threads in report["probes"].items():
