@@ -27,6 +27,9 @@ Probes:
   and (18, 10), with the BLAS library's default threads and with one.
 - ``kinetic_kpq``: ``kinetic_kpq(3, 3)`` at a point whose values are all in
   the kernel's table, and at a new point on every call.
+- ``coeffs``: ``k_pq(3, 3)`` at S = 6 at a new point on every call, so every
+  call evaluates its series; ``h_pqr`` of the request (2, 2, 0, 6) asked again
+  at the same point; and building ``CoefficientRequest(3, 3, 1, 6)``.
 - ``op``: one op of each workload that the checkout's ``BENCHMARK.json``
   names, from its own ``perfbench/workloads.py``.
 - ``kinetic_equivalence``: ``check_kinetic_equivalence`` over the kinetic
@@ -79,6 +82,7 @@ THREADS = {  # environment of a probe worker, on top of this one's
 PROBES = {  # name: thread settings it runs under
     "orders": ("default_threads", "one_blas_thread"),
     "kinetic_kpq": ("one_blas_thread",),
+    "coeffs": ("one_blas_thread",),
     "op": ("one_blas_thread",),
     "kinetic_equivalence": ("one_blas_thread",),
 }
@@ -159,6 +163,30 @@ def kinetic_kpq_cases(checkout: Path) -> dict:
     return {"kinetic_kpq_3_3.from_table": from_table, "kinetic_kpq_3_3.new_point": at_new_point}
 
 
+def coeffs_cases(checkout: Path) -> dict:
+    from closure14 import coeffs
+
+    f = coeffs.make_family("exponential")
+    point = coeffs.EquilibriumPoint(0.3, 1.6, 0.02)
+    new_points = [coeffs.EquilibriumPoint(0.3, 1.6 + 1e-9 * i, 0.02) for i in range(100_000)]
+    req = coeffs.CoefficientRequest(2, 2, 0, 6)
+
+    def at_new_point(calls):
+        for pt in new_points[:calls]:  # a new point object on each call, so each call evaluates
+            coeffs.k_pq(f, 3, 3, pt, 6)
+
+    def repeat(calls):
+        for _ in range(calls):
+            coeffs.h_pqr(f, req, point)
+
+    def build(calls):
+        for _ in range(calls):
+            coeffs.CoefficientRequest(3, 3, 1, 6)
+
+    return {"k_pq_3_3.new_point": at_new_point, "h_pqr_2_2_0.repeat": repeat,
+            "coefficient_request.build": build}
+
+
 def op_cases(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
@@ -197,6 +225,7 @@ def kinetic_equivalence_cases(checkout: Path) -> dict:
 CASES = {
     "orders": orders_cases,
     "kinetic_kpq": kinetic_kpq_cases,
+    "coeffs": coeffs_cases,
     "op": op_cases,
     "kinetic_equivalence": kinetic_equivalence_cases,
 }

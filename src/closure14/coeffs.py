@@ -27,7 +27,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -62,16 +62,34 @@ class EquilibriumPoint:
             )
 
 
-@dataclass(frozen=True)
-class CoefficientRequest:
+class _RequestFields(NamedTuple):
     p: int
     q: int
     r: int
     S: int = 4
 
-    def __post_init__(self):
-        if min(self.p, self.q, self.r, self.S) < 0:
-            raise ValueError("indices and truncation must be non-negative")
+
+class CoefficientRequest(_RequestFields):
+    """Indices (p, q, r) and series truncation S of one h or phi coefficient.
+
+    A validated ``NamedTuple``: immutable and hashable, and it compares equal
+    to the plain tuple (p, q, r, S).  An index that is negative or not an
+    integer raises ``ValueError`` when built, as in ``tensor_series``; a plain
+    ``int`` >= 0 skips ``check_index``.  ``_replace`` and ``_make`` check too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p, q, r, S=4):
+        if not (type(p) is int and p >= 0 and type(q) is int and q >= 0
+                and type(r) is int and r >= 0 and type(S) is int and S >= 0):
+            for name, index in (("p", p), ("q", q), ("r", r), ("S", S)):
+                check_index(name, index)
+        return tuple.__new__(cls, (p, q, r, S))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,6 +358,9 @@ def _memoized(step):
     return cached
 
 
+_NO_CALL = (object(), None, None)  # no caller holds its family, so it never matches
+
+
 class CoeffSeries:
     """Finite sum of terms coef * d^dl ktilde_s(l) * l_ll**e * l_ppqq**m.
 
@@ -349,14 +370,22 @@ class CoeffSeries:
     reads each term's member from it by its (s, dl) key; only a miss calls
     ``ktilde_deriv``, which stores the member or raises the truncation or
     domain error.
+
+    A series keeps one slot, (family, point, value) of its last call.  A call
+    whose family and point are the very objects in the slot (``is``) returns
+    the value; any other call evaluates and then fills the slot.  This rests
+    on the frozen ``EquilibriumPoint`` and the pure ``deriv`` that the member
+    table already needs.  The slot holds its family and point, so their ids
+    are not reused while it does, and a call that raises leaves it as it was.
     """
 
-    __slots__ = ("terms", "plan", "_steps")
+    __slots__ = ("terms", "plan", "_steps", "_last")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
         self.plan = tuple((float(t.coef), (t.s, t.dl), float(t.ll_exp), t.m) for t in self.terms)
         self._steps = {}
+        self._last = _NO_CALL
 
     @classmethod
     @functools.cache
@@ -404,6 +433,9 @@ class CoeffSeries:
         return CoeffSeries(t for t in self.terms if t.m <= order)
 
     def __call__(self, f: GeneratingFamily, point: EquilibriumPoint) -> float:
+        last = self._last
+        if last[0] is f and last[1] is point:
+            return last[2]
         lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
         members = f.members_at(lam)
         total = 0.0
@@ -421,6 +453,7 @@ class CoeffSeries:
             total += factor
         if not math.isfinite(total):  # an inf member or power, or inf - inf
             raise DomainError(f"coefficient overflows at {point}")
+        self._last = (f, point, total)
         return total
 
 
@@ -430,7 +463,7 @@ def k_series(f: GeneratingFamily, p: int, q: int, S: int) -> CoeffSeries:
 
 
 def k_pq(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
-    return k_series(f, p, q, S)(f, point)
+    return tensor_series(p, q, 0, S)(f, point)
 
 
 def k00(f: GeneratingFamily, point: EquilibriumPoint, S: int) -> float:

@@ -87,13 +87,17 @@ class TestCommandLine:
         assert exc.value.code == 2
 
 
-def test_probe_worker_runs_against_this_checkout():
-    res = subprocess.run([sys.executable, str(AB_PATH), "--worker", str(ROOT), "kinetic_kpq",
+@pytest.mark.parametrize("probe, cases", [
+    ("kinetic_kpq", ["kinetic_kpq_3_3.from_table", "kinetic_kpq_3_3.new_point"]),
+    ("coeffs", ["coefficient_request.build", "h_pqr_2_2_0.repeat", "k_pq_3_3.new_point"]),
+])
+def test_probe_worker_runs_against_this_checkout(probe, cases):
+    res = subprocess.run([sys.executable, str(AB_PATH), "--worker", str(ROOT), probe,
                           "one_blas_thread"], cwd=ROOT, capture_output=True, text=True,
                          timeout=300)
     assert res.returncode == 0, res.stderr[-2000:]
     lines = res.stdout.splitlines()
     assert len(lines) == 1, res.stdout
     times = json.loads(lines[0])
-    assert sorted(times) == ["kinetic_kpq_3_3.from_table", "kinetic_kpq_3_3.new_point"]
+    assert sorted(times) == cases
     assert all(math.isfinite(t) and t > 0 for t in times.values()), times

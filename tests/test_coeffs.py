@@ -375,16 +375,22 @@ class TestTensorCoefficients:
 
     @pytest.mark.parametrize("p, q, r, S, name", [
         (-1, 0, 0, 4, "p"), (0, -2, 0, 4, "q"), (0, 0, -1, 4, "r"), (0, 0, 0, -1, "S"),
-        (1.5, 0, 0, 4, "p"), (0, 0, 0.5, 4, "r"),
+        (1.5, 0, 0, 4, "p"), (0, 0, 0.5, 4, "r"), (2, 0, 0.5, 4, "r"), (0, 1.5, 0, 4, "q"),
+        (1, 0, 0, 4.5, "S"),
     ], ids=["p_negative", "q_negative", "r_negative", "S_negative", "p_fractional",
-            "r_fractional"])
+            "r_fractional", "r_fractional_p2", "q_fractional", "S_fractional"])
     def test_negative_or_fractional_series_index_rejected(self, exp_family, p, q, r, S, name):
         # k_pq(f, -1, 0, ...) returned k00, and a negative S an empty series
-        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+        message = f"^{name} must be an integer >= 0, got {dict(p=p, q=q, r=r, S=S)[name]!r}$"
+        with pytest.raises(ValueError, match=message):
             tensor_series(p, q, r, S)
         if r == 0:
-            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            with pytest.raises(ValueError, match=message):
                 k_pq(exp_family, p, q, POINT, S)
+        # h_pqr of (1.5, 0, 0) and phi_pqr of (2, 0, 0.5) returned 0.0, as if parity-forbidden
+        for coefficient in (h_pqr, phi_pqr):
+            with pytest.raises(ValueError, match=message):
+                coefficient(exp_family, CoefficientRequest(p, q, r, S), POINT)
 
     def test_h_prefactor_ratio(self, exp_family):
         # h_{p,q,r} / (d^r k_{p,q} / d lam_ll^r) = 3^r (p+q+1)/(p+q+2r+1)
@@ -392,6 +398,41 @@ class TestTensorCoefficients:
         base = k_series(exp_family, 2, 0, 4).d_ll()(exp_family, pt)
         got = h_pqr(exp_family, CoefficientRequest(2, 0, 1), pt)
         assert got == pytest.approx(3.0 * 3.0 / 5.0 * base, rel=1e-13)
+
+
+class TestCoefficientRequest:
+    def test_fields_are_read_only(self):
+        req = CoefficientRequest(3, 3, 1, 6)
+        for name in ("p", "q", "r", "S"):
+            with pytest.raises(AttributeError):
+                setattr(req, name, 0)
+        assert req == (3, 3, 1, 6)
+
+    def test_repr_and_default_truncation(self):
+        assert repr(CoefficientRequest(3, 3, 1, 6)) == "CoefficientRequest(p=3, q=3, r=1, S=6)"
+        assert CoefficientRequest(1, 2, 0).S == 4
+        assert CoefficientRequest(1, 2, 0) == CoefficientRequest(1, 2, 0, S=4)
+
+    def test_hashable(self):
+        req = CoefficientRequest(2, 0, 1, 5)
+        assert hash(req) == hash(CoefficientRequest(2, 0, 1, 5))
+        assert {req: 1}[CoefficientRequest(2, 0, 1, 5)] == 1
+
+    def test_bool_index_is_one(self, exp_family):
+        # tensor_series accepts a bool index as the integer it is
+        pt = EquilibriumPoint(0.2, 1.4, 0.01)
+        req = CoefficientRequest(True, 1, 0)
+        assert req == (1, 1, 0, 4)
+        assert tensor_series(True, 1, 0, 4) is tensor_series(1, 1, 0, 4)
+        assert h_pqr(exp_family, req, pt) == h_pqr(exp_family, CoefficientRequest(1, 1, 0), pt)
+
+    def test_replace_and_make_are_checked(self):
+        req = CoefficientRequest(1, 0, 0)
+        assert req._replace(r=2) == CoefficientRequest(1, 0, 2)
+        with pytest.raises(ValueError, match="^S must be an integer >= 0, got -1$"):
+            req._replace(S=-1)
+        with pytest.raises(ValueError, match="^q must be an integer >= 0, got 0.5$"):
+            CoefficientRequest._make([0, 0.5, 0, 4])
 
 
 class TestClosedForms:
@@ -733,3 +774,65 @@ class TestMemberTable:
         (table,) = (fl for fl in dataclasses.fields(f) if fl.name == "_members")
         assert not (table.compare or table.repr or table.init)
         assert "_members" not in repr(f)
+
+
+def fresh(series, f, point):
+    """The value of a series evaluated by a new series of the same terms, whose slot is empty."""
+    return CoeffSeries(series.terms)(f, point)
+
+
+class TestLastCallSlot:
+    """A series that returns its stored value gives the bits of a fresh evaluation."""
+
+    def test_alternating_families(self):
+        series = tensor_series(2, 2, 1, 6)
+        pt = EquilibriumPoint(0.3, 1.7, 0.02)
+        fams = make_family("exponential"), make_family("poly_exponential")
+        expect = [fresh(series, f, pt).hex() for f in fams]
+        assert expect[0] != expect[1]
+        for _ in range(3):
+            assert [series(f, pt).hex() for f in fams for _ in range(2)] == [
+                expect[0], expect[0], expect[1], expect[1]]
+
+    def test_alternating_points(self):
+        series = tensor_series(1, 2, 0, 6)
+        f = make_family("exponential")
+        pts = EquilibriumPoint(0.3, 1.7, 0.02), EquilibriumPoint(0.3, 1.7, 0.03)
+        expect = [fresh(series, f, pt).hex() for pt in pts]
+        assert expect[0] != expect[1]
+        for _ in range(3):
+            assert [series(f, pt).hex() for pt in pts] == expect
+
+    def test_fault_injected_family_after_the_true_one(self):
+        true = make_family("exponential")
+        broken = GeneratingFamily(
+            kind="exponential", deriv=lambda s, n, lam: true.deriv(s, n, lam) * (1.0 + 1e-6),
+            params=true.params,
+        )
+        pt = EquilibriumPoint(-0.2, 2.1, 0.01)
+        for series in (tensor_series(2, 0, 0, 4), CoeffSeries.k00(4)):
+            expect = fresh(series, true, pt).hex()
+            assert series(true, pt).hex() == expect
+            got = series(broken, pt).hex()
+            assert got == fresh(series, broken, pt).hex() and got != expect
+            assert series(true, pt).hex() == expect
+
+    def test_equal_but_distinct_point(self):
+        f = make_family("poly_exponential")
+        a, b = EquilibriumPoint(0.4, 0.9, 0.04), EquilibriumPoint(0.4, 0.9, 0.04)
+        assert a == b and a is not b
+        series = tensor_series(3, 1, 2, 6)
+        expect = fresh(series, f, a).hex()
+        assert [series(f, pt).hex() for pt in (a, b, a, b)] == [expect] * 4
+
+    def test_overflow_raises_every_call_and_stores_nothing(self):
+        f = make_family("exponential")
+        series = tensor_series(0, 0, 1, 4)
+        good = EquilibriumPoint(0.3, 1.7, 0.02)
+        value = series(f, good)
+        bad = EquilibriumPoint(-690.0, 0.05)
+        for _ in range(3):
+            with pytest.raises(DomainError, match="coefficient overflows"):
+                series(f, bad)
+            assert series._last == (f, good, value)
+        assert series(f, good).hex() == fresh(series, f, good).hex()
