@@ -17,6 +17,12 @@ series, and a family keeps its member values at the most recent l, so the
 coefficients at one point consult the oracle at most once per (s, n).  A
 series call fetches that member table once and reads each term's member
 from it; only a member not yet in the table goes through ``ktilde_deriv``.
+Each series also keeps the value of its last call, and returns it when
+asked again with the very same family and point objects: k_{p,q} is the
+r = 0 cell of h/phi_{p,q,r}, and the constraints read k00 again.
+
+A ``CoefficientRequest`` (p, q, r, S) is a ``NamedTuple`` that checks its
+indices when built, so h_pqr and phi_pqr see only integers >= 0.
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ class TestCommandLine:
 @pytest.mark.parametrize("probe, cases", [
     ("kinetic_kpq", ["kinetic_kpq_3_3.from_table", "kinetic_kpq_3_3.new_point"]),
     ("coeffs", ["coefficient_request.build", "h_pqr_2_2_0.repeat", "k_pq_3_3.new_point"]),
-])
+], ids=["kinetic_kpq", "coeffs"])
 def test_probe_worker_runs_against_this_checkout(probe, cases):
     res = subprocess.run([sys.executable, str(AB_PATH), "--worker", str(ROOT), probe,
                           "one_blas_thread"], cwd=ROOT, capture_output=True, text=True,

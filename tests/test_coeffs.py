@@ -794,15 +794,6 @@ class TestLastCallSlot:
             assert [series(f, pt).hex() for f in fams for _ in range(2)] == [
                 expect[0], expect[0], expect[1], expect[1]]
 
-    def test_alternating_points(self):
-        series = tensor_series(1, 2, 0, 6)
-        f = make_family("exponential")
-        pts = EquilibriumPoint(0.3, 1.7, 0.02), EquilibriumPoint(0.3, 1.7, 0.03)
-        expect = [fresh(series, f, pt).hex() for pt in pts]
-        assert expect[0] != expect[1]
-        for _ in range(3):
-            assert [series(f, pt).hex() for pt in pts] == expect
-
     def test_fault_injected_family_after_the_true_one(self):
         true = make_family("exponential")
         broken = GeneratingFamily(
