@@ -19,7 +19,8 @@ library's thread placement) so falls on one pair only.
   checkout's ``src/`` with the thread setting in its own environment only,
   builds its cases, warms them, picks how many calls take about
   ``REPEAT_SECONDS``, and prints each case's median over ``REPEATS`` repeats,
-  in microseconds per call.
+  in microseconds per call.  A case whose calls need fresh inputs builds
+  them before the clock starts and hands no input object to two calls.
 
 Probes:
 
@@ -30,8 +31,13 @@ Probes:
 - ``coeffs``: ``k_pq(3, 3)`` at S = 6 at a new point on every call, so every
   call evaluates its series; ``h_pqr`` of the request (2, 2, 0, 6) asked again
   at the same point; and building ``CoefficientRequest(3, 3, 1, 6)``.
+- ``potentials``: at N = 6, S = 4 and a new ``MultiplierState`` on every
+  call, ``eval_h_hat`` then ``eval_phi_hat``, as every caller asks for the
+  pair; ``eval_h_hat`` alone; and ``lab_potentials``.
 - ``op``: one op of each workload that the checkout's ``BENCHMARK.json``
-  names, from its own ``perfbench/workloads.py``.
+  names, from its own ``perfbench/workloads.py``, on the inputs of op 0, 1,
+  2, ... in turn, built before the clock starts, as the benchmark's own loop
+  hands each op inputs that no op saw before.
 - ``kinetic_equivalence``: ``check_kinetic_equivalence`` over the kinetic
   points of ``TestPointSet`` seeds 0-9.
 
@@ -58,6 +64,7 @@ pairs it made.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -83,6 +90,7 @@ PROBES = {  # name: thread settings it runs under
     "orders": ("default_threads", "one_blas_thread"),
     "kinetic_kpq": ("one_blas_thread",),
     "coeffs": ("one_blas_thread",),
+    "potentials": ("one_blas_thread",),
     "op": ("one_blas_thread",),
     "kinetic_equivalence": ("one_blas_thread",),
 }
@@ -112,7 +120,9 @@ def parse_args(argv=None):
 
 
 # --- probe cases, built inside a worker --------------------------------------
-# each returns {case: run}, where run(calls) makes that many calls
+# each returns {case: run}, where run(calls) makes that many calls, or
+# {case: (make, call)}, where make(i) builds the input of call i and
+# call(input) makes the call; see ``timer``
 
 
 def orders_cases(checkout: Path) -> dict:
@@ -148,19 +158,17 @@ def kinetic_kpq_cases(checkout: Path) -> dict:
 
     kernel = kinetic.exponential_kernel()
     point = EquilibriumPoint(0.3, 1.6)
-    new_points = [EquilibriumPoint(0.3, 1.6 + 1e-9 * i) for i in range(100_000)]
 
     def from_table(calls):
         for _ in range(calls):
             kinetic.kinetic_kpq(kernel, 3, 3, point)
 
-    def at_new_point(calls):
-        for pt in new_points[:calls]:  # consecutive points differ, so each call is a miss
-            kinetic.kinetic_kpq(kernel, 3, 3, pt)
-
     for pq in PQS:  # fill the table at the point
         kinetic.kinetic_kpq(kernel, *pq, point)
-    return {"kinetic_kpq_3_3.from_table": from_table, "kinetic_kpq_3_3.new_point": at_new_point}
+    return {"kinetic_kpq_3_3.from_table": from_table,
+            "kinetic_kpq_3_3.new_point": (  # consecutive points differ, so each call is a miss
+                lambda i: EquilibriumPoint(0.3, 1.6 + 1e-9 * i),
+                lambda pt: kinetic.kinetic_kpq(kernel, 3, 3, pt))}
 
 
 def coeffs_cases(checkout: Path) -> dict:
@@ -168,12 +176,7 @@ def coeffs_cases(checkout: Path) -> dict:
 
     f = coeffs.make_family("exponential")
     point = coeffs.EquilibriumPoint(0.3, 1.6, 0.02)
-    new_points = [coeffs.EquilibriumPoint(0.3, 1.6 + 1e-9 * i, 0.02) for i in range(100_000)]
     req = coeffs.CoefficientRequest(2, 2, 0, 6)
-
-    def at_new_point(calls):
-        for pt in new_points[:calls]:  # a new point object on each call, so each call evaluates
-            coeffs.k_pq(f, 3, 3, pt, 6)
 
     def repeat(calls):
         for _ in range(calls):
@@ -183,8 +186,38 @@ def coeffs_cases(checkout: Path) -> dict:
         for _ in range(calls):
             coeffs.CoefficientRequest(3, 3, 1, 6)
 
-    return {"k_pq_3_3.new_point": at_new_point, "h_pqr_2_2_0.repeat": repeat,
-            "coefficient_request.build": build}
+    return {"k_pq_3_3.new_point": (  # a new point object on each call, so each call evaluates
+                lambda i: coeffs.EquilibriumPoint(0.3, 1.6 + 1e-9 * i, 0.02),
+                lambda pt: coeffs.k_pq(f, 3, 3, pt, 6)),
+            "h_pqr_2_2_0.repeat": repeat, "coefficient_request.build": build}
+
+
+def potentials_cases(checkout: Path) -> dict:
+    import numpy as np
+    from closure14 import coeffs, potentials
+    from closure14.symtensor import SymMatrix
+
+    f = coeffs.make_family("exponential")
+    rng = np.random.default_rng(0)
+    eps, N, S = 1e-2, 6, 4
+    lam_i, lam_ill = eps * rng.uniform(-1, 1, 3), eps * rng.uniform(-1, 1, 3)
+    lam_ij = SymMatrix(np.eye(3) / 3.0 + eps * rng.uniform(-1, 1, (3, 3)))
+    v = potentials.BoostVelocity([0.1, -0.2, 0.3])
+
+    def state(frame):
+        # a new state and a new lam on every call: no pair, member or series value is kept
+        return lambda i: potentials.MultiplierState(frame, 0.2 + 1e-9 * i, lam_i, lam_ij,
+                                                    lam_ill, 0.3 * eps)
+
+    def h_then_phi(st):
+        potentials.eval_h_hat(f, st, N, S)
+        potentials.eval_phi_hat(f, st, N, S)
+
+    return {"h_then_phi.N6": (state(potentials.HATTED), h_then_phi),
+            "h_alone.N6": (state(potentials.HATTED),
+                           lambda st: potentials.eval_h_hat(f, st, N, S)),
+            "lab_potentials.N6": (state(potentials.LAB),
+                                  lambda st: potentials.lab_potentials(f, st, v, N, S))}
 
 
 def op_cases(checkout: Path) -> dict:
@@ -194,12 +227,7 @@ def op_cases(checkout: Path) -> dict:
     def case(name):
         workload = workloads.WORKLOADS[name](seed=0, workdir=str(checkout))
         ctx = workloads.plain_context(name)
-        inputs = [workload.inputs(i) for i in range(64)]
-
-        def run(calls):
-            for i in range(calls):
-                workload.op(inputs[i % len(inputs)], ctx)
-        return run
+        return workload.inputs, lambda inp: workload.op(inp, ctx)
 
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
     return {f"{w['name']}_op": case(w["name"]) for w in bench["workloads"]}
@@ -226,9 +254,35 @@ CASES = {
     "orders": orders_cases,
     "kinetic_kpq": kinetic_kpq_cases,
     "coeffs": coeffs_cases,
+    "potentials": potentials_cases,
     "op": op_cases,
     "kinetic_equivalence": kinetic_equivalence_cases,
 }
+
+
+def timer(case):
+    """time_calls(calls): the seconds ``calls`` calls of ``case`` take.
+
+    A case ``(make, call)`` has its inputs built before the clock starts, by
+    make(0), make(1), ... across all timings, so no input object reaches two
+    calls.
+    """
+    if callable(case):
+        def time_calls(calls):
+            t0 = time.perf_counter()
+            case(calls)
+            return time.perf_counter() - t0
+        return time_calls
+    make, call = case
+    made = itertools.count()
+
+    def time_calls(calls):
+        inputs = [make(next(made)) for _ in range(calls)]
+        t0 = time.perf_counter()
+        for inp in inputs:
+            call(inp)
+        return time.perf_counter() - t0
+    return time_calls
 
 
 def worker(checkout: Path, probe: str, threads: str) -> None:
@@ -241,16 +295,11 @@ def worker(checkout: Path, probe: str, threads: str) -> None:
     if not Path(closure14.__file__).resolve().is_relative_to(src.resolve()):
         sys.exit(f"ab: closure14 imported from {closure14.__file__}, not {src}")
     out = {}
-    for name, run in CASES[probe](checkout).items():
-        run(1)  # warms caches and compiled plans
-        t0 = time.perf_counter()
-        run(1)
-        calls = max(1, int(REPEAT_SECONDS / max(time.perf_counter() - t0, 1e-7)))
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            run(calls)
-            times.append((time.perf_counter() - t0) / calls)
+    for name, case in CASES[probe](checkout).items():
+        time_calls = timer(case)
+        time_calls(1)  # warms caches and compiled plans
+        calls = max(1, int(REPEAT_SECONDS / max(time_calls(1), 1e-7)))
+        times = [time_calls(calls) / calls for _ in range(REPEATS)]
         out[name] = statistics.median(times) * 1e6
     print(json.dumps(out))
 

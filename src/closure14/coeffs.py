@@ -427,7 +427,10 @@ class CoeffSeries:
         return CoeffSeries(out)
 
     def scaled(self, c) -> "CoeffSeries":
+        """The series times c; at c = 1 the series itself, so its slot serves both."""
         c = Fraction(c)
+        if c == 1:
+            return self
         return CoeffSeries(
             _Term(t.coef * c, t.s, t.dl, t.ll_exp, t.m) for t in self.terms
         )

@@ -19,20 +19,26 @@ every cell of every grid with one ``np.bincount``, bit-identical to
 calling each series on its own.  One node pass per state fills the rows
 x^k / k! of the three node projections in a single table, and the stacked
 grids contract against them in stages: r by one matmul, then q, then p.
+
+The two potentials are evaluated as one pair: a call for h_hat, phi_hat or
+the lab potentials makes one node pass and one stack of both grids, and
+keeps the raw pair on the state, by family, N and S.  The other potential
+at the same arguments is then a lookup.  The arrays of a state are
+read-only copies, so the pair it keeps cannot go stale.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import coeffs
 from .coeffs import CoeffSeries, EquilibriumPoint, GeneratingFamily
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .symtensor import SymMatrix, _sphere_rule
 
 LAB = "lab"
@@ -42,7 +48,15 @@ _I3 = np.eye(3)
 
 @dataclass(frozen=True)
 class MultiplierState:
-    """The ten-component main field, tagged with its frame."""
+    """The ten-component main field, tagged with its frame.
+
+    ``lam_i`` and ``lam_ill`` are read-only copies of the arrays given, as
+    ``SymMatrix`` keeps ``lam_ij``, so a state does not change once built.
+    A state keeps the raw potential pair (h_hat, phi_hat) of each (family,
+    N, S) that ``eval_h_hat``, ``eval_phi_hat`` or ``lab_potentials``
+    evaluated at it with both values finite; ``dataclasses.replace`` builds
+    a new state, with none kept.
+    """
 
     frame: str
     lam: float
@@ -50,12 +64,16 @@ class MultiplierState:
     lam_ij: SymMatrix
     lam_ill: np.ndarray
     lam_iill: float
+    # {(family, N, S): (h_hat, phi_hat)}: a cache, not part of the state's value
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frame not in (LAB, HATTED):
             raise ValueError(f"frame must be 'lab' or 'hatted', got {self.frame!r}")
-        object.__setattr__(self, "lam_i", np.asarray(self.lam_i, dtype=float))
-        object.__setattr__(self, "lam_ill", np.asarray(self.lam_ill, dtype=float))
+        for name in ("lam_i", "lam_ill"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def equilibrium(cls, lam: float, lam_ll: float, lam_ppqq: float = 0.0,
@@ -285,37 +303,53 @@ def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
     return np.einsum("gpn,pn->gn", t.reshape(G, P, n), A[:P]).reshape(*lead, n)
 
 
-def _potentials(f, N, S, frees, node_pass):
-    """h_hat (free False) and phi_hat (free True) for each of ``frees``, on a node pass.
+_PAIR = ((False, None), (True, None))  # the grid specs of h_hat and phi_hat
 
-    A value that is not finite, from an overflow, raises ``DomainError``.
+
+def _pair(f, state: MultiplierState, N: int, S: int):
+    """The raw (h_hat, phi_hat) at ``state``, from one node pass and one grid stack.
+
+    The pair is kept on the state by (f, N, S) when both values are finite,
+    so a call that raises, or that finds a value that overflowed, stores
+    nothing.  Callers check the finiteness of the value they return.
     """
-    point, nodes, weights, powers = node_pass
-    grids = _grids(f, point, N, S, tuple((free, None) for free in frees))
-    values = []
-    for free, field in zip(frees, _field(grids, powers)):
-        if free:
-            value = (weights * field) @ nodes
-            finite = np.isfinite(value).all()
-        else:
-            value = float(weights @ field)
-            finite = math.isfinite(value)
-        if not finite:
-            raise DomainError(f"{'phi' if free else 'h'}_hat overflows")
-        values.append(value)
-    return values
+    key = (f, N, S)
+    pair = state._pairs.get(key)
+    if pair is None:
+        point, nodes, weights, powers = _node_pass(state, N)
+        h_field, phi_field = _field(_grids(f, point, N, S, _PAIR), powers)
+        pair = (float(weights @ h_field), (weights * phi_field) @ nodes)
+        if math.isfinite(pair[0]) and np.isfinite(pair[1]).all():
+            state._pairs[key] = pair
+    return pair
+
+
+def _finite(name: str, value):
+    """``value``, or ``DomainError`` naming the potential when it is not finite."""
+    if not np.isfinite(value).all():
+        raise DomainError(f"{name} overflows")
+    return value
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def eval_h_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> float:
-    """Truncated entropy-density potential at a hatted state."""
-    return _potentials(f, N, S, (False,), _node_pass(state, N))[0]
+    """Truncated entropy-density potential at a hatted state.
+
+    At odd N phi_hat needs one lam_ppqq order more than h_hat; where S
+    leaves phi_hat none, h_hat is evaluated on its own grid.
+    """
+    try:
+        h = _pair(f, state, N, S)[0]
+    except TruncationError:
+        point, _, weights, powers = _node_pass(state, N)
+        h = float(weights @ _field(_grids(f, point, N, S, _PAIR[:1]), powers)[0])
+    return _finite("h_hat", h)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def eval_phi_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> np.ndarray:
-    """Truncated entropy-flux potential (3-vector) at a hatted state."""
-    return _potentials(f, N, S, (True,), _node_pass(state, N))[0]
+    """Truncated entropy-flux potential (3-vector) at a hatted state, a new array."""
+    return _finite("phi_hat", _pair(f, state, N, S)[1]).copy()
 
 
 # --- Galilean transformations -----------------------------------------------
@@ -418,10 +452,9 @@ def lab_potentials(
     S: int,
 ) -> PotentialPair:
     """Lab-frame potentials via h' = h_hat', phi'^k = phi_hat'^k + h_hat' v^k."""
-    hatted = hat_multipliers(lab, v)
-    node_pass = _node_pass(hatted, N)
-    h, phi_hat = _potentials(f, N, S, (False, True), node_pass)
-    return PotentialPair(h=h, phi=phi_hat + h * v.v)
+    h, phi_hat = _pair(f, hat_multipliers(lab, v), N, S)
+    h = _finite("h_hat", h)
+    return PotentialPair(h=h, phi=_finite("phi_hat", phi_hat) + h * v.v)
 
 
 def _require_finite(ms: MomentSet) -> MomentSet:

@@ -90,7 +90,8 @@ class TestCommandLine:
 @pytest.mark.parametrize("probe, cases", [
     ("kinetic_kpq", ["kinetic_kpq_3_3.from_table", "kinetic_kpq_3_3.new_point"]),
     ("coeffs", ["coefficient_request.build", "h_pqr_2_2_0.repeat", "k_pq_3_3.new_point"]),
-], ids=["kinetic_kpq", "coeffs"])
+    ("potentials", ["h_alone.N6", "h_then_phi.N6", "lab_potentials.N6"]),
+], ids=["kinetic_kpq", "coeffs", "potentials"])
 def test_probe_worker_runs_against_this_checkout(probe, cases):
     res = subprocess.run([sys.executable, str(AB_PATH), "--worker", str(ROOT), probe,
                           "one_blas_thread"], cwd=ROOT, capture_output=True, text=True,
@@ -101,3 +102,12 @@ def test_probe_worker_runs_against_this_checkout(probe, cases):
     times = json.loads(lines[0])
     assert sorted(times) == cases
     assert all(math.isfinite(t) and t > 0 for t in times.values()), times
+
+
+def test_fresh_inputs_reach_one_call_each():
+    seen = []
+    time_calls = ab.timer((lambda i: [i], seen.append))
+    for calls in (1, 3, 2):
+        assert time_calls(calls) >= 0
+    assert [x for (x,) in seen] == list(range(6))
+    assert len({id(x) for x in seen}) == 6

@@ -645,6 +645,16 @@ class TestCompiledSeries:
         assert series.d_ll() is series.d_ll()
         assert series.d_ppqq() is series.d_ppqq()
 
+    @pytest.mark.parametrize("S", [2, 4, 6])
+    def test_unit_scale_keeps_the_series(self, S):
+        # k_10 = phi_100 and h_001 are both d k00 / d lam_ll, steps scaled by 1,
+        # so one slot serves them and the constraint's lam_ll derivative
+        d_ll = CoeffSeries.k00(S).d_ll()
+        assert d_ll.scaled(1) is d_ll and d_ll.scaled(Fraction(2, 2)) is d_ll
+        assert tensor_series(1, 0, 0, S) is d_ll
+        assert tensor_series(0, 0, 1, S) is d_ll
+        assert d_ll.scaled(3) is not d_ll
+
     def test_exhausted_order_raises_every_time(self):
         series = CoeffSeries.k00(1).d_ppqq()
         for _ in range(3):

@@ -19,6 +19,7 @@ from closure14.coeffs import (
 )
 from closure14.errors import ClosureError, DomainError, TruncationError
 from closure14.numdiff import central_diff, rel_residual_sym
+from closure14 import potentials
 from closure14.potentials import (
     LAB,
     BoostVelocity,
@@ -205,6 +206,114 @@ class TestCompiledGrid:
         for _ in range(3):
             with pytest.raises(TruncationError):
                 moments_from_potentials(fam, st, 2, 1)
+
+
+class TestPotentialPair:
+    """h_hat and phi_hat come from one node pass per (family, state, N, S)."""
+
+    @staticmethod
+    def count_node_passes(monkeypatch):
+        passes = []
+        true_pass = potentials._node_pass
+
+        def counted(state, N):
+            passes.append((state, N))
+            return true_pass(state, N)
+
+        monkeypatch.setattr(potentials, "_node_pass", counted)
+        return passes
+
+    def test_one_node_pass_per_arguments(self, fam, monkeypatch):
+        passes = self.count_node_passes(monkeypatch)
+        st = hatted_state(6)
+        eval_h_hat(fam, st, N, S)
+        eval_phi_hat(fam, st, N, S)
+        eval_h_hat(fam, st, N, S)
+        assert len(passes) == 1
+        other = make_family("exponential")
+        for args in ((fam, N - 1, S), (fam, N, S + 1), (other, N, S)):
+            eval_phi_hat(args[0], st, *args[1:])
+            eval_h_hat(args[0], st, *args[1:])
+        assert len(passes) == 4
+        assert set(st._pairs) == {(fam, N, S), (fam, N - 1, S), (fam, N, S + 1),
+                                  (other, N, S)}
+
+    def test_lab_potentials_make_one_node_pass(self, fam, monkeypatch):
+        passes = self.count_node_passes(monkeypatch)
+        lab_potentials(fam, replace(hatted_state(6), frame=LAB), BoostVelocity([0.1, 0, 0]), N, S)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_bits_match_a_fresh_state_in_both_orders(self, kind):
+        f, S_pair = make_family(kind), 6
+        for order in range(9):
+            st = hatted_state(order, eps=5e-2)
+            h_first = replace(st)
+            h = eval_h_hat(f, h_first, order, S_pair).hex()
+            phi = eval_phi_hat(f, h_first, order, S_pair).tobytes()
+            phi_first = replace(st)
+            assert eval_phi_hat(f, phi_first, order, S_pair).tobytes() == phi, order
+            assert eval_h_hat(f, phi_first, order, S_pair).hex() == h, order
+            assert eval_h_hat(f, replace(st), order, S_pair).hex() == h, order
+            assert eval_phi_hat(f, replace(st), order, S_pair).tobytes() == phi, order
+
+    def test_returned_phi_is_a_new_array(self, fam):
+        st = hatted_state(7)
+        phi = eval_phi_hat(fam, st, N, S)
+        want = phi.copy()
+        again = eval_phi_hat(fam, st, N, S)
+        assert again is not phi and np.array_equal(again, want)
+        phi[:] = 0.0
+        again[:] = np.nan
+        assert eval_phi_hat(fam, st, N, S).tobytes() == want.tobytes()
+
+    def test_state_arrays_are_read_only_copies(self, fam):
+        lam_i, lam_ill = np.array([1e-2, -2e-2, 3e-3]), np.array([2e-3, 1e-2, -1e-2])
+        st = replace(hatted_state(8), lam_i=lam_i, lam_ill=lam_ill)
+        h = eval_h_hat(fam, st, N, S)
+        for name in ("lam_i", "lam_ill"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(st, name)[0] = 1.0
+        lam_i[0] = lam_ill[0] = 0.5
+        assert st.lam_i[0] == 1e-2 and st.lam_ill[0] == 2e-3
+        assert eval_h_hat(fam, replace(st), N, S).hex() == h.hex()
+
+    def test_phi_overflow_spares_h(self, fam, monkeypatch):
+        st = hatted_state(9)
+        want = eval_h_hat(fam, replace(st), N, S)
+        true_field = potentials._field
+
+        def inf_phi(grid, powers, shift=(0, 0, 0)):
+            out = true_field(grid, powers, shift)
+            out[1] = math.inf
+            return out
+
+        monkeypatch.setattr(potentials, "_field", inf_phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_h_hat(fam, st, N, S).hex() == want.hex()
+            with pytest.raises(DomainError, match=r"^phi_hat overflows$"):
+                eval_phi_hat(fam, st, N, S)
+            with pytest.raises(DomainError, match=r"^phi_hat overflows$"):
+                lab_potentials(fam, replace(st, frame=LAB), BoostVelocity([0, 0, 0]), N, S)
+        assert st._pairs == {}
+
+    def test_a_call_that_raises_stores_nothing(self, fam):
+        st = replace(hatted_state(0), lam_iill=-1e-3)
+        for evaluate in (eval_h_hat, eval_phi_hat):
+            with pytest.raises(DomainError):
+                evaluate(fam, st, N, S)
+        assert st._pairs == {}
+
+    def test_h_hat_where_phi_hat_has_no_order_left(self, fam):
+        # at odd N phi_hat needs one lam_ppqq order more than h_hat
+        st = hatted_state(10)
+        point, _, weights, powers = _node_pass(st, 3)
+        want = float(weights @ _field(_grids(fam, point, 3, 1, ((False, None),)), powers)[0])
+        assert eval_h_hat(fam, st, 3, 1).hex() == want.hex()
+        with pytest.raises(TruncationError):
+            eval_phi_hat(fam, st, 3, 1)
+        assert st._pairs == {}
 
 
 class TestStagedField:
