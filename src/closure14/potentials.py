@@ -307,26 +307,28 @@ _PAIR = ((False, None), (True, None))  # the grid specs of h_hat and phi_hat
 
 
 def _pair(f, state: MultiplierState, N: int, S: int):
-    """The raw (h_hat, phi_hat) at ``state``, from one node pass and one grid stack.
+    """(h_hat, phi_hat) at ``state``, from one node pass and one grid stack.
 
-    The pair is kept on the state by (f, N, S) when both values are finite,
-    so a call that raises, or that finds a value that overflowed, stores
-    nothing.  Callers check the finiteness of the value they return.
+    A value that is not finite, from an overflow, is None, for its caller
+    to raise on.  The pair is kept on the state by (f, N, S) when neither
+    value is None, so a call that raises, or that finds a value that
+    overflowed, stores nothing.
     """
     key = (f, N, S)
     pair = state._pairs.get(key)
     if pair is None:
         point, nodes, weights, powers = _node_pass(state, N)
         h_field, phi_field = _field(_grids(f, point, N, S, _PAIR), powers)
-        pair = (float(weights @ h_field), (weights * phi_field) @ nodes)
-        if math.isfinite(pair[0]) and np.isfinite(pair[1]).all():
+        h, phi = float(weights @ h_field), (weights * phi_field) @ nodes
+        pair = (h if math.isfinite(h) else None, phi if np.isfinite(phi).all() else None)
+        if pair[0] is not None and pair[1] is not None:
             state._pairs[key] = pair
     return pair
 
 
 def _finite(name: str, value):
-    """``value``, or ``DomainError`` naming the potential when it is not finite."""
-    if not np.isfinite(value).all():
+    """``value``, or ``DomainError`` naming the potential when it is None."""
+    if value is None:
         raise DomainError(f"{name} overflows")
     return value
 
@@ -343,6 +345,7 @@ def eval_h_hat(f: GeneratingFamily, state: MultiplierState, N: int, S: int) -> f
     except TruncationError:
         point, _, weights, powers = _node_pass(state, N)
         h = float(weights @ _field(_grids(f, point, N, S, _PAIR[:1]), powers)[0])
+        h = h if math.isfinite(h) else None
     return _finite("h_hat", h)
 
 
