@@ -6,11 +6,12 @@ The expansion coefficient k_{0,0} is the double series
 
     k00 = sum_s  l_ll**(-(3+4s)/2) * ktilde_s(l) * l_ppqq**s / s!
 
-and every k_{p,q} follows from k00 by composing four single-step
-recurrences (one derivative per step, with rational prefactors).  The
-steps act symbolically on a term list, so all derivatives in l_ll and
-the series variable are analytic; only the l-direction consults the
-family's derivative oracle.
+and every k_{p,q} and h/phi_{p,q,r} is one mixed partial of k00 times a
+rational, pi d^a/dl^a d^b/dl_ll^b d^c/dl_ppqq^c k00, whose terms have a
+closed form.  Derivatives in l_ll and l_ppqq are analytic; only the
+l-direction consults the family's derivative oracle.  Cells with equal
+terms are one series object, also returned by the derivative steps of
+k00, which act on a term list by their own rules.
 
 A series compiles its exact terms to floats once and keeps its derivative
 series, and a family keeps its member values at the most recent l, so the
@@ -19,7 +20,8 @@ series call fetches that member table once and reads each term's member
 from it; only a member not yet in the table goes through ``ktilde_deriv``.
 Each series also keeps the value of its last call, and returns it when
 asked again with the very same family and point objects: k_{p,q} is the
-r = 0 cell of h/phi_{p,q,r}, and the constraints read k00 again.
+r = 0 cell of h/phi_{p,q,r}, h_{p,q,r} = phi_{p+1,q,r-1} for even p+q, and
+the constraints read k00 again.
 
 A ``CoefficientRequest`` (p, q, r, S) is a ``NamedTuple`` that checks its
 indices when built, so h_pqr and phi_pqr see only integers >= 0.
@@ -365,6 +367,30 @@ def _memoized(step):
 
 
 _NO_CALL = (object(), None, None)  # no caller holds its family, so it never matches
+_EXHAUSTED = "series order exhausted: increase S for this lambda_ppqq derivative"
+_SHARED = {}  # (a, b, c, pi, S) -> the one series pi d^a/dl^a d^b/dl_ll^b d^c/dl_ppqq^c k00(S)
+
+
+@functools.cache
+def _rows(b: int, c: int, S: int) -> tuple:
+    """Terms (coef, s, ll_exp, m) of d^b/dl_ll^b d^c/dl_ppqq^c k00(S), s = c..S.
+
+    coef = (1/s!) (e_s)_b (s)_c, e_s = -(3+4s)/2, with falling factorials.
+    """
+    e_s = {s: Fraction(-(3 + 4 * s), 2) for s in range(c, S + 1)}
+    return tuple((Fraction(math.perm(s, c), math.factorial(s)) * math.prod(e - j for j in range(b)),
+                  s, e - b, s - c) for s, e in e_s.items())
+
+
+def _shared(key, terms=None) -> "CoeffSeries":
+    """The one series of ``key`` = (a, b, c, pi, S), built from ``terms`` or its closed form."""
+    series = _SHARED.get(key)
+    if series is None:
+        if terms is None:
+            a, b, c, pi, S = key
+            terms = (_Term(pi * coef, s, a, e, m) for coef, s, e, m in _rows(b, c, S))
+        series = _SHARED[key] = CoeffSeries(terms, key)
+    return series
 
 
 class CoeffSeries:
@@ -385,46 +411,42 @@ class CoeffSeries:
     are not reused while it does, and a call that raises leaves it as it was.
     """
 
-    __slots__ = ("terms", "plan", "_steps", "_last")
+    __slots__ = ("terms", "plan", "_steps", "_last", "_key")
 
-    def __init__(self, terms):
+    def __init__(self, terms, key=None):
         self.terms = tuple(terms)
         self.plan = tuple((float(t.coef), (t.s, t.dl), float(t.ll_exp), t.m) for t in self.terms)
         self._steps = {}
         self._last = _NO_CALL
+        self._key = key  # (a, b, c, pi, S) of a series in _SHARED, else None
 
     @classmethod
-    @functools.cache
     def k00(cls, S: int) -> "CoeffSeries":
-        return cls(
-            _Term(Fraction(1, math.factorial(s)), s, 0, Fraction(-(3 + 4 * s), 2), s)
-            for s in range(S + 1)
-        )
+        return _shared((0, 0, 0, 1, S))
+
+    def _step(self, terms, da=0, db=0, dc=0) -> "CoeffSeries":
+        """A series of ``terms``; of a shared series, the shared one of the stepped key."""
+        if self._key is None:
+            return CoeffSeries(terms)
+        a, b, c, pi, S = self._key
+        return _shared((a + da, b + db, c + dc, pi, S), terms)
 
     @_memoized
     def d_lam(self) -> "CoeffSeries":
-        return CoeffSeries(
-            _Term(t.coef, t.s, t.dl + 1, t.ll_exp, t.m) for t in self.terms
-        )
+        return self._step((_Term(t.coef, t.s, t.dl + 1, t.ll_exp, t.m) for t in self.terms), da=1)
 
     @_memoized
     def d_ll(self) -> "CoeffSeries":
-        return CoeffSeries(
-            _Term(t.coef * t.ll_exp, t.s, t.dl, t.ll_exp - 1, t.m) for t in self.terms
+        return self._step(
+            (_Term(t.coef * t.ll_exp, t.s, t.dl, t.ll_exp - 1, t.m) for t in self.terms), db=1
         )
 
     @_memoized
     def d_ppqq(self) -> "CoeffSeries":
-        out = [
-            _Term(t.coef * t.m, t.s, t.dl, t.ll_exp, t.m - 1)
-            for t in self.terms
-            if t.m >= 1
-        ]
+        out = [_Term(t.coef * t.m, t.s, t.dl, t.ll_exp, t.m - 1) for t in self.terms if t.m >= 1]
         if not out:
-            raise TruncationError(
-                "series order exhausted: increase S for this lambda_ppqq derivative"
-            )
-        return CoeffSeries(out)
+            raise TruncationError(_EXHAUSTED)
+        return self._step(out, dc=1)
 
     def scaled(self, c) -> "CoeffSeries":
         """The series times c; at c = 1 the series itself, so its slot serves both."""
@@ -501,39 +523,29 @@ def k_s_value(f: GeneratingFamily, s: int, point: EquilibriumPoint) -> float:
 def tensor_series(p: int, q: int, r: int, S: int) -> CoeffSeries:
     """Series of the (p, q, r) term of h_hat (p+q even) or phi_hat (p+q odd).
 
-    At r = 0 this is k_{p,q}, built by composing parity-correct single steps
-    from k00.  The q column steps (each q -> q+1) come first, then the p row
-    steps (each p -> p+1), which consumes the fewest series orders.  The step
-    rule at each move is forced by the current p+q parity:
+    At r = 0 this is k_{p,q}.  Each cell is pi d^a/dl^a d^b/dl_ll^b
+    d^c/dl_ppqq^c k00(S), built from the closed form of its terms (``_rows``).
+    (a, b, c, pi) count the single steps from k00, each forced by the parity
+    of n = p+q before it: q column steps, then p row steps, then r steps:
 
-    * row,    p+q odd:  d/dl                                (beta1)
-    * row,    p+q even: 3 (p+q+1)/(p+q+3) d/dl_ll           (gamma1)
-    * column, p+q odd:  3 d/dl_ll                           (eps1)
-    * column, p+q even: (p+q+1)/(p+q+3) d/dl_ppqq           (eps2)
+    * row:    n odd d/dl (beta1), n even 3 (n+1)/(n+3) d/dl_ll (gamma1)
+    * column: n odd 3 d/dl_ll (eps1), n even (n+1)/(n+3) d/dl_ppqq (eps2)
+    * r-1 -> r: 3 (m-1)/(m+1) d/dl_ll, m = p+q+2r+(p+q)%2
 
-    Each r > 0 is one step 3 (m-1)/(m+1) d/dl_ll from r-1, m = n+2r+odd, so the
-    series is d^r k_{p,q}/dl_ll^r times 3^r (n+1+odd)/(n+2r+1+odd), n = p+q.
-    The series is purely symbolic (the family enters only at evaluation), so
-    results are memoized on the indices.  An index that is negative or not an
-    integer raises ``ValueError``.
+    So a = #odd n in [q, p+q), b = floor(q/2) + #even n in [q, p+q) + r,
+    c = ceil(q/2), and the scales telescope to pi = 3^b / (p+q+2r+1+(p+q)%2).
+    Cells of equal (a, b, c, pi, S) have equal terms and are one object, which
+    the steps of k00 return too.  An index that is negative or not an integer
+    raises ``ValueError``, and c > S ``TruncationError``.
     """
     for name, index in (("p", p), ("q", q), ("r", r), ("S", S)):
         check_index(name, index)
-    if r > 0:
-        m = p + q + 2 * r + (p + q) % 2
-        return tensor_series(p, q, r - 1, S).d_ll().scaled(Fraction(3 * (m - 1), m + 1))
-    series = CoeffSeries.k00(S)
-    for n in range(q):  # column steps; n is p+q before the step
-        if n % 2:
-            series = series.d_ll().scaled(3)
-        else:
-            series = series.d_ppqq().scaled(Fraction(n + 1, n + 3))
-    for n in range(q, p + q):  # row steps
-        if n % 2:
-            series = series.d_lam()
-        else:
-            series = series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
-    return series
+    p, q, r, S = map(operator.index, (p, q, r, S))
+    n, a, c = p + q, (p + q) // 2 - q // 2, (q + 1) // 2
+    b = q // 2 + p - a + r
+    if c > S:
+        raise TruncationError(_EXHAUSTED)
+    return _shared((a, b, c, Fraction(3**b, n + 2 * r + 1 + n % 2), S))
 
 
 def h_pqr(f: GeneratingFamily, req: CoefficientRequest, point: EquilibriumPoint) -> float:
@@ -589,9 +601,16 @@ def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
     return value
 
 
+@functools.cache
+def _unshared_k00(S: int) -> CoeffSeries:
+    """k00(S) from its definition, a series whose steps share no object with ``tensor_series``."""
+    return CoeffSeries(_Term(Fraction(1, math.factorial(s)), s, 0, Fraction(-(3 + 4 * s), 2), s)
+                       for s in range(S + 1))
+
+
 def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
-    """k_{p,q} from mixed partials of k00 (the four parity branches)."""
-    series = CoeffSeries.k00(S)
+    """k_{p,q} from mixed partials of k00 (the four parity branches), by single steps."""
+    series = _unshared_k00(S)
     if p % 2 == 0 and q % 2 == 0:
         n_ll, n_l, n_pp = (p + q) // 2, p // 2, q // 2
         pref = Fraction(3 ** ((p + q) // 2), p + q + 1)

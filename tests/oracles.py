@@ -5,15 +5,16 @@ counting pairings and by averaging over every index permutation, their
 contraction by a sweep over all 3^rank index tuples, the node field of a
 coefficient grid by one unstaged einsum, the kinetic radial moment with its
 kernel values and node powers redone on every call, the by-parts identity
-of the kinetic radial moments, and k_{p,q} built along any order of single
-steps.  They are slow or general and stay out of the package, whose routes
-are ``symtensor.delta_contract``, the sphere-rule potentials with their
-staged ``potentials._field``, ``kinetic._radial_moment`` and
-``coeffs.k_series`` with its one step order.
+of the kinetic radial moments, and every coefficient cell built by single
+steps from k00, along any order of them.  They are slow or general and stay
+out of the package, whose routes are ``symtensor.delta_contract``, the
+sphere-rule potentials with their staged ``potentials._field``,
+``kinetic._radial_moment`` and ``coeffs.tensor_series`` with its closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from closure14.coeffs import CoeffSeries
+from closure14.coeffs import CoeffSeries, _Term
 from closure14.errors import AccuracyError, DecayError, DomainError, ParityError
 from closure14.kinetic import _CUTOFF_MAX, _CUTOFF_START, _REL_TOL, _panel_rule, _radial_moment
 from closure14.symtensor import DIM, SymMatrix
@@ -168,23 +169,55 @@ def f1_by_parts_check(kernel, point) -> float:
     return abs(sum(terms)) / max(scale, 1e-30)
 
 
+def k00_from_definition(S: int) -> CoeffSeries:
+    """k00 = sum_s l_ll**(-(3+4s)/2) ktilde_s(l) l_ppqq**s / s!, as a new series.
+
+    It is no series of the package's shared table, so its steps build every
+    term by their own rules and return new series too.
+    """
+    return CoeffSeries(_Term(Fraction(1, math.factorial(s)), s, 0, Fraction(-(3 + 4 * s), 2), s)
+                       for s in range(S + 1))
+
+
+def _step(series: CoeffSeries, n: int, move: str) -> CoeffSeries:
+    """One row ('r', p -> p+1) or column ('c', q -> q+1) step; n is p+q before it."""
+    if move == "r":
+        if n % 2:
+            return series.d_lam()
+        return series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
+    if n % 2:
+        return series.d_ll().scaled(3)
+    return series.d_ppqq().scaled(Fraction(n + 1, n + 3))
+
+
 def k_series_along(p: int, q: int, S: int, path: str) -> CoeffSeries:
     """k_{p,q} from k00 along path, a string over 'c' (column, q+1) and 'r' (row, p+1).
 
     The step at each move is forced by the current p+q parity, as in
-    ``coeffs.k_series``, which walks "c" * q + "r" * p.
+    ``step_series``, which walks "c" * q + "r" * p.
     """
     if path.count("r") != p or path.count("c") != q or len(path) != p + q:
         raise ValueError(f"path {path!r} does not reach (p={p}, q={q})")
-    series = CoeffSeries.k00(S)
+    series = k00_from_definition(S)
     for n, move in enumerate(path):  # n is p+q before the move
-        if move == "r":
-            if n % 2:
-                series = series.d_lam()
-            else:
-                series = series.d_ll().scaled(Fraction(3 * (n + 1), n + 3))
-        elif n % 2:
-            series = series.d_ll().scaled(3)
-        else:
-            series = series.d_ppqq().scaled(Fraction(n + 1, n + 3))
+        series = _step(series, n, move)
     return series
+
+
+@functools.cache
+def step_series(p: int, q: int, r: int, S: int) -> CoeffSeries:
+    """The (p, q, r) cell by single steps from k00: q columns, then p rows, then r.
+
+    Each r > 0 is one step 3 (m-1)/(m+1) d/dl_ll from r-1, m = p+q+2r+(p+q)%2.
+    This is the chain that ``coeffs.tensor_series`` sums up in its closed form;
+    the cells share their chains through the cache, and a step that runs out
+    of lambda_ppqq orders raises ``TruncationError`` as ``d_ppqq`` does.
+    """
+    if r:
+        m = p + q + 2 * r + (p + q) % 2
+        return step_series(p, q, r - 1, S).d_ll().scaled(Fraction(3 * (m - 1), m + 1))
+    if p:
+        return _step(step_series(p - 1, q, 0, S), p - 1 + q, "r")
+    if q:
+        return _step(step_series(0, q - 1, 0, S), q - 1, "c")
+    return k00_from_definition(S)

@@ -43,7 +43,7 @@ from closure14.errors import (
 from closure14.numdiff import RESIDUAL_FLOOR
 from closure14.potentials import MultiplierState, eval_h_hat, eval_phi_hat
 from closure14.verify import LAM_LL_RANGE, LAM_PPQQ_RANGE, LAM_RANGE
-from oracles import k_series_along
+from oracles import k00_from_definition, k_series_along, step_series
 
 # Independently derived reference values (exponential family, amplitude=scale=1).
 KT0_AT_0 = 28.933881011162246
@@ -660,6 +660,94 @@ class TestCompiledSeries:
         for _ in range(3):
             with pytest.raises(TruncationError):
                 series.d_ppqq()
+
+
+def cells(N):
+    """Every (p, q, r) with p + q + 2r <= N."""
+    return [(p, q, r) for p in range(N + 1) for q in range(N + 1 - p)
+            for r in range((N - p - q) // 2 + 1)]
+
+
+EXHAUSTED = "^series order exhausted: increase S for this lambda_ppqq derivative$"
+
+
+class TestClosedForm:
+    """Each cell is built from its closed form; cells with equal terms are one object."""
+
+    def test_closed_form_is_the_step_chain(self):
+        # terms and plan equal to the step chain's at S = 14.  A cell's terms at
+        # S < 14 are those with s <= S of its S = 14 terms, on both routes (every
+        # step maps terms one by one), and only the column steps' d/dl_ppqq can
+        # raise, so the chain of (p, q, r) raises at S exactly where (0, q, 0) does
+        top, checked = 14, 0
+        for p, q, r in cells(24):
+            try:
+                chain = step_series(p, q, r, top)
+            except TruncationError:
+                chain = None
+            for S in range(top + 1):
+                try:
+                    step_series(0, q, 0, S)
+                except TruncationError:
+                    with pytest.raises(TruncationError, match=EXHAUSTED):
+                        tensor_series(p, q, r, S)
+                    continue
+                got = tensor_series(p, q, r, S)
+                assert got.terms == tuple(t for t in chain.terms if t.s <= S), (p, q, r, S)
+                assert got.plan == tuple(e for e in chain.plan if e[1][0] <= S), (p, q, r, S)
+                checked += 1
+        assert checked > 15_000
+
+    def test_equal_terms_are_one_object(self):
+        S, groups = 8, {}
+        for p, q, r in cells(12):
+            with contextlib.suppress(TruncationError):
+                series = tensor_series(p, q, r, S)
+                groups.setdefault(series.terms, set()).add(id(series))
+        assert all(len(ids) == 1 for ids in groups.values())
+        shared = 0
+        for p, q, r in cells(12):  # h_{p,q,r} = phi_{p+1,q,r-1} for even p+q, of order one less
+            if (p + q) % 2 == 0 and r >= 1:
+                assert tensor_series(p, q, r, S) is tensor_series(p + 1, q, r - 1, S)
+                shared += 1
+        assert shared == 91
+
+    def test_steps_of_k00_are_the_shared_cells(self):
+        k00 = CoeffSeries.k00(6)
+        assert k00 is tensor_series(0, 0, 0, 6)
+        assert k00.d_ll().d_lam() is tensor_series(2, 0, 0, 6)  # pi = 1: (a, b, c) = (1, 1, 0)
+        assert k00.d_ppqq().d_ll() is tensor_series(0, 2, 0, 6)  # pi = 1: (0, 1, 1)
+        assert k00.d_lam().d_ll() is k00.d_ll().d_lam()  # the steps commute
+
+    def test_constructor_builds_a_new_series(self):
+        s = tensor_series(2, 1, 1, 6)
+        fresh_s = CoeffSeries(s.terms)
+        assert fresh_s is not s and fresh_s.terms == s.terms and fresh_s.plan == s.plan
+        assert fresh_s.d_ll() is not s.d_ll() and fresh_s.d_ll().terms == s.d_ll().terms
+        definition = k00_from_definition(6)
+        assert definition is not CoeffSeries.k00(6) and definition.terms == CoeffSeries.k00(6).terms
+
+    def test_a_coeffs_op_evaluates_78_series_per_family(self, monkeypatch):
+        # the 149 series calls per family of one benchmark ``coeffs`` op at (N, S) = (8, 6):
+        # 49 k_pq, 95 h/phi cells and the 5 reads of the constraints, at a new point
+        calls = []
+        members_at = GeneratingFamily.members_at
+
+        def counting(f, lam):
+            calls.append(f)
+            return members_at(f, lam)
+
+        monkeypatch.setattr(GeneratingFamily, "members_at", counting)
+        pt = EquilibriumPoint(0.123, 1.789, 0.0321)
+        for f in BUILT_IN.values():
+            for p, q in PQ6:
+                k_pq(f, p, q, pt, 6)
+            for p, q, r in cells(8):
+                h_pqr(f, CoefficientRequest(p, q, r, 6), pt)
+                phi_pqr(f, CoefficientRequest(p, q, r, 6), pt)
+            constraint_residuals(f, pt, 6)
+            reduce_to_13(f, 10, pt.lam)
+        assert [calls.count(f) for f in BUILT_IN.values()] == [78, 78]
 
 
 class TestMemberTable:
