@@ -28,6 +28,7 @@ from closure14.verify import (
     check_compatibility,
     check_kinetic_equivalence,
     check_ladder,
+    check_subsystem,
     check_velocity_independence,
     run_all,
 )
@@ -212,6 +213,27 @@ class TestFaultInjection:
 
     def test_perturbed_flux_coefficient_breaks_compatibility(self, exp_family, monkeypatch):
         self.check_skewed_series_detected(exp_family, monkeypatch, (1, 0, 0))  # a term of phi_hat
+
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
+    def test_wrong_eta_bound_fails_the_subsystem_match(self, kind, monkeypatch):
+        # I_4 with the eta product's upper bound 2 too high is 15 times too large;
+        # the match compared I_q with an expression of the same product and passed
+        f, lam_grid = make_family(kind), np.linspace(-1.0, 1.0, 5)
+        true_bounds = coeffs_mod.k0q_eta_bounds
+        clean = check_subsystem(f, lam_grid, q_max=6)
+        assert clean.all_passed
+        assert max(r["residual"] for r in clean.records
+                   if r["condition"].startswith("subsystem.match")) <= 1e-15
+
+        def off_at_4(q):
+            lo, hi = true_bounds(q)
+            return (lo, hi + 2) if q == 4 else (lo, hi)
+
+        monkeypatch.setattr(coeffs_mod, "k0q_eta_bounds", off_at_4)
+        rep = check_subsystem(f, lam_grid, q_max=6)
+        assert rep.failed_conditions() == ["subsystem.match.q4"]
+        q4 = [r["residual"] for r in rep.records if r["condition"] == "subsystem.match.q4"]
+        assert q4 == pytest.approx([14 / 15] * 5, rel=1e-12)
 
 
 class TestVelocityIndependence:
