@@ -30,7 +30,9 @@ Probes:
   the kernel's table, and at a new point on every call.
 - ``coeffs``: ``k_pq(3, 3)`` at S = 6 at a new point on every call, so every
   call evaluates its series; ``h_pqr`` of the request (2, 2, 0, 6) asked again
-  at the same point; and building ``CoefficientRequest(3, 3, 1, 6)``.
+  at the same point; building ``CoefficientRequest(3, 3, 1, 6)``; and every
+  h and phi cell of order p + q + 2r <= 8 at S = 6 at a new point on every
+  call, as a ``coeffs`` op asks for them.
 - ``potentials``: at N = 6, S = 4 and a new ``MultiplierState`` on every
   call, ``eval_h_hat`` then ``eval_phi_hat``, as every caller asks for the
   pair; ``eval_h_hat`` alone; and ``lab_potentials``.
@@ -40,6 +42,9 @@ Probes:
   hands each op inputs that no op saw before.
 - ``kinetic_equivalence``: ``check_kinetic_equivalence`` over the kinetic
   points of ``TestPointSet`` seeds 0-9.
+- ``cold_verify``: one fresh ``python -m closure14.cli verify --n-trunc 18
+  --s-trunc 12`` process per call, with the config ``COLD_VERIFY_CONFIG``,
+  so every call builds its coefficient series and plans from nothing.
 
 ``summarize`` judges every metric by one rule.  Per metric it gives each
 side's median and quartiles, the ratio of the medians, the pairs the change
@@ -64,6 +69,7 @@ pairs it made.
 from __future__ import annotations
 
 import argparse
+import atexit
 import itertools
 import json
 import os
@@ -71,6 +77,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import metadata
 from pathlib import Path
@@ -93,7 +100,9 @@ PROBES = {  # name: thread settings it runs under
     "potentials": ("one_blas_thread",),
     "op": ("one_blas_thread",),
     "kinetic_equivalence": ("one_blas_thread",),
+    "cold_verify": ("one_blas_thread",),
 }
+COLD_VERIFY_CONFIG = {"family_params": {"s_max": 12}}
 # (N, S, family s_max): S = N // 2 + 1 is the smallest truncation at which
 # every lambda_ppqq derivative of order N keeps a term
 ORDERS = ((6, 4, 6), (12, 7, 14), (18, 10, 14))
@@ -186,10 +195,21 @@ def coeffs_cases(checkout: Path) -> dict:
         for _ in range(calls):
             coeffs.CoefficientRequest(3, 3, 1, 6)
 
-    return {"k_pq_3_3.new_point": (  # a new point object on each call, so each call evaluates
-                lambda i: coeffs.EquilibriumPoint(0.3, 1.6 + 1e-9 * i, 0.02),
-                lambda pt: coeffs.k_pq(f, 3, 3, pt, 6)),
-            "h_pqr_2_2_0.repeat": repeat, "coefficient_request.build": build}
+    N, S = 8, 6
+    reqs = [coeffs.CoefficientRequest(p, q, r, S) for p in range(N + 1)
+            for q in range(N + 1 - p) for r in range((N - p - q) // 2 + 1)]
+
+    def cells(pt):
+        for req in reqs:
+            coeffs.h_pqr(f, req, pt)
+            coeffs.phi_pqr(f, req, pt)
+
+    def new_point(i):  # a new point object on each call, so each call evaluates
+        return coeffs.EquilibriumPoint(0.3, 1.6 + 1e-9 * i, 0.02)
+
+    return {"k_pq_3_3.new_point": (new_point, lambda pt: coeffs.k_pq(f, 3, 3, pt, 6)),
+            "h_pqr_2_2_0.repeat": repeat, "coefficient_request.build": build,
+            "cells_N8_S6.new_point": (new_point, cells)}
 
 
 def potentials_cases(checkout: Path) -> dict:
@@ -250,6 +270,23 @@ def kinetic_equivalence_cases(checkout: Path) -> dict:
     return {"check_kinetic_equivalence.seeds_0_9": run}
 
 
+def cold_verify_cases(checkout: Path) -> dict:
+    fd, config = tempfile.mkstemp(suffix=".json")
+    with os.fdopen(fd, "w") as fh:
+        json.dump(COLD_VERIFY_CONFIG, fh)
+    atexit.register(os.unlink, config)
+    cmd = [sys.executable, "-m", "closure14.cli", "verify", "--n-trunc", "18", "--s-trunc", "12",
+           "--config", config]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+
+    def run(calls):
+        for _ in range(calls):  # exit 1: the report holds failed records at this order
+            res = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+            if res.returncode not in (0, 1):
+                sys.exit(f"ab: {' '.join(cmd)} exited {res.returncode}:\n{res.stderr[-2000:]}")
+    return {"verify.N18_S12": run}
+
+
 CASES = {
     "orders": orders_cases,
     "kinetic_kpq": kinetic_kpq_cases,
@@ -257,6 +294,7 @@ CASES = {
     "potentials": potentials_cases,
     "op": op_cases,
     "kinetic_equivalence": kinetic_equivalence_cases,
+    "cold_verify": cold_verify_cases,
 }
 
 
