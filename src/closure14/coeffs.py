@@ -389,7 +389,8 @@ def _shared(key, terms=None) -> "CoeffSeries":
         if terms is None:
             a, b, c, pi, S = key
             terms = (_Term(pi * coef, s, a, e, m) for coef, s, e, m in _rows(b, c, S))
-        series = _SHARED[key] = CoeffSeries(terms, key)
+        series = _SHARED[key] = CoeffSeries(terms)
+        series._key = key
     return series
 
 
@@ -413,12 +414,12 @@ class CoeffSeries:
 
     __slots__ = ("terms", "plan", "_steps", "_last", "_key")
 
-    def __init__(self, terms, key=None):
+    def __init__(self, terms):
         self.terms = tuple(terms)
         self.plan = tuple((float(t.coef), (t.s, t.dl), float(t.ll_exp), t.m) for t in self.terms)
         self._steps = {}
         self._last = _NO_CALL
-        self._key = key  # (a, b, c, pi, S) of a series in _SHARED, else None
+        self._key = None  # (a, b, c, pi, S) of a series in _SHARED
 
     @classmethod
     def k00(cls, S: int) -> "CoeffSeries":

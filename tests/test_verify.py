@@ -217,7 +217,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
     def test_wrong_eta_bound_fails_the_subsystem_match(self, kind, monkeypatch):
         # I_4 with the eta product's upper bound 2 too high is 15 times too large;
-        # the match compared I_q with an expression of the same product and passed
+        # a side built from the same eta product would move with it and pass
         f, lam_grid = make_family(kind), np.linspace(-1.0, 1.0, 5)
         true_bounds = coeffs_mod.k0q_eta_bounds
         clean = check_subsystem(f, lam_grid, q_max=6)
