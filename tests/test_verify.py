@@ -9,7 +9,7 @@ import pytest
 
 from closure14 import coeffs as coeffs_mod
 from closure14 import potentials as potentials_mod
-from closure14.coeffs import GeneratingFamily, make_family
+from closure14.coeffs import EquilibriumPoint, GeneratingFamily, make_family
 from closure14.kinetic import KineticKernel, exponential_kernel, kernel_for
 from closure14.numdiff import central_diff
 from closure14.errors import DomainError, TruncationError
@@ -25,6 +25,7 @@ from closure14.verify import (
     TestPointSet,
     VerificationReport,
     VerifyConfig,
+    check_closed_forms,
     check_compatibility,
     check_kinetic_equivalence,
     check_ladder,
@@ -213,6 +214,27 @@ class TestFaultInjection:
 
     def test_perturbed_flux_coefficient_breaks_compatibility(self, exp_family, monkeypatch):
         self.check_skewed_series_detected(exp_family, monkeypatch, (1, 0, 0))  # a term of phi_hat
+
+    def test_wrong_closed_form_fails_the_k00_derivatives(self, exp_family, monkeypatch):
+        # k_pq_closed walks single steps from an unshared k00, so a closed form that
+        # doubles every cell with (b, c) = (1, 0) moves only the k_pq side
+        true_rows = coeffs_mod._rows.__wrapped__
+
+        def doubled(b, c, S):
+            rows = true_rows(b, c, S)
+            return tuple((2 * row[0], *row[1:]) for row in rows) if (b, c) == (1, 0) else rows
+
+        points = [EquilibriumPoint(0.2, 1.3, 0.01)]
+        assert check_closed_forms(exp_family, 3, 3, points).all_passed
+        monkeypatch.setattr(coeffs_mod, "_SHARED", {})
+        monkeypatch.setattr(coeffs_mod, "_rows", doubled)
+        coeffs_mod.tensor_series.cache_clear()
+        try:
+            failed = check_closed_forms(exp_family, 3, 3, points).failed_conditions()
+        finally:
+            coeffs_mod.tensor_series.cache_clear()  # the true table is back after the test
+        # (a, b, c) = (0, 1, 0) is k_{1,0}, and (1, 1, 0) is k_{2,0}
+        assert failed == ["closed_forms.k00_derivatives.p1q0", "closed_forms.k00_derivatives.p2q0"]
 
     @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
     def test_wrong_eta_bound_fails_the_subsystem_match(self, kind, monkeypatch):
