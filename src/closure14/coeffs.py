@@ -9,12 +9,14 @@ The expansion coefficient k_{0,0} is the double series
 and every k_{p,q} and h/phi_{p,q,r} is one mixed partial of k00 times a
 rational, pi d^a/dl^a d^b/dl_ll^b d^c/dl_ppqq^c k00, whose terms have a
 closed form.  Derivatives in l_ll and l_ppqq are analytic; only the
-l-direction consults the family's derivative oracle.  Cells with equal
-terms are one series object, also returned by the derivative steps of
-k00, which act on a term list by their own rules.
+l-direction consults the family's derivative oracle.  Each production
+series is the one series of its key (a, b, c, pi, S), built from that
+closed form, and ``CoeffSeries.derivative`` shifts the key.  The single
+steps (``d_lam``, ``d_ll``, ``d_ppqq``, ``scaled``) are term rules that
+return new series, the independent route of ``k_pq_closed`` and the tests.
 
-A series compiles its exact terms to floats once and keeps its derivative
-series, and a family keeps its member values at the most recent l, so the
+A series compiles its exact terms to floats once and a family keeps its
+member values at the most recent l, so the
 coefficients at one point consult the oracle at most once per (s, n).  A
 series call fetches that member table once and reads each term's member
 from it; only a member not yet in the table goes through ``ktilde_deriv``.
@@ -354,18 +356,6 @@ class _Term:
     m: int  # power of lambda_ppqq
 
 
-def _memoized(step):
-    """Keep a step's result on the series; a step that raises keeps nothing."""
-
-    @functools.wraps(step)
-    def cached(self):
-        if step.__name__ not in self._steps:
-            self._steps[step.__name__] = step(self)
-        return self._steps[step.__name__]
-
-    return cached
-
-
 _NO_CALL = (object(), None, None)  # no caller holds its family, so it never matches
 _EXHAUSTED = "series order exhausted: increase S for this lambda_ppqq derivative"
 _SHARED = {}  # (a, b, c, pi, S) -> the one series pi d^a/dl^a d^b/dl_ll^b d^c/dl_ppqq^c k00(S)
@@ -382,14 +372,15 @@ def _rows(b: int, c: int, S: int) -> tuple:
                   s, e - b, s - c) for s, e in e_s.items())
 
 
-def _shared(key, terms=None) -> "CoeffSeries":
-    """The one series of ``key`` = (a, b, c, pi, S), built from ``terms`` or its closed form."""
+def _shared(key) -> "CoeffSeries":
+    """The one series of ``key`` = (a, b, c, pi, S), from its closed form; c > S raises."""
     series = _SHARED.get(key)
     if series is None:
-        if terms is None:
-            a, b, c, pi, S = key
-            terms = (_Term(pi * coef, s, a, e, m) for coef, s, e, m in _rows(b, c, S))
-        series = _SHARED[key] = CoeffSeries(terms)
+        a, b, c, pi, S = key
+        if c > S:
+            raise TruncationError(_EXHAUSTED)
+        series = _SHARED[key] = CoeffSeries(
+            _Term(pi * coef, s, a, e, m) for coef, s, e, m in _rows(b, c, S))
         series._key = key
     return series
 
@@ -397,7 +388,8 @@ def _shared(key, terms=None) -> "CoeffSeries":
 class CoeffSeries:
     """Finite sum of terms coef * d^dl ktilde_s(l) * l_ll**e * l_ppqq**m.
 
-    The steps act on the exact terms and are kept on the series.  A call runs
+    The steps, ``scaled`` and ``truncated`` act on the exact terms and return
+    a new series without a key; ``derivative`` needs one.  A call runs
     ``plan``, the terms as (float(coef), (s, dl), float(e), m), compiled at
     once.  It fetches the family's member table at l once (``members_at``) and
     reads each term's member from it by its (s, dl) key; only a miss calls
@@ -412,12 +404,11 @@ class CoeffSeries:
     are not reused while it does, and a call that raises leaves it as it was.
     """
 
-    __slots__ = ("terms", "plan", "_steps", "_last", "_key")
+    __slots__ = ("terms", "plan", "_last", "_key")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
         self.plan = tuple((float(t.coef), (t.s, t.dl), float(t.ll_exp), t.m) for t in self.terms)
-        self._steps = {}
         self._last = _NO_CALL
         self._key = None  # (a, b, c, pi, S) of a series in _SHARED
 
@@ -425,38 +416,30 @@ class CoeffSeries:
     def k00(cls, S: int) -> "CoeffSeries":
         return _shared((0, 0, 0, 1, S))
 
-    def _step(self, terms, da=0, db=0, dc=0) -> "CoeffSeries":
-        """A series of ``terms``; of a shared series, the shared one of the stepped key."""
+    @functools.cache  # a key holds a Fraction, slower to hash than the series
+    def derivative(self, da=0, db=0, dc=0) -> "CoeffSeries":
+        """d^da/dl^da d^db/dl_ll^db d^dc/dl_ppqq^dc of the series: its key, shifted."""
         if self._key is None:
-            return CoeffSeries(terms)
+            raise ValueError("only a series of tensor_series or k00 has a derivative")
         a, b, c, pi, S = self._key
-        return _shared((a + da, b + db, c + dc, pi, S), terms)
+        return _shared((a + da, b + db, c + dc, pi, S))
 
-    @_memoized
     def d_lam(self) -> "CoeffSeries":
-        return self._step((_Term(t.coef, t.s, t.dl + 1, t.ll_exp, t.m) for t in self.terms), da=1)
+        return CoeffSeries(_Term(t.coef, t.s, t.dl + 1, t.ll_exp, t.m) for t in self.terms)
 
-    @_memoized
     def d_ll(self) -> "CoeffSeries":
-        return self._step(
-            (_Term(t.coef * t.ll_exp, t.s, t.dl, t.ll_exp - 1, t.m) for t in self.terms), db=1
-        )
+        return CoeffSeries(
+            _Term(t.coef * t.ll_exp, t.s, t.dl, t.ll_exp - 1, t.m) for t in self.terms)
 
-    @_memoized
     def d_ppqq(self) -> "CoeffSeries":
         out = [_Term(t.coef * t.m, t.s, t.dl, t.ll_exp, t.m - 1) for t in self.terms if t.m >= 1]
         if not out:
             raise TruncationError(_EXHAUSTED)
-        return self._step(out, dc=1)
+        return CoeffSeries(out)
 
     def scaled(self, c) -> "CoeffSeries":
-        """The series times c; at c = 1 the series itself, so its slot serves both."""
         c = Fraction(c)
-        if c == 1:
-            return self
-        return CoeffSeries(
-            _Term(t.coef * c, t.s, t.dl, t.ll_exp, t.m) for t in self.terms
-        )
+        return CoeffSeries(_Term(t.coef * c, t.s, t.dl, t.ll_exp, t.m) for t in self.terms)
 
     def max_order(self) -> int:
         return max(t.m for t in self.terms)
@@ -535,17 +518,15 @@ def tensor_series(p: int, q: int, r: int, S: int) -> CoeffSeries:
 
     So a = #odd n in [q, p+q), b = floor(q/2) + #even n in [q, p+q) + r,
     c = ceil(q/2), and the scales telescope to pi = 3^b / (p+q+2r+1+(p+q)%2).
-    Cells of equal (a, b, c, pi, S) have equal terms and are one object, which
-    the steps of k00 return too.  An index that is negative or not an integer
-    raises ``ValueError``, and c > S ``TruncationError``.
+    Cells of equal (a, b, c, pi, S) have equal terms and are one object, and
+    ``derivative`` shifts (a, b, c).  An index that is negative or not an
+    integer raises ``ValueError``, and c > S ``TruncationError``.
     """
     for name, index in (("p", p), ("q", q), ("r", r), ("S", S)):
         check_index(name, index)
     p, q, r, S = map(operator.index, (p, q, r, S))
     n, a, c = p + q, (p + q) // 2 - q // 2, (q + 1) // 2
     b = q // 2 + p - a + r
-    if c > S:
-        raise TruncationError(_EXHAUSTED)
     return _shared((a, b, c, Fraction(3**b, n + 2 * r + 1 + n % 2), S))
 
 
@@ -604,13 +585,19 @@ def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
 
 @functools.cache
 def _unshared_k00(S: int) -> CoeffSeries:
-    """k00(S) from its definition, a series whose steps share no object with ``tensor_series``."""
+    """k00(S) from its definition, not the closed form of ``tensor_series``."""
     return CoeffSeries(_Term(Fraction(1, math.factorial(s)), s, 0, Fraction(-(3 + 4 * s), 2), s)
                        for s in range(S + 1))
 
 
 def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
     """k_{p,q} from mixed partials of k00 (the four parity branches), by single steps."""
+    return _stepped_k_series(p, q, S)(f, point)
+
+
+@functools.cache
+def _stepped_k_series(p: int, q: int, S: int) -> CoeffSeries:
+    """The series of ``k_pq_closed``, walked by single steps from ``_unshared_k00``."""
     series = _unshared_k00(S)
     if p % 2 == 0 and q % 2 == 0:
         n_ll, n_l, n_pp = (p + q) // 2, p // 2, q // 2
@@ -630,7 +617,7 @@ def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S:
         series = series.d_ll()
     for _ in range(n_l):
         series = series.d_lam()
-    return series.scaled(pref)(f, point)
+    return series.scaled(pref)
 
 
 # --- scalar constraints -----------------------------------------------------
@@ -642,8 +629,8 @@ def _constraint_series(S: int):
     if S < 2:
         raise TruncationError("constraint check needs S >= 2")
     base = CoeffSeries.k00(S)
-    rhs = base.d_lam().d_ppqq()
-    return base, base.d_ll().d_ll().truncated(rhs.max_order()), rhs
+    rhs = base.derivative(1, 0, 1)
+    return base, base.derivative(0, 2, 0).truncated(rhs.max_order()), rhs
 
 
 def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
@@ -668,12 +655,12 @@ def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
 def scaling_residual(f: GeneratingFamily, series: CoeffSeries, weight, point: EquilibriumPoint):
     """Relative residual of 0 = weight k + 2 l_ll dk/dl_ll + 4 l_ppqq dk/dl_ppqq, k the series.
 
-    Each k_{p,q} obeys it with weight p+3q+3.  A series with no lambda_ppqq
-    order left raises ``TruncationError``.
+    Each k_{p,q} obeys it with weight p+3q+3.  A series (of ``tensor_series``)
+    with no lambda_ppqq order left raises ``TruncationError``.
     """
     t0 = weight * series(f, point)
-    t1 = 2.0 * point.lam_ll * series.d_ll()(f, point)
-    t2 = 4.0 * point.lam_ppqq * series.d_ppqq()(f, point)
+    t1 = 2.0 * point.lam_ll * series.derivative(0, 1, 0)(f, point)
+    t2 = 4.0 * point.lam_ppqq * series.derivative(0, 0, 1)(f, point)
     scale = max(abs(t0), abs(t1), abs(t2), RESIDUAL_FLOOR)
     return abs(t0 + t1 + t2) / scale
 

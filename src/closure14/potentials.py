@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coeffs
-from .coeffs import CoeffSeries, EquilibriumPoint, GeneratingFamily
+from .coeffs import EquilibriumPoint, GeneratingFamily
 from .errors import DomainError, TruncationError
 from .symtensor import SymMatrix, _sphere_rule
 
@@ -106,11 +106,15 @@ class MultiplierState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultiplierState":
+        """The state of ``to_dict``; a ``lam_ij`` not exactly symmetric raises ``ValueError``."""
+        lam_ij = np.array(d["lam_ij"], dtype=float)
+        if not np.array_equal(lam_ij, lam_ij.T, equal_nan=True):
+            raise ValueError(f"lam_ij must be symmetric, got {d['lam_ij']!r}")
         return cls(
             frame=d["frame"],
             lam=float(d["lam"]),
             lam_i=np.array(d["lam_i"], dtype=float),
-            lam_ij=SymMatrix(np.array(d["lam_ij"], dtype=float)),
+            lam_ij=SymMatrix(lam_ij),
             lam_ill=np.array(d["lam_ill"], dtype=float),
             lam_iill=float(d["lam_iill"]),
         )
@@ -223,22 +227,20 @@ class _GridPlan(NamedTuple):
 
 @functools.cache
 def _grid_plan(N: int, S: int, specs: tuple) -> _GridPlan:
-    """Compile the grids ``specs``, pairs (free, derive), to one set of flat arrays.
+    """Compile the grids ``specs``, pairs (free, shift), to one set of flat arrays.
 
-    Grid g holds h_hat (free False) or phi_hat (free True), its series mapped
-    through ``derive`` unless that is None.  The series are symbolic, so the
-    plan holds for every family.  A derivative that raises (``TruncationError``
-    from ``d_ppqq``) is not cached.
+    Grid g holds h_hat (free False) or phi_hat (free True), each series
+    replaced by its ``derivative(*shift)``.  The series are symbolic, so the
+    plan holds for every family.  A series that raises (``TruncationError``,
+    no lambda_ppqq order left) is not cached.
     """
     shape = (len(specs), N + 1, N + 1, N // 2 + 1)
     rows = []
-    for g, (free, derive) in enumerate(specs):
+    for g, (free, shift) in enumerate(specs):
         for p in range(N + 1):
             for q in range((p + free) % 2, N + 1 - p, 2):
                 for r in range((N - p - q) // 2 + 1):
-                    series = coeffs.tensor_series(p, q, r, S)
-                    if derive is not None:
-                        series = derive(series)
+                    series = coeffs.tensor_series(p, q, r, S).derivative(*shift)
                     cell = np.ravel_multi_index((g, p, q, r), shape)
                     rows.extend((cell, *term) for term in series.plan)
     members = tuple(dict.fromkeys(row[2] for row in rows))
@@ -303,7 +305,14 @@ def _field(grid: np.ndarray, powers, shift=(0, 0, 0)) -> np.ndarray:
     return np.einsum("gpn,pn->gn", t.reshape(G, P, n), A[:P]).reshape(*lead, n)
 
 
-_PAIR = ((False, None), (True, None))  # the grid specs of h_hat and phi_hat
+_PAIR = ((False, (0, 0, 0)), (True, (0, 0, 0)))  # the grid specs of h_hat and phi_hat
+
+
+def _check_orders(N, S) -> None:
+    """``ValueError`` unless N and S are integers >= 0: run before a cache takes 4.0 as 4."""
+    if not (type(N) is int and N >= 0 and type(S) is int and S >= 0):
+        coeffs.check_index("N", N)
+        coeffs.check_index("S", S)
 
 
 def _pair(f, state: MultiplierState, N: int, S: int):
@@ -314,6 +323,7 @@ def _pair(f, state: MultiplierState, N: int, S: int):
     value is None, so a call that raises, or that finds a value that
     overflowed, stores nothing.
     """
+    _check_orders(N, S)
     key = (f, N, S)
     pair = state._pairs.get(key)
     if pair is None:
@@ -423,7 +433,6 @@ def boost_jacobian(
     taken.  A Jacobian that is not finite raises ``DomainError``.
     """
     hatted = hat_multipliers(lab, v)
-    node_pass = _node_pass(hatted, N)
     L, b = hatted.lam_ij.as_array(), hatted.lam_ill
 
     def chain(g, g_i, g_ij, g_ill):
@@ -437,7 +446,7 @@ def boost_jacobian(
             + 4.0 * hatted.lam_iill * g_ill
         )
 
-    (h, h_blocks), (_, phi_blocks) = _gradients(f, N, S, node_pass, quartic=False)
+    (h, h_blocks), (_, phi_blocks) = _gradients(f, hatted, N, S, quartic=False)
     dh = chain(*h_blocks)
     dphi = chain(*phi_blocks) + np.outer(v.v, dh) + h * _I3
     jacobian = np.vstack([dh, dphi])
@@ -516,7 +525,7 @@ def lab_moments_from_rest(rest: MomentSet, v: BoostVelocity) -> MomentSet:
 # --- moment recovery ---------------------------------------------------------
 
 
-def _gradients(f, N, S, node_pass, quartic):
+def _gradients(f, state, N, S, quartic):
     """Values and gradients of h_hat and phi_hat, as ``[(h, blocks), (phi, blocks)]``.
 
     The blocks are the gradients in (lam, lam_i, lam_ij, lam_ill) and, if
@@ -527,10 +536,11 @@ def _gradients(f, N, S, node_pass, quartic):
     convention dh = G_ij dlam_ij; besides the deviator part it holds delta_ij
     times the lam_ll derivative of the coefficients.
     """
-    point, nodes, weights, powers = node_pass
-    steps = (None, CoeffSeries.d_lam, CoeffSeries.d_ll, CoeffSeries.d_ppqq)[: 3 + quartic]
-    grids = _grids(f, point, N, S, tuple((free, step) for free in (False, True) for step in steps))
-    grids = grids.reshape(2, len(steps), *grids.shape[1:])
+    _check_orders(N, S)
+    point, nodes, weights, powers = _node_pass(state, N)
+    shifts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))[: 3 + quartic]
+    grids = _grids(f, point, N, S, tuple((free, d) for free in (False, True) for d in shifts))
+    grids = grids.reshape(2, len(shifts), *grids.shape[1:])
     scalar = _field(grids, powers)
     d_a, d_b, d_c = (_field(grids[:, 0], powers, shift)
                      for shift in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -560,5 +570,5 @@ def moments_from_potentials(
     """
     if state.frame != HATTED:
         raise ValueError("moments_from_potentials expects a hatted state")
-    (_, h_blocks), (_, phi_blocks) = _gradients(f, N, S, _node_pass(state, N), quartic=True)
+    (_, h_blocks), (_, phi_blocks) = _gradients(f, state, N, S, quartic=True)
     return _require_finite(MomentSet("rest", *h_blocks, *phi_blocks))

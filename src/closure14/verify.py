@@ -325,7 +325,7 @@ def check_scalar_identity_chain(
                     t1 = (2.0 / 3.0) * point.lam_ll * hs1(f, point)
                     t2 = (n + 1) / (n + 3) * (
                         2.0 * q * hs(f, point)
-                        + 4.0 * point.lam_ppqq * hs.d_ppqq()(f, point)
+                        + 4.0 * point.lam_ppqq * hs.derivative(0, 0, 1)(f, point)
                     )
                     scale = max(abs(t0), abs(t1), abs(t2), RESIDUAL_FLOOR)
                     report.add(

@@ -639,27 +639,24 @@ class TestCompiledSeries:
                 checked += 1
         assert checked >= 4 * 400  # four points, at least 400 series each
 
-    def test_steps_are_kept(self):
-        series = k_series(None, 2, 1, 4)
-        assert series.d_lam() is series.d_lam()
-        assert series.d_ll() is series.d_ll()
-        assert series.d_ppqq() is series.d_ppqq()
-
     @pytest.mark.parametrize("S", [2, 4, 6])
     def test_unit_scale_keeps_the_series(self, S):
-        # k_10 = phi_100 and h_001 are both d k00 / d lam_ll, steps scaled by 1,
+        # k_10 = phi_100 and h_001 are both d k00 / d lam_ll with scale pi = 1,
         # so one slot serves them and the constraint's lam_ll derivative
-        d_ll = CoeffSeries.k00(S).d_ll()
-        assert d_ll.scaled(1) is d_ll and d_ll.scaled(Fraction(2, 2)) is d_ll
+        d_ll = CoeffSeries.k00(S).derivative(0, 1, 0)
+        assert CoeffSeries.k00(S).derivative(0, 1, 0) is d_ll
         assert tensor_series(1, 0, 0, S) is d_ll
         assert tensor_series(0, 0, 1, S) is d_ll
-        assert d_ll.scaled(3) is not d_ll
+        # scaled is a term rule: a new series, also at 1
+        assert d_ll.scaled(1) is not d_ll and d_ll.scaled(1).terms == d_ll.terms
 
     def test_exhausted_order_raises_every_time(self):
         series = CoeffSeries.k00(1).d_ppqq()
         for _ in range(3):
             with pytest.raises(TruncationError):
                 series.d_ppqq()
+            with pytest.raises(TruncationError):
+                CoeffSeries.k00(1).derivative(0, 0, 2)
 
 
 def cells(N):
@@ -694,6 +691,32 @@ class TestCellsFromClosedForm:
                 assert got.plan == tuple(e for e in chain.plan if e[1][0] <= S), (p, q, r, S)
                 checked += 1
         assert checked > 15_000
+        # derivative(1, 0, 0), (0, 1, 0) and (0, 0, 1) of every cell at every S <= 12
+        # against d_lam, d_ll and d_ppqq of the step chain: equal terms and plan,
+        # or the same TruncationError
+        steps = {(1, 0, 0): CoeffSeries.d_lam, (0, 1, 0): CoeffSeries.d_ll,
+                 (0, 0, 1): CoeffSeries.d_ppqq}
+        checked = raised = 0
+        for p, q, r in cells(20):
+            for S in range(13):
+                try:
+                    chain = step_series(p, q, r, S)
+                except TruncationError:
+                    continue  # no cell, checked above
+                series = tensor_series(p, q, r, S)
+                for shift, step in steps.items():
+                    checked += 1
+                    try:
+                        want = step(chain)
+                    except TruncationError:
+                        with pytest.raises(TruncationError, match=EXHAUSTED):
+                            series.derivative(*shift)
+                        raised += 1
+                        continue
+                    got = series.derivative(*shift)
+                    assert got.terms == want.terms, (p, q, r, S, shift)
+                    assert got.plan == want.plan, (p, q, r, S, shift)
+        assert (checked, raised) == (28_974, 946)
 
     def test_equal_terms_are_one_object(self):
         S, groups = 8, {}
@@ -712,15 +735,21 @@ class TestCellsFromClosedForm:
     def test_steps_of_k00_are_the_shared_cells(self):
         k00 = CoeffSeries.k00(6)
         assert k00 is tensor_series(0, 0, 0, 6)
-        assert k00.d_ll().d_lam() is tensor_series(2, 0, 0, 6)  # pi = 1: (a, b, c) = (1, 1, 0)
-        assert k00.d_ppqq().d_ll() is tensor_series(0, 2, 0, 6)  # pi = 1: (0, 1, 1)
-        assert k00.d_lam().d_ll() is k00.d_ll().d_lam()  # the steps commute
+        assert k00.derivative(1, 1, 0) is tensor_series(2, 0, 0, 6)  # pi = 1: (a, b, c) = (1, 1, 0)
+        assert k00.derivative(0, 1, 1) is tensor_series(0, 2, 0, 6)  # pi = 1: (0, 1, 1)
+        assert k00.derivative(1, 0, 0).derivative(0, 1, 0) is k00.derivative(1, 1, 0)
+        # the step rules share no object with the table
+        stepped = k00.d_ll().d_lam()
+        assert stepped is not tensor_series(2, 0, 0, 6)
+        assert stepped.terms == tensor_series(2, 0, 0, 6).terms
 
     def test_constructor_builds_a_new_series(self):
         s = tensor_series(2, 1, 1, 6)
         fresh_s = CoeffSeries(s.terms)
         assert fresh_s is not s and fresh_s.terms == s.terms and fresh_s.plan == s.plan
         assert fresh_s.d_ll() is not s.d_ll() and fresh_s.d_ll().terms == s.d_ll().terms
+        with pytest.raises(ValueError, match="has a derivative"):
+            fresh_s.derivative(0, 1, 0)  # a series without a key
         definition = k00_from_definition(6)
         assert definition is not CoeffSeries.k00(6) and definition.terms == CoeffSeries.k00(6).terms
 

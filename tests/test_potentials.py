@@ -31,6 +31,7 @@ from closure14.potentials import (
     lab_moments_from_rest,
     lab_potentials,
     moments_from_potentials,
+    boost_jacobian,
     _field,
     _grids,
     _node_pass,
@@ -76,6 +77,13 @@ class TestMultiplierState:
         np.testing.assert_array_equal(again.lam_i, st.lam_i)
         assert again.lam_ij == st.lam_ij
         assert again.lam_iill == st.lam_iill
+
+    def test_asymmetric_lam_ij_rejected(self):
+        # it was averaged with its transpose, silently
+        d = hatted_state(0).to_dict()
+        d["lam_ij"] = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match="^lam_ij must be symmetric"):
+            MultiplierState.from_dict(d)
 
     def test_bad_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -148,40 +156,44 @@ class TestCompiledGrid:
     """The compiled coefficient grids against the per-series route, bit for bit."""
 
     POINT = EquilibriumPoint(0.3, 1.2, 0.02)
-    DERIVES = (None, CoeffSeries.d_lam, CoeffSeries.d_ll, CoeffSeries.d_ppqq)
-    SPECS = tuple(itertools.product((False, True), DERIVES))
+    # each grid's coefficient shift, and the step rule that builds its series independently
+    STEPS = {(0, 0, 0): None, (1, 0, 0): CoeffSeries.d_lam, (0, 1, 0): CoeffSeries.d_ll,
+             (0, 0, 1): CoeffSeries.d_ppqq}
+    SPECS = tuple(itertools.product((False, True), STEPS))
 
     @pytest.mark.parametrize("kind", ["exponential", "poly_exponential"])
     def test_every_cell_matches_its_series(self, kind):
-        # each grid alone and as one of the eight grids of a shared plan
+        # each grid alone and as one of the eight grids of a shared plan; the
+        # derived grids against the step rules applied to each cell
         f, S_grid = make_family(kind), 6
         for N in range(9):
             shared = _grids(f, self.POINT, N, S_grid, self.SPECS)
-            for g, (free, derive) in enumerate(self.SPECS):
+            for g, (free, shift) in enumerate(self.SPECS):
+                step = self.STEPS[shift]
                 want = np.zeros((N + 1, N + 1, N // 2 + 1))
                 for p in range(N + 1):
                     for q in range((p + free) % 2, N + 1 - p, 2):
                         for r in range((N - p - q) // 2 + 1):
                             series = tensor_series(p, q, r, S_grid)
-                            if derive is not None:
-                                series = derive(series)
+                            if step is not None:
+                                series = step(series)
                             rank1 = p + q + 2 * r + free + 1
                             want[p, q, r] = rank1 * series(f, self.POINT)
-                alone = _grids(f, self.POINT, N, S_grid, ((free, derive),))
+                alone = _grids(f, self.POINT, N, S_grid, ((free, shift),))
                 assert alone.shape == (1, *want.shape)
-                assert alone[0].tobytes() == want.tobytes(), (N, free, derive)
-                assert shared[g].tobytes() == want.tobytes(), (N, free, derive)
+                assert alone[0].tobytes() == want.tobytes(), (N, free, shift)
+                assert shared[g].tobytes() == want.tobytes(), (N, free, shift)
 
     def test_one_member_lookup_per_state(self, fam, monkeypatch):
         # the eight grids of a moment set share one member table
         st = hatted_state(5)
         wanted = {
             key
-            for free, derive in self.SPECS
+            for free, shift in self.SPECS
             for p in range(N + 1)
             for q in range((p + free) % 2, N + 1 - p, 2)
             for r in range((N - p - q) // 2 + 1)
-            for _, key, _, _ in (derive or (lambda x: x))(tensor_series(p, q, r, S)).plan
+            for _, key, _, _ in tensor_series(p, q, r, S).derivative(*shift).plan
         }
         calls = []
         true_deriv = GeneratingFamily.ktilde_deriv
@@ -309,7 +321,7 @@ class TestPotentialPair:
         # at odd N phi_hat needs one lam_ppqq order more than h_hat
         st = hatted_state(10)
         point, _, weights, powers = _node_pass(st, 3)
-        want = float(weights @ _field(_grids(fam, point, 3, 1, ((False, None),)), powers)[0])
+        want = float(weights @ _field(_grids(fam, point, 3, 1, potentials._PAIR[:1]), powers)[0])
         assert eval_h_hat(fam, st, 3, 1).hex() == want.hex()
         with pytest.raises(TruncationError):
             eval_phi_hat(fam, st, 3, 1)
@@ -327,7 +339,7 @@ class TestStagedField:
         # at N <= 1 a shift in c leaves no r cell, and phi at N = 0 has no term
         st = hatted_state(order, eps=5e-2)
         point, _, _, powers = _node_pass(st, order)
-        grids = _grids(fam, point, order, 6, ((False, None), (True, None)))
+        grids = _grids(fam, point, order, 6, potentials._PAIR)
         for shift in self.SHIFTS:
             for grid in (grids[0], grids[1], grids, np.stack([grids, 2.0 * grids])):
                 got, want = _field(grid, powers, shift), field_einsum(grid, powers, shift)
@@ -336,6 +348,34 @@ class TestStagedField:
                     assert not np.any(got), (order, shift)
                 else:
                     assert rel_residual_sym(got, want) <= 1e-13, (order, shift)
+
+
+class TestTruncationArguments:
+    """N and S are checked before any cached lookup, whatever ran before."""
+
+    V = BoostVelocity([0.1, -0.2, 0.05])
+    CALLS = {
+        "eval_h_hat": lambda f, st, n, s: eval_h_hat(f, st, n, s),
+        "eval_phi_hat": lambda f, st, n, s: eval_phi_hat(f, st, n, s),
+        "lab_potentials": lambda f, st, n, s: lab_potentials(
+            f, replace(st, frame=LAB), TestTruncationArguments.V, n, s),
+        "boost_jacobian": lambda f, st, n, s: boost_jacobian(
+            f, replace(st, frame=LAB), TestTruncationArguments.V, n, s),
+        "moments_from_potentials": lambda f, st, n, s: moments_from_potentials(f, st, n, s),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("bad", [-1, 2.0, 2.5])
+    @pytest.mark.parametrize("which", ["N", "S"])
+    def test_rejected_before_and_after_a_valid_call(self, fam, name, which, bad):
+        # N = -1 raised IndexError and N = 2.0 numpy's TypeError; S = 2.0 raised
+        # ValueError on a fresh state but returned the value kept by S = 2
+        call, st = self.CALLS[name], hatted_state(7)
+        n, s = (bad, 2) if which == "N" else (2, bad)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{which} must be an integer >= 0, got {bad!r}$"):
+                call(fam, st, n, s)
+            call(fam, st, 2, 2)
 
 
 class TestNonFiniteMultipliers:

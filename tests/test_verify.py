@@ -3,6 +3,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,20 +187,26 @@ class TestFaultInjection:
         assert all(math.isnan(r["residual"]) for r in rep.records if not r["passed"])
 
     def check_skewed_series_detected(self, f, monkeypatch, pqr):
-        """Scale the (p, q, r) tensor series by 1.01: compatibility must fail.
+        """Give the (p, q, r) cell the shared key with scale pi 101/100: compatibility must fail.
 
-        The grids compile uncached while the series is skewed, so no skewed
-        plan outlives the test; after it, the same states pass again.
+        Its derivative grids are the shifted keys, so they carry the skew too.
+        The grids compile uncached and the skewed keys go to a copy of the
+        shared table while the series is skewed, so no skewed plan or series
+        outlives the test; after it, the same states pass again.
         """
         true_series = coeffs_mod.tensor_series
 
         def skewed(p, q, r, S):
             series = true_series(p, q, r, S)
-            return series.scaled(1.01) if (p, q, r) == pqr else series
+            if (p, q, r) != pqr:
+                return series
+            a, b, c, pi, S = series._key
+            return coeffs_mod._shared((a, b, c, pi * Fraction(101, 100), S))
 
         states = TestPointSet(count=2).hatted_states()
         assert check_compatibility(f, states, N=6, S=4).all_passed
 
+        monkeypatch.setattr(coeffs_mod, "_SHARED", dict(coeffs_mod._SHARED))
         monkeypatch.setattr(coeffs_mod, "tensor_series", skewed)
         monkeypatch.setattr(potentials_mod, "_grid_plan", potentials_mod._grid_plan.__wrapped__)
         rep = check_compatibility(f, states, N=6, S=4)
