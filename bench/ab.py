@@ -30,9 +30,11 @@ Probes:
   the kernel's table, and at a new point on every call.
 - ``coeffs``: ``k_pq(3, 3)`` at S = 6 at a new point on every call, so every
   call evaluates its series; ``h_pqr`` of the request (2, 2, 0, 6) asked again
-  at the same point; building ``CoefficientRequest(3, 3, 1, 6)``; and every
+  at the same point; building ``CoefficientRequest(3, 3, 1, 6)``; every
   h and phi cell of order p + q + 2r <= 8 at S = 6 at a new point on every
-  call, as a ``coeffs`` op asks for them.
+  call, as a ``coeffs`` op asks for them; and ``constraint_residuals`` at
+  S = 6 at a new point on every call, whose scaling residual takes its
+  derivative series from ``CoeffSeries.derivative``.
 - ``potentials``: at N = 6, S = 4 and a new ``MultiplierState`` on every
   call, ``eval_h_hat`` then ``eval_phi_hat``, as every caller asks for the
   pair; ``eval_h_hat`` alone; and ``lab_potentials``.
@@ -209,7 +211,8 @@ def coeffs_cases(checkout: Path) -> dict:
 
     return {"k_pq_3_3.new_point": (new_point, lambda pt: coeffs.k_pq(f, 3, 3, pt, 6)),
             "h_pqr_2_2_0.repeat": repeat, "coefficient_request.build": build,
-            "cells_N8_S6.new_point": (new_point, cells)}
+            "cells_N8_S6.new_point": (new_point, cells),
+            "constraints.new_point": (new_point, lambda pt: coeffs.constraint_residuals(f, pt, 6))}
 
 
 def potentials_cases(checkout: Path) -> dict:
