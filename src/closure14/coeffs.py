@@ -16,10 +16,10 @@ steps (``d_lam``, ``d_ll``, ``d_ppqq``, ``scaled``) are term rules that
 return new series, the independent route of ``k_pq_closed`` and the tests.
 
 A series compiles its exact terms to floats once and a family keeps its
-member values at the most recent l, so the
-coefficients at one point consult the oracle at most once per (s, n).  A
-series call fetches that member table once and reads each term's member
-from it; only a member not yet in the table goes through ``ktilde_deriv``.
+member values at the most recent l, so the coefficients at one point
+consult the oracle at most once per (s, n).  A series call fetches that
+member table once and reads each term's member from it; only a member not
+yet in the table goes through ``ktilde_deriv``.
 Each series also keeps the value of its last call, and returns it when
 asked again with the very same family and point objects: k_{p,q} is the
 r = 0 cell of h/phi_{p,q,r}, h_{p,q,r} = phi_{p+1,q,r-1} for even p+q, and

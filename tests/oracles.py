@@ -172,8 +172,9 @@ def f1_by_parts_check(kernel, point) -> float:
 def k00_from_definition(S: int) -> CoeffSeries:
     """k00 = sum_s l_ll**(-(3+4s)/2) ktilde_s(l) l_ppqq**s / s!, as a new series.
 
-    It is no series of the package's shared table, so its steps build every
-    term by their own rules and return new series too.
+    It is built from its definition, not from the closed form of the
+    package's shared table, and has no key, so ``derivative`` rejects it;
+    the steps build every term by their own rules.
     """
     return CoeffSeries(_Term(Fraction(1, math.factorial(s)), s, 0, Fraction(-(3 + 4 * s), 2), s)
                        for s in range(S + 1))

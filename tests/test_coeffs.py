@@ -739,6 +739,10 @@ class TestCellsFromClosedForm:
         assert k00.derivative(0, 1, 1) is tensor_series(0, 2, 0, 6)  # pi = 1: (0, 1, 1)
         assert k00.derivative(1, 0, 0).derivative(0, 1, 0) is k00.derivative(1, 1, 0)
         # the step rules share no object with the table
+        for step, shift in ((CoeffSeries.d_lam, (1, 0, 0)), (CoeffSeries.d_ll, (0, 1, 0)),
+                            (CoeffSeries.d_ppqq, (0, 0, 1))):
+            assert step(k00) is not k00.derivative(*shift)
+            assert step(k00).terms == k00.derivative(*shift).terms
         stepped = k00.d_ll().d_lam()
         assert stepped is not tensor_series(2, 0, 0, 6)
         assert stepped.terms == tensor_series(2, 0, 0, 6).terms
