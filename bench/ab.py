@@ -27,7 +27,10 @@ Probes:
 - ``orders``: a warm ``moments_from_potentials`` at (N, S) = (6, 4), (12, 7)
   and (18, 10), with the BLAS library's default threads and with one.
 - ``kinetic_kpq``: ``kinetic_kpq(3, 3)`` at a point whose values are all in
-  the kernel's table, and at a new point on every call.
+  the kernel's table, and at a new point on every call; and the ten ``k_pq``
+  with p + q <= 3 at S = 4 of a quadrature-backed family, as a ``kinetic``
+  op asks for them, at lambda_ppqq = 0 and a new lambda on every call, so
+  each member the series read is a new quadrature.
 - ``coeffs``: ``k_pq(3, 3)`` at S = 6 at a new point on every call, so every
   call evaluates its series; ``h_pqr`` of the request (2, 2, 0, 6) asked again
   at the same point; building ``CoefficientRequest(3, 3, 1, 6)``; every
@@ -164,7 +167,7 @@ def orders_cases(checkout: Path) -> dict:
 
 
 def kinetic_kpq_cases(checkout: Path) -> dict:
-    from closure14 import kinetic
+    from closure14 import coeffs, kinetic
     from closure14.coeffs import EquilibriumPoint
 
     kernel = kinetic.exponential_kernel()
@@ -176,10 +179,18 @@ def kinetic_kpq_cases(checkout: Path) -> dict:
 
     for pq in PQS:  # fill the table at the point
         kinetic.kinetic_kpq(kernel, *pq, point)
+    family = kinetic.make_kinetic_family(kinetic.exponential_kernel())  # its own kernel table
+
+    def family_k_pq(pt):
+        for p, q in PQS[:10]:  # p + q <= 3
+            coeffs.k_pq(family, p, q, pt, 4)
+
     return {"kinetic_kpq_3_3.from_table": from_table,
             "kinetic_kpq_3_3.new_point": (  # consecutive points differ, so each call is a miss
                 lambda i: EquilibriumPoint(0.3, 1.6 + 1e-9 * i),
-                lambda pt: kinetic.kinetic_kpq(kernel, 3, 3, pt))}
+                lambda pt: kinetic.kinetic_kpq(kernel, 3, 3, pt)),
+            "family_k_pq_S4.new_point": (  # a new lam: every member is a new quadrature
+                lambda i: EquilibriumPoint(0.3 + 1e-9 * i, 1.6, 0.0), family_k_pq)}
 
 
 def coeffs_cases(checkout: Path) -> dict:

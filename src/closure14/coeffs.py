@@ -19,7 +19,11 @@ A series compiles its exact terms to floats once and a family keeps its
 member values at the most recent l, so the coefficients at one point
 consult the oracle at most once per (s, n).  A series call fetches that
 member table once and reads each term's member from it; only a member not
-yet in the table goes through ``ktilde_deriv``.
+yet in the table goes through ``ktilde_deriv``.  At l_ppqq = 0 a series
+sums only its terms with m = 0, since the others are 0; so it reads no
+member of a vanishing term, and one that would overflow there leaves the
+value finite.  A series with a member out of the family's range sums all
+its terms, so it raises the same error at l_ppqq = 0 as elsewhere.
 Each series also keeps the value of its last call, and returns it when
 asked again with the very same family and point objects: k_{p,q} is the
 r = 0 cell of h/phi_{p,q,r}, h_{p,q,r} = phi_{p+1,q,r-1} for even p+q, and
@@ -396,6 +400,12 @@ class CoeffSeries:
     ``ktilde_deriv``, which stores the member or raises the truncation or
     domain error.
 
+    At l_ppqq = 0 a call runs ``_plan0``, the entries of ``plan`` with m = 0,
+    when the largest s and dl of the series (``_reach``) are within the
+    family's s_max and n_max.  The skipped terms add 0.0 (or NaN from an
+    infinite member), so the sum keeps its bits and every input that raises
+    ``TruncationError`` or ``ValueError`` with ``plan`` still raises it.
+
     A series keeps one slot, (family, point, value) of its last call.  A call
     whose family and point are the very objects in the slot (``is``) returns
     the value; any other call evaluates and then fills the slot.  This rests
@@ -404,11 +414,16 @@ class CoeffSeries:
     are not reused while it does, and a call that raises leaves it as it was.
     """
 
-    __slots__ = ("terms", "plan", "_last", "_key")
+    __slots__ = ("terms", "plan", "_plan0", "_reach", "_last", "_key")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
         self.plan = tuple((float(t.coef), (t.s, t.dl), float(t.ll_exp), t.m) for t in self.terms)
+        self._plan0 = tuple(entry for entry in self.plan if not entry[3])  # the terms at l_ppqq = 0
+        keys = [key for _, key, _, _ in self.plan]
+        # the largest (s, dl); a negative index, which raises, never lets a term be skipped
+        self._reach = ((max(s for s, _ in keys), max(n for _, n in keys))
+                       if keys and min(map(min, keys)) >= 0 else (math.inf, math.inf))
         self._last = _NO_CALL
         self._key = None  # (a, b, c, pi, S) of a series in _SHARED
 
@@ -452,9 +467,12 @@ class CoeffSeries:
         if last[0] is f and last[1] is point:
             return last[2]
         lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
+        plan = self.plan
+        if not lam_ppqq and self._reach[0] <= f.s_max and self._reach[1] <= f.n_max:
+            plan = self._plan0  # every member in range: the terms with m > 0 are 0 and skipped
         members = f.members_at(lam)
         total = 0.0
-        for coef, key, ll_exp, m in self.plan:
+        for coef, key, ll_exp, m in plan:
             member = members.get(key)
             if member is None:  # a miss: ktilde_deriv stores the member or raises
                 member = f.ktilde_deriv(*key, lam)

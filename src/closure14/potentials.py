@@ -270,7 +270,9 @@ def _grids(f, point, N: int, S: int, specs: tuple) -> np.ndarray:
     phi_hat, and p + q + 2r <= N.  Each distinct member and power is looked
     up once for the whole stack, and each cell sums its terms in the order
     ``CoeffSeries.__call__`` does, so every grid is bit-identical to calling
-    each series on its own.
+    each series on its own.  At lambda_ppqq = 0 it still reads every member,
+    where a series skips its terms with m > 0: a member that overflows on such
+    a term gives ``DomainError`` here and a finite value there.
     """
     plan = _grid_plan(N, S, specs)
     lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq

@@ -5,8 +5,9 @@ counting pairings and by averaging over every index permutation, their
 contraction by a sweep over all 3^rank index tuples, the node field of a
 coefficient grid by one unstaged einsum, the kinetic radial moment with its
 kernel values and node powers redone on every call, the by-parts identity
-of the kinetic radial moments, and every coefficient cell built by single
-steps from k00, along any order of them.  They are slow or general and stay
+of the kinetic radial moments, a series as the sum of every term of its
+plan, and every coefficient cell built by single steps from k00, along any
+order of them.  They are slow or general and stay
 out of the package, whose routes are ``symtensor.delta_contract``, the
 sphere-rule potentials with their staged ``potentials._field``,
 ``kinetic._radial_moment`` and ``coeffs.tensor_series`` with its closed form.
@@ -127,7 +128,20 @@ def radial_moment_per_call(kernel, n: int, power: int, point) -> float:
     The route of ``kinetic._radial_moment`` without its tables: every kernel
     value is computed again on every call, and every node power is one array
     ``**`` of the nodes on [0, R].  The cutoff search, the rules and the float
-    operations are the same, so the two must agree to the bit.
+    operations are the same, so the two must agree to the bit.  The error
+    test always computes the magnitude R int|g|.
+    """
+    full, half, magnitude = radial_rule_parts(kernel, n, power, point)
+    if abs(full - half) > 10 * _REL_TOL * magnitude:
+        raise AccuracyError(f"quadrature error {abs(full - half):.3e} exceeds tolerance")
+    return full
+
+
+def radial_rule_parts(kernel, n: int, power: int, point) -> tuple:
+    """(full, half, magnitude) of ``radial_moment_per_call`` before its error test.
+
+    full and half are the two rules' values and magnitude = R int|g| by the
+    full rule; a non-finite rule value or tail raises as there.
     """
     def g(c):
         arg = point.lam + point.lam_ll * c * c / 3.0
@@ -151,11 +165,20 @@ def radial_moment_per_call(kernel, n: int, power: int, point) -> float:
         y = g(R * nodes)
         full, half = R * (weights @ y)
         magnitude = R * (weights[0] @ np.abs(y))
-    finite(full)
-    finite(half)
-    if abs(full - half) > 10 * _REL_TOL * magnitude:
-        raise AccuracyError(f"quadrature error {abs(full - half):.3e} exceeds tolerance")
-    return float(full)
+    return float(finite(full)), float(finite(half)), float(magnitude)
+
+
+def full_plan_sum(series: CoeffSeries, f, point) -> float:
+    """The series at point as the sum of every term of its ``plan``, in plan order.
+
+    Each member comes from the family's raw ``deriv``, and every term is
+    multiplied by l_ppqq**m, so at l_ppqq = 0 the terms with m > 0 add
+    zeros; ``CoeffSeries.__call__`` skips them there and must agree to the bit.
+    """
+    total = 0.0
+    for coef, (s, dl), ll_exp, m in series.plan:
+        total += coef * f.deriv(s, dl, point.lam) * point.lam_ll ** ll_exp * point.lam_ppqq ** m
+    return total
 
 
 def f1_by_parts_check(kernel, point) -> float:

@@ -88,7 +88,8 @@ class TestCommandLine:
 
 
 @pytest.mark.parametrize("probe, cases", [
-    ("kinetic_kpq", ["kinetic_kpq_3_3.from_table", "kinetic_kpq_3_3.new_point"]),
+    ("kinetic_kpq", ["family_k_pq_S4.new_point", "kinetic_kpq_3_3.from_table",
+                     "kinetic_kpq_3_3.new_point"]),
     ("coeffs", ["cells_N8_S6.new_point", "coefficient_request.build", "constraints.new_point",
                 "h_pqr_2_2_0.repeat", "k_pq_3_3.new_point"]),
     ("potentials", ["h_alone.N6", "h_then_phi.N6", "lab_potentials.N6"]),

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from closure14.coeffs import (
     CoeffSeries,
     EquilibriumPoint,
     GeneratingFamily,
+    _Term,
     constraint_residuals,
     eta_descending_literal,
     eta_product,
@@ -40,10 +42,11 @@ from closure14.errors import (
     ParityError,
     TruncationError,
 )
+from closure14.kinetic import exponential_kernel, make_kinetic_family
 from closure14.numdiff import RESIDUAL_FLOOR
 from closure14.potentials import MultiplierState, eval_h_hat, eval_phi_hat
 from closure14.verify import LAM_LL_RANGE, LAM_PPQQ_RANGE, LAM_RANGE
-from oracles import k00_from_definition, k_series_along, step_series
+from oracles import full_plan_sum, k00_from_definition, k_series_along, step_series
 
 # Independently derived reference values (exponential family, amplitude=scale=1).
 KT0_AT_0 = 28.933881011162246
@@ -229,12 +232,14 @@ class TestScalarCoefficients:
             pytest.param(
                 lambda f: k_pq(f, 0, 0, EquilibriumPoint(-1000.0, 1.0, 0.0), S=4), id="point0"
             ),
-            # members are inf without an OverflowError, and inf - inf is nan
+            # members are inf without an OverflowError, and inf - inf is nan; at
+            # lam_ppqq > 0 their terms count (at 0 they are skipped, see below)
             pytest.param(
-                lambda f: k_pq(f, 0, 0, EquilibriumPoint(-700.0, 1.0, 0.0), S=4), id="k_pq_nan"
+                lambda f: k_pq(f, 0, 0, EquilibriumPoint(-700.0, 1.0, 1e-3), S=4), id="k_pq_nan"
             ),
             pytest.param(
-                lambda f: h_pqr(f, CoefficientRequest(0, 0, 1), EquilibriumPoint(-690.0, 0.05)),
+                lambda f: h_pqr(f, CoefficientRequest(0, 0, 1),
+                                EquilibriumPoint(-690.0, 0.05, 1e-3)),
                 id="h_pqr_nan",
             ),
             pytest.param(
@@ -258,6 +263,15 @@ class TestScalarCoefficients:
             warnings.simplefilter("error")
             with pytest.raises(ClosureError):
                 call(exp_family)
+
+    def test_overflowing_member_of_a_vanishing_term_is_skipped(self, exp_family):
+        # at lam_ppqq = 0 only the m = 0 term of k00 is summed: ktilde_0(-700)
+        # is finite, and the inf members ktilde_2..4 multiply 0
+        pt = EquilibriumPoint(-700.0, 1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert k_pq(exp_family, 0, 0, pt, S=4) == exp_family.ktilde(0, -700.0)
+            assert math.isinf(exp_family.ktilde(2, -700.0))
 
     @pytest.mark.parametrize(
         "call, name",
@@ -659,6 +673,73 @@ class TestCompiledSeries:
                 CoeffSeries.k00(1).derivative(0, 0, 2)
 
 
+def outcome(call):
+    """("value", bits) of a call that returns, or (error type, message) of one that raises."""
+    try:
+        return "value", call().hex()
+    except (TruncationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestZeroQuarticPlan:
+    """At l_ppqq = 0 a series sums only its m = 0 terms, with the bits of the full plan."""
+
+    @pytest.mark.parametrize("kind", ["exponential", "poly_exponential", "kinetic"])
+    def test_same_bits_as_the_full_plan(self, kind):
+        f = (make_kinetic_family(exponential_kernel()) if kind == "kinetic"
+             else make_family(kind))
+        rng = np.random.default_rng(29)
+        points = [EquilibriumPoint(rng.uniform(-1, 1), rng.uniform(0.5, 4.0), 0.0)
+                  for _ in range(3)] + [EquilibriumPoint(0.3, 1.6, 0.02)]
+        checked = 0
+        for pt in points:
+            for S in range(7):
+                for p, q, r in cells(8):
+                    if (q + 1) // 2 > S:  # c > S: no series
+                        continue
+                    series = tensor_series(p, q, r, S)
+                    got = series(f, pt)
+                    assert got.hex() == full_plan_sum(series, f, pt).hex(), (pt, p, q, r, S)
+                    checked += 1
+        assert checked > 4 * 400
+
+    def test_kinetic_op_fetches_only_the_members_of_m_zero_terms(self):
+        fam = make_kinetic_family(exponential_kernel())
+        for lam_ppqq, fetched in ((0.0, 5), (0.02, 10)):
+            deriv = CountingDeriv(fam.deriv)
+            counting = dataclasses.replace(fam, deriv=deriv)
+            pt = EquilibriumPoint(0.37, 1.3, lam_ppqq)
+            for p in range(4):
+                for q in range(4 - p):  # the ten k_pq of a kinetic op, p + q <= 3
+                    k_pq(counting, p, q, pt, 4)
+            assert len(deriv.calls) == len(set(deriv.calls)) == fetched, lam_ppqq
+            keys = {key for p in range(4) for q in range(4 - p)
+                    for _, key, _, m in tensor_series(p, q, 0, 4).plan if m == 0 or lam_ppqq}
+            assert {(s, n) for s, n, _ in deriv.calls} == keys
+
+    @pytest.mark.parametrize("case", [
+        pytest.param((dict(s_max=3), lambda: tensor_series(0, 0, 0, 4)), id="S_past_s_max"),
+        pytest.param((dict(s_max=3), lambda: tensor_series(2, 2, 1, 5)), id="S_past_s_max_cell"),
+        pytest.param((dict(n_max=2), lambda: tensor_series(6, 0, 0, 4)), id="dl_past_n_max"),
+        pytest.param((dict(n_max=2), lambda: CoeffSeries(  # only a vanishing term past n_max
+            [_Term(Fraction(1), 0, 0, Fraction(-3, 2), 0),
+             _Term(Fraction(1), 1, 3, Fraction(-7, 2), 1)])), id="vanishing_dl_past_n_max"),
+        pytest.param((dict(), lambda: CoeffSeries(  # only a vanishing term with dl < 0
+            [_Term(Fraction(1), 0, 0, Fraction(-3, 2), 0),
+             _Term(Fraction(1), 1, -1, Fraction(-7, 2), 1)])), id="vanishing_negative_dl"),
+    ])
+    def test_range_errors_as_at_positive_lam_ppqq(self, case):
+        limits, make = case
+        f = dataclasses.replace(make_family("exponential"), **limits)
+        series = make()
+        errors = [outcome(lambda: series(f, EquilibriumPoint(0.2, 1.4, lam_ppqq)))
+                  for lam_ppqq in (0.01, 0.0)]
+        assert errors[0][0] != "value"
+        assert errors[1] == errors[0]
+        with pytest.raises(errors[0][0], match=re.escape(errors[0][1])):
+            series(f, EquilibriumPoint(-0.5, 2.0, 0.0))
+
+
 def cells(N):
     """Every (p, q, r) with p + q + 2r <= N."""
     return [(p, q, r) for p in range(N + 1) for q in range(N + 1 - p)
@@ -949,7 +1030,7 @@ class TestLastCallSlot:
         series = tensor_series(0, 0, 1, 4)
         good = EquilibriumPoint(0.3, 1.7, 0.02)
         value = series(f, good)
-        bad = EquilibriumPoint(-690.0, 0.05)
+        bad = EquilibriumPoint(-690.0, 0.05, 1e-3)  # inf members on terms with m > 0
         for _ in range(3):
             with pytest.raises(DomainError, match="coefficient overflows"):
                 series(f, bad)

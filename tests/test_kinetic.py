@@ -23,6 +23,7 @@ from closure14.errors import AccuracyError, DecayError, DomainError
 from closure14.kinetic import (
     _CUTOFF_MAX,
     _CUTOFF_START,
+    _REL_TOL,
     KineticKernel,
     _node_powers,
     _panel_rule,
@@ -35,7 +36,7 @@ from closure14.kinetic import (
     make_kinetic_family,
     poly_exponential_kernel,
 )
-from oracles import f1_by_parts_check, radial_moment_per_call
+from oracles import f1_by_parts_check, radial_moment_per_call, radial_rule_parts
 
 KT0_AT_0 = 28.933881011162246
 KT1_AT_0 = -976.5184841267256
@@ -438,6 +439,36 @@ class TestTables:
         assert not all(np.isfinite(v).all() for v in values[overflows])
         assert len(counter.arrays) == len(nodes) == (overflows == "nodes")
         assert counter.scalars.count((0, lam + 1.0)) == 1  # c = 1, stored once
+
+    def test_magnitude_on_demand_same_outcome(self):
+        # the package computes R int|g| only for an error past 10 _REL_TOL |full|;
+        # the points include zeros of poly-exponential moments, where |full| is
+        # far below the magnitude, and values near the bottom of the float range
+        wavy = KineticKernel(lambda n, x: np.exp(-x) * np.cos(40 * x), name="wavy")
+        rng = np.random.default_rng(29)
+        points = [EquilibriumPoint(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 4.0), lam_ppqq)
+                  for lam_ppqq in (0.0, 0.0, 0.02)]
+        points += [EquilibriumPoint(lam, lam_ll) for lam, lam_ll in
+                   ((-1.5, 1.0), (-3.5, 2.0), (0.5, 0.7), (-1.5, 1.5), (700.0, 1.0), (735.0, 2.0))]
+        tolerance, seen = 10 * _REL_TOL, set()
+        for kernel in (exponential_kernel(), poly_exponential_kernel(), wavy):
+            for pt in points:
+                for n, power in [(n, power) for n in range(4) for power in (0, 2, 5, 8)]:
+                    try:
+                        want = radial_moment_per_call(kernel, n, power, pt).hex()
+                    except (AccuracyError, DecayError, DomainError) as exc:
+                        want = type(exc)
+                    try:
+                        got = _radial_moment(kernel, n, power, pt).hex()
+                    except (AccuracyError, DecayError, DomainError) as exc:
+                        got = type(exc)
+                    assert got == want, (kernel.name, pt, n, power)
+                    if want is AccuracyError or isinstance(want, str):
+                        full, half, magnitude = radial_rule_parts(kernel, n, power, pt)
+                        seen.add("accuracy" if want is AccuracyError else
+                                 "magnitude" if abs(full - half) > tolerance * abs(full) else
+                                 "bound")
+        assert seen == {"bound", "magnitude", "accuracy"}
 
     def test_node_powers_are_read_only_and_exact(self):
         nodes = _panel_rule()[0]
