@@ -67,8 +67,10 @@ one BLAS thread read 1.096 with wins 2/10.  So wins as uneven as 2/10 and
 probe ratios up to about 10 % occur on identical code.  No A/A case set
 ``claims_gain``: the rule, not the ratio, keeps noise from becoming a claim.
 
-The output is rewritten after every pair, so an interrupted run keeps the
-pairs it made.
+The report's ``env`` holds each side's commit and the line count of its
+``src/**/*.py`` files, and the run prints the net ``src/`` delta once.  The
+output is rewritten after every pair, so an interrupted run keeps the pairs
+it made.
 """
 
 from __future__ import annotations
@@ -438,6 +440,11 @@ def per_side(pairs: list, key=None) -> dict:
     return {side: [p[side][key] if key else p[side] for p in pairs] for side in SIDES}
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of every ``src/**/*.py`` file of ``checkout``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def environment(dirs: dict) -> dict:
     def commit(path):
         res = subprocess.run(["git", "-C", str(path), "rev-parse", "HEAD"],
@@ -447,7 +454,8 @@ def environment(dirs: dict) -> dict:
     return {"python": platform.python_version(),
             **{name: metadata.version(name) for name in ("numpy", "scipy")},
             "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0)),
-            "commits": {side: commit(path) for side, path in dirs.items()}}
+            "commits": {side: commit(path) for side, path in dirs.items()},
+            "src_lines": {side: src_lines(path) for side, path in dirs.items()}}
 
 
 def show(label: str, summary: dict) -> None:
@@ -466,6 +474,9 @@ def main(argv=None) -> int:
               "run_seconds": bench["run_seconds"], "first_seed": args.first_seed,
               "repeats": REPEATS, "threads": THREADS, "probe_unit": "us per call",
               "workloads": {}, "probes": {}}
+    lines = report["env"]["src_lines"]
+    print(f"src/ lines: {lines['parent']} -> {lines['change']}"
+          f" (net {lines['change'] - lines['parent']:+d})", flush=True)
 
     def save(label, pairs):
         print(f"{label}: pair {len(pairs)} done", flush=True)

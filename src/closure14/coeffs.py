@@ -11,9 +11,11 @@ rational, pi d^a/dl^a d^b/dl_ll^b d^c/dl_ppqq^c k00, whose terms have a
 closed form.  Derivatives in l_ll and l_ppqq are analytic; only the
 l-direction consults the family's derivative oracle.  Each production
 series is the one series of its key (a, b, c, pi, S), built from that
-closed form, and ``CoeffSeries.derivative`` shifts the key.  The single
-steps (``d_lam``, ``d_ll``, ``d_ppqq``, ``scaled``) are term rules that
-return new series, the independent route of ``k_pq_closed`` and the tests.
+closed form, and one cached table, ``_shared``, is the way to it: by index
+(``tensor_series``, ``CoeffSeries.k00``) or by shifting the key
+(``CoeffSeries.derivative``).  The single steps (``d_lam``, ``d_ll``,
+``d_ppqq``, ``scaled``) are term rules that return new series, the
+independent route of ``k_pq_closed`` and the tests.
 
 A series compiles its exact terms to floats once and a family keeps its
 member values at the most recent l, so the coefficients at one point
@@ -23,11 +25,11 @@ yet in the table goes through ``ktilde_deriv``.  At l_ppqq = 0 a series
 sums only its terms with m = 0, since the others are 0; so it reads no
 member of a vanishing term, and one that would overflow there leaves the
 value finite.  A series with a member out of the family's range sums all
-its terms, so it raises the same error at l_ppqq = 0 as elsewhere.
-Each series also keeps the value of its last call, and returns it when
-asked again with the very same family and point objects: k_{p,q} is the
-r = 0 cell of h/phi_{p,q,r}, h_{p,q,r} = phi_{p+1,q,r-1} for even p+q, and
-the constraints read k00 again.
+its terms, so it raises the same error at l_ppqq = 0 as elsewhere; the
+grids of ``potentials`` follow the same rule.  Each series also keeps the
+value of its last call, and returns it when asked again with the very same
+family and point objects: k_{p,q} is the r = 0 cell of h/phi_{p,q,r},
+h_{p,q,r} = phi_{p+1,q,r-1} for even p+q, and the constraints read k00 again.
 
 A ``CoefficientRequest`` (p, q, r, S) is a ``NamedTuple`` that checks its
 indices when built, so h_pqr and phi_pqr see only integers >= 0.
@@ -362,7 +364,6 @@ class _Term:
 
 _NO_CALL = (object(), None, None)  # no caller holds its family, so it never matches
 _EXHAUSTED = "series order exhausted: increase S for this lambda_ppqq derivative"
-_SHARED = {}  # (a, b, c, pi, S) -> the one series pi d^a/dl^a d^b/dl_ll^b d^c/dl_ppqq^c k00(S)
 
 
 @functools.cache
@@ -376,24 +377,21 @@ def _rows(b: int, c: int, S: int) -> tuple:
                   s, e - b, s - c) for s, e in e_s.items())
 
 
-def _shared(key) -> "CoeffSeries":
-    """The one series of ``key`` = (a, b, c, pi, S), from its closed form; c > S raises."""
-    series = _SHARED.get(key)
-    if series is None:
-        a, b, c, pi, S = key
-        if c > S:
-            raise TruncationError(_EXHAUSTED)
-        series = _SHARED[key] = CoeffSeries(
-            _Term(pi * coef, s, a, e, m) for coef, s, e, m in _rows(b, c, S))
-        series._key = key
+@functools.cache
+def _shared(a: int, b: int, c: int, pi: Fraction, S: int) -> "CoeffSeries":
+    """The one series pi d^a/dl^a d^b/dl_ll^b d^c/dl_ppqq^c k00(S); c > S raises."""
+    if c > S:
+        raise TruncationError(_EXHAUSTED)
+    series = CoeffSeries(_Term(pi * coef, s, a, e, m) for coef, s, e, m in _rows(b, c, S))
+    series._key = (a, b, c, pi, S)
     return series
 
 
 class CoeffSeries:
     """Finite sum of terms coef * d^dl ktilde_s(l) * l_ll**e * l_ppqq**m.
 
-    The steps, ``scaled`` and ``truncated`` act on the exact terms and return
-    a new series without a key; ``derivative`` needs one.  A call runs
+    The steps and ``scaled`` act on the exact terms and return a new series
+    without a key; ``derivative`` needs one.  A call runs
     ``plan``, the terms as (float(coef), (s, dl), float(e), m), compiled at
     once.  It fetches the family's member table at l once (``members_at``) and
     reads each term's member from it by its (s, dl) key; only a miss calls
@@ -425,19 +423,23 @@ class CoeffSeries:
         self._reach = ((max(s for s, _ in keys), max(n for _, n in keys))
                        if keys and min(map(min, keys)) >= 0 else (math.inf, math.inf))
         self._last = _NO_CALL
-        self._key = None  # (a, b, c, pi, S) of a series in _SHARED
+        self._key = None  # (a, b, c, pi, S) of a series of _shared
 
     @classmethod
     def k00(cls, S: int) -> "CoeffSeries":
-        return _shared((0, 0, 0, 1, S))
+        check_index("S", S)  # before the cache of tensor_series takes 4.0 as 4
+        return tensor_series(0, 0, 0, S)
 
-    @functools.cache  # a key holds a Fraction, slower to hash than the series
+    # a key holds a Fraction, slower to hash than the series; typed, so 1.0 is not 1
+    @functools.lru_cache(maxsize=None, typed=True)
     def derivative(self, da=0, db=0, dc=0) -> "CoeffSeries":
         """d^da/dl^da d^db/dl_ll^db d^dc/dl_ppqq^dc of the series: its key, shifted."""
+        for name, shift in (("da", da), ("db", db), ("dc", dc)):
+            check_index(name, shift)
         if self._key is None:
             raise ValueError("only a series of tensor_series or k00 has a derivative")
         a, b, c, pi, S = self._key
-        return _shared((a + da, b + db, c + dc, pi, S))
+        return _shared(a + da, b + db, c + dc, pi, S)
 
     def d_lam(self) -> "CoeffSeries":
         return CoeffSeries(_Term(t.coef, t.s, t.dl + 1, t.ll_exp, t.m) for t in self.terms)
@@ -455,12 +457,6 @@ class CoeffSeries:
     def scaled(self, c) -> "CoeffSeries":
         c = Fraction(c)
         return CoeffSeries(_Term(t.coef * c, t.s, t.dl, t.ll_exp, t.m) for t in self.terms)
-
-    def max_order(self) -> int:
-        return max(t.m for t in self.terms)
-
-    def truncated(self, order: int) -> "CoeffSeries":
-        return CoeffSeries(t for t in self.terms if t.m <= order)
 
     def __call__(self, f: GeneratingFamily, point: EquilibriumPoint) -> float:
         last = self._last
@@ -545,7 +541,7 @@ def tensor_series(p: int, q: int, r: int, S: int) -> CoeffSeries:
     p, q, r, S = map(operator.index, (p, q, r, S))
     n, a, c = p + q, (p + q) // 2 - q // 2, (q + 1) // 2
     b = q // 2 + p - a + r
-    return _shared((a, b, c, Fraction(3**b, n + 2 * r + 1 + n % 2), S))
+    return _shared(a, b, c, Fraction(3**b, n + 2 * r + 1 + n % 2), S)
 
 
 def h_pqr(f: GeneratingFamily, req: CoefficientRequest, point: EquilibriumPoint) -> float:
@@ -585,6 +581,7 @@ def k0q_eta_bounds(q: int) -> tuple[int, int]:
 
 def k0q_closed(f: GeneratingFamily, q: int, lam: float, lam_ll: float) -> float:
     """Closed form for k_{0,q} at lambda_ppqq = 0 (corrected eta convention)."""
+    check_index("q", q)
     point = EquilibriumPoint(lam, lam_ll)  # checks the domain
     odd = q % 2
     half = q // 2  # (q - 1) / 2 for odd q
@@ -610,6 +607,8 @@ def _unshared_k00(S: int) -> CoeffSeries:
 
 def k_pq_closed(f: GeneratingFamily, p: int, q: int, point: EquilibriumPoint, S: int) -> float:
     """k_{p,q} from mixed partials of k00 (the four parity branches), by single steps."""
+    for name, index in (("p", p), ("q", q), ("S", S)):
+        check_index(name, index)  # before the cache of the series takes 4.0 as 4
     return _stepped_k_series(p, q, S)(f, point)
 
 
@@ -641,16 +640,6 @@ def _stepped_k_series(p: int, q: int, S: int) -> CoeffSeries:
 # --- scalar constraints -----------------------------------------------------
 
 
-@functools.cache
-def _constraint_series(S: int):
-    """k00 and the two sides of the first scalar condition, built once per S."""
-    if S < 2:
-        raise TruncationError("constraint check needs S >= 2")
-    base = CoeffSeries.k00(S)
-    rhs = base.derivative(1, 0, 1)
-    return base, base.derivative(0, 2, 0).truncated(rhs.max_order()), rhs
-
-
 def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
     """Relative residuals of the two scalar conditions on k00.
 
@@ -659,13 +648,15 @@ def constraint_residuals(f: GeneratingFamily, point: EquilibriumPoint, S: int):
 
     The series is formal/asymptotic: the lambda_ppqq derivative in the
     first condition drops the top retained order, so both sides are
-    compared at the common order S-1.  The second condition is exact
-    order-by-order (the lambda_ppqq prefactor restores the order), so no
-    truncation is applied there.
+    compared at the common order S-1, the left one as d2/dl_ll2 k00(S-1).
+    The second condition is exact order-by-order (the lambda_ppqq prefactor
+    restores the order), so no truncation is applied there.
     """
-    base, lhs_series, rhs_series = _constraint_series(S)
-    lhs_c = 9.0 * lhs_series(f, point)
-    rhs_c = rhs_series(f, point)
+    base = CoeffSeries.k00(S)  # checks S
+    if S < 2:
+        raise TruncationError("constraint check needs S >= 2")
+    lhs_c = 9.0 * CoeffSeries.k00(S - 1).derivative(0, 2, 0)(f, point)
+    rhs_c = base.derivative(1, 0, 1)(f, point)
     c_resid = abs(lhs_c - rhs_c) / max(abs(lhs_c), abs(rhs_c), RESIDUAL_FLOOR)
     return c_resid, scaling_residual(f, base, 3.0, point)
 
@@ -696,6 +687,7 @@ class SubsystemTable:
 
 
 def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:
+    check_index("q", q)
     if q % 2:
         raise ParityError(f"subsystem index q must be even, got {q}")
     s = q // 2
@@ -706,6 +698,7 @@ def subsystem_coefficient(f: GeneratingFamily, q: int, lam: float) -> float:
 
 
 def reduce_to_13(f: GeneratingFamily, q_max: int, lam: float) -> SubsystemTable:
+    check_index("q_max", q_max)
     if q_max > 2 * f.s_max:
         raise TruncationError(f"q_max={q_max} needs family members beyond s_max={f.s_max}")
     values = {q: subsystem_coefficient(f, q, lam) for q in range(0, q_max + 1, 2)}

@@ -222,17 +222,19 @@ class _GridPlan(NamedTuple):
     members: tuple
     exponents: tuple
     m_max: int
+    reach: tuple  # the largest s and dl of ``members``
     rank1: np.ndarray  # (rank + 1) of every cell, shape (grids, N + 1, N + 1, N // 2 + 1)
 
 
 @functools.cache
-def _grid_plan(N: int, S: int, specs: tuple) -> _GridPlan:
+def _grid_plan(N: int, S: int, specs: tuple, zero: bool = False) -> _GridPlan:
     """Compile the grids ``specs``, pairs (free, shift), to one set of flat arrays.
 
     Grid g holds h_hat (free False) or phi_hat (free True), each series
-    replaced by its ``derivative(*shift)``.  The series are symbolic, so the
-    plan holds for every family.  A series that raises (``TruncationError``,
-    no lambda_ppqq order left) is not cached.
+    replaced by its ``derivative(*shift)``; with ``zero``, only the terms of
+    each series at lambda_ppqq = 0, its ``_plan0``.  The series are symbolic,
+    so the plan holds for every family.  A series that raises
+    (``TruncationError``, no lambda_ppqq order left) is not cached.
     """
     shape = (len(specs), N + 1, N + 1, N // 2 + 1)
     rows = []
@@ -242,7 +244,7 @@ def _grid_plan(N: int, S: int, specs: tuple) -> _GridPlan:
                 for r in range((N - p - q) // 2 + 1):
                     series = coeffs.tensor_series(p, q, r, S).derivative(*shift)
                     cell = np.ravel_multi_index((g, p, q, r), shape)
-                    rows.extend((cell, *term) for term in series.plan)
+                    rows.extend((cell, *term) for term in (series._plan0 if zero else series.plan))
     members = tuple(dict.fromkeys(row[2] for row in rows))
     exponents = tuple(dict.fromkeys(row[3] for row in rows))
     member_index = {key: i for i, key in enumerate(members)}
@@ -258,6 +260,7 @@ def _grid_plan(N: int, S: int, specs: tuple) -> _GridPlan:
         members=members,
         exponents=exponents,
         m_max=max((row[4] for row in rows), default=0),
+        reach=tuple(map(max, zip(*members))) or (0, 0),
         rank1=(p + q + 2 * r + free + 1).astype(float),
     )
 
@@ -270,11 +273,13 @@ def _grids(f, point, N: int, S: int, specs: tuple) -> np.ndarray:
     phi_hat, and p + q + 2r <= N.  Each distinct member and power is looked
     up once for the whole stack, and each cell sums its terms in the order
     ``CoeffSeries.__call__`` does, so every grid is bit-identical to calling
-    each series on its own.  At lambda_ppqq = 0 it still reads every member,
-    where a series skips its terms with m > 0: a member that overflows on such
-    a term gives ``DomainError`` here and a finite value there.
+    each series on its own.  At lambda_ppqq = 0, as a series does, it sums
+    only the terms with m = 0 and reads only their members, unless a member
+    of the full plan lies past the family's s_max or n_max.
     """
     plan = _grid_plan(N, S, specs)
+    if not point.lam_ppqq and plan.reach[0] <= f.s_max and plan.reach[1] <= f.n_max:
+        plan = _grid_plan(N, S, specs, zero=True)  # all members in range: m > 0 terms are 0
     lam, lam_ll, lam_ppqq = point.lam, point.lam_ll, point.lam_ppqq
     K = np.array([f.ktilde_deriv(s, dl, lam) for s, dl in plan.members])
     try:

@@ -114,3 +114,12 @@ def test_fresh_inputs_reach_one_call_each():
         assert time_calls(calls) >= 0
     assert [x for (x,) in seen] == list(range(6))
     assert len({id(x) for x in seen}) == 6
+
+
+def test_src_lines_counts_this_checkout():
+    files = sorted((ROOT / "src").glob("**/*.py"))
+    assert files
+    direct = sum(len(path.read_text().splitlines()) for path in files)
+    assert ab.src_lines(ROOT) == direct
+    env = ab.environment({"parent": ROOT, "change": ROOT})
+    assert env["src_lines"] == {"parent": direct, "change": direct}

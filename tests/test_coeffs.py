@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import operator
 import re
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from closure14 import coeffs as coeffs_mod
 from closure14.coeffs import (
     CoefficientRequest,
     CoeffSeries,
@@ -516,7 +518,8 @@ class TestConstraints:
         for pt in random_points(seed=10 + S):
             base = CoeffSeries(CoeffSeries.k00(S).terms)
             rhs_series = base.d_lam().d_ppqq()
-            lhs_c = 9.0 * base.d_ll().d_ll().truncated(rhs_series.max_order())(fam, pt)
+            top = max(t.m for t in rhs_series.terms)  # the common order S - 1
+            lhs_c = 9.0 * CoeffSeries([t for t in base.d_ll().d_ll().terms if t.m <= top])(fam, pt)
             rhs_c = rhs_series(fam, pt)
             t0 = 3.0 * base(fam, pt)
             t1 = 2.0 * pt.lam_ll * base.d_ll()(fam, pt)
@@ -526,6 +529,22 @@ class TestConstraints:
                 abs(t0 + t1 + t2) / max(abs(t0), abs(t1), abs(t2), RESIDUAL_FLOOR),
             )
             assert constraint_residuals(fam, pt, S) == expect
+
+    @pytest.mark.parametrize("S", [2, 4, 6])
+    def test_reads_its_series_from_the_table(self, exp_family, S, monkeypatch):
+        # the left side of the first condition is d2/dl_ll2 of k00(S - 1), not a copy of it
+        base, called = CoeffSeries.k00(S), []
+        true_call = CoeffSeries.__call__
+
+        def recording(series, f, point):
+            called.append(series)
+            return true_call(series, f, point)
+
+        monkeypatch.setattr(CoeffSeries, "__call__", recording)
+        constraint_residuals(exp_family, EquilibriumPoint(0.1, 1.3, 0.02), S)
+        want = [CoeffSeries.k00(S - 1).derivative(0, 2, 0), base.derivative(1, 0, 1), base,
+                base.derivative(0, 1, 0), base.derivative(0, 0, 1)]
+        assert len(called) == len(want) and all(map(operator.is_, called, want))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -540,6 +559,39 @@ class TestConstraints:
         f = BUILT_IN[kind]
         _, scaling = constraint_residuals(f, EquilibriumPoint(lam, lam_ll, lam_ppqq), S)
         assert scaling <= 1e-9
+
+
+class TestIndexChecks:
+    """Each cold entry point checks its indices before any cache or arithmetic."""
+
+    # entry point -> (index name, call with index i); i = 2 makes a valid call
+    ENTRIES = {
+        "k_pq_closed.p": ("p", lambda f, i: k_pq_closed(f, i, 0, POINT, 4)),
+        "k_pq_closed.q": ("q", lambda f, i: k_pq_closed(f, 0, i, POINT, 4)),
+        "k_pq_closed.S": ("S", lambda f, i: k_pq_closed(f, 1, 1, POINT, i)),
+        "k0q_closed.q": ("q", lambda f, i: k0q_closed(f, i, 0.1, 1.0)),
+        "subsystem_coefficient.q": ("q", lambda f, i: subsystem_coefficient(f, i, 0.1)),
+        "reduce_to_13.q_max": ("q_max", lambda f, i: reduce_to_13(f, i, 0.1)),
+        "constraint_residuals.S": ("S", lambda f, i: constraint_residuals(f, POINT, i)),
+        "k00.S": ("S", lambda f, i: CoeffSeries.k00(i)),
+        "derivative.da": ("da", lambda f, i: CoeffSeries.k00(4).derivative(i, 0, 0)),
+        "derivative.db": ("db", lambda f, i: CoeffSeries.k00(4).derivative(0, i, 0)),
+        "derivative.dc": ("dc", lambda f, i: CoeffSeries.k00(4).derivative(0, 0, i)),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 2.0, 2.5], ids=["negative", "integral_float", "fraction"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_rejected_before_and_after_a_valid_call(self, exp_family, entry, bad):
+        # derivative.db at -1 is k00(4).derivative(0, -1, 0), which once returned 26.18...
+        name, call = self.ENTRIES[entry]
+        message = "^" + re.escape(f"{name} must be an integer >= 0, got {bad!r}") + "$"
+        for valid_call_made in (False, False, True):
+            if valid_call_made:
+                call(exp_family, 2)
+            stored = coeffs_mod._shared.cache_info().currsize
+            with pytest.raises(ValueError, match=message):
+                call(exp_family, bad)
+            assert coeffs_mod._shared.cache_info().currsize == stored  # no series kept
 
 
 class TestSubsystem:

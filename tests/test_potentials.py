@@ -156,6 +156,8 @@ class TestCompiledGrid:
     """The compiled coefficient grids against the per-series route, bit for bit."""
 
     POINT = EquilibriumPoint(0.3, 1.2, 0.02)
+    # lambda_ppqq = 0, where a grid sums only the terms with m = 0
+    ZERO_QUARTIC = (EquilibriumPoint(0.3, 1.2, 0.0), EquilibriumPoint(-0.8, 2.7, 0.0))
     # each grid's coefficient shift, and the step rule that builds its series independently
     STEPS = {(0, 0, 0): None, (1, 0, 0): CoeffSeries.d_lam, (0, 1, 0): CoeffSeries.d_ll,
              (0, 0, 1): CoeffSeries.d_ppqq}
@@ -166,8 +168,8 @@ class TestCompiledGrid:
         # each grid alone and as one of the eight grids of a shared plan; the
         # derived grids against the step rules applied to each cell
         f, S_grid = make_family(kind), 6
-        for N in range(9):
-            shared = _grids(f, self.POINT, N, S_grid, self.SPECS)
+        for point, N in itertools.product((self.POINT, *self.ZERO_QUARTIC), range(9)):
+            shared = _grids(f, point, N, S_grid, self.SPECS)
             for g, (free, shift) in enumerate(self.SPECS):
                 step = self.STEPS[shift]
                 want = np.zeros((N + 1, N + 1, N // 2 + 1))
@@ -178,11 +180,36 @@ class TestCompiledGrid:
                             if step is not None:
                                 series = step(series)
                             rank1 = p + q + 2 * r + free + 1
-                            want[p, q, r] = rank1 * series(f, self.POINT)
-                alone = _grids(f, self.POINT, N, S_grid, ((free, shift),))
+                            want[p, q, r] = rank1 * series(f, point)
+                alone = _grids(f, point, N, S_grid, ((free, shift),))
                 assert alone.shape == (1, *want.shape)
-                assert alone[0].tobytes() == want.tobytes(), (N, free, shift)
-                assert shared[g].tobytes() == want.tobytes(), (N, free, shift)
+                assert alone[0].tobytes() == want.tobytes(), (point, N, free, shift)
+                assert shared[g].tobytes() == want.tobytes(), (point, N, free, shift)
+
+    def test_overflowing_member_of_a_vanishing_term_is_skipped(self, fam):
+        # at lambda = -700 the members with s >= 1 overflow, but only on terms
+        # with m > 0, which are 0 at lambda_ppqq = 0: the grid reads none of them
+        st = MultiplierState.equilibrium(-700.0, 1.0)
+        point, N, S_grid = st.scalar_point(), 2, 4
+        grids = _grids(fam, point, N, S_grid, potentials._PAIR)
+        for free in (False, True):
+            for p in range(N + 1):
+                for q in range((p + free) % 2, N + 1 - p, 2):
+                    for r in range((N - p - q) // 2 + 1):
+                        rank1 = p + q + 2 * r + free + 1
+                        want = rank1 * tensor_series(p, q, r, S_grid)(fam, point)
+                        assert grids[int(free), p, q, r].hex() == want.hex(), (free, p, q, r)
+        h = eval_h_hat(fam, st, N, S_grid)
+        assert math.isfinite(h) and h == pytest.approx(k00(fam, point, S_grid), rel=1e-12)
+
+    @pytest.mark.parametrize("lam_ppqq", [0.0, 0.01])
+    def test_truncation_past_s_max_raises_at_every_lambda_ppqq(self, lam_ppqq):
+        # the terms with m = 0 reach only s <= 1 here, but k00(4) has members past s_max = 3
+        f = make_family("exponential", {"s_max": 3})
+        st = MultiplierState.equilibrium(0.2, 1.3, lam_ppqq)
+        for _ in range(2):
+            with pytest.raises(TruncationError, match="s=4 exceeds family s_max=3"):
+                eval_h_hat(f, st, 2, 4)
 
     def test_one_member_lookup_per_state(self, fam, monkeypatch):
         # the eight grids of a moment set share one member table

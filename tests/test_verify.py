@@ -39,6 +39,12 @@ from closure14.verify import (
 TestPointSet.__test__ = False
 
 
+def clear_series_tables():
+    """Empty every table that keeps shared series, so the next lookups build them anew."""
+    for table in (coeffs_mod._shared, coeffs_mod.tensor_series, coeffs_mod.CoeffSeries.derivative):
+        table.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def exp_family():
     return make_family("exponential")
@@ -190,9 +196,9 @@ class TestFaultInjection:
         """Give the (p, q, r) cell the shared key with scale pi 101/100: compatibility must fail.
 
         Its derivative grids are the shifted keys, so they carry the skew too.
-        The grids compile uncached and the skewed keys go to a copy of the
-        shared table while the series is skewed, so no skewed plan or series
-        outlives the test; after it, the same states pass again.
+        The grids compile uncached and the series tables are emptied after the
+        skew, so no skewed plan or series outlives the test; after it, the
+        same states pass again.
         """
         true_series = coeffs_mod.tensor_series
 
@@ -201,12 +207,11 @@ class TestFaultInjection:
             if (p, q, r) != pqr:
                 return series
             a, b, c, pi, S = series._key
-            return coeffs_mod._shared((a, b, c, pi * Fraction(101, 100), S))
+            return coeffs_mod._shared(a, b, c, pi * Fraction(101, 100), S)
 
         states = TestPointSet(count=2).hatted_states()
         assert check_compatibility(f, states, N=6, S=4).all_passed
 
-        monkeypatch.setattr(coeffs_mod, "_SHARED", dict(coeffs_mod._SHARED))
         monkeypatch.setattr(coeffs_mod, "tensor_series", skewed)
         monkeypatch.setattr(potentials_mod, "_grid_plan", potentials_mod._grid_plan.__wrapped__)
         rep = check_compatibility(f, states, N=6, S=4)
@@ -214,6 +219,7 @@ class TestFaultInjection:
         assert any(c.startswith("compatibility") for c in rep.failed_conditions())
 
         monkeypatch.undo()
+        clear_series_tables()
         assert check_compatibility(f, states, N=6, S=4).all_passed
 
     def test_perturbed_coefficient_breaks_compatibility(self, exp_family, monkeypatch):
@@ -233,13 +239,12 @@ class TestFaultInjection:
 
         points = [EquilibriumPoint(0.2, 1.3, 0.01)]
         assert check_closed_forms(exp_family, 3, 3, points).all_passed
-        monkeypatch.setattr(coeffs_mod, "_SHARED", {})
         monkeypatch.setattr(coeffs_mod, "_rows", doubled)
-        coeffs_mod.tensor_series.cache_clear()
+        clear_series_tables()
         try:
             failed = check_closed_forms(exp_family, 3, 3, points).failed_conditions()
         finally:
-            coeffs_mod.tensor_series.cache_clear()  # the true table is back after the test
+            clear_series_tables()  # the true series are built again after the test
         # (a, b, c) = (0, 1, 0) is k_{1,0}, and (1, 1, 0) is k_{2,0}
         assert failed == ["closed_forms.k00_derivatives.p1q0", "closed_forms.k00_derivatives.p2q0"]
 
